@@ -41,7 +41,6 @@ func main() {
 	cliutil.Parse(name,
 		"run the simulation matrix and emit a deterministic bench JSON file",
 		"lpbench -label seed -o BENCH_seed.json",
-		"lpbench -only pred. -label accuracy-seed -o ACCURACY_seed.json",
 		"lpbench -heapscan -only heap. -label frag-seed -o FRAG_seed.json",
 		"lpbench -o new.json && lpdiff -threshold sim_bytes_per_op+10% BENCH_seed.json new.json",
 		"lpbench -matrix gawk/arena -cpuprofile cpu.pprof -memprofile mem.pprof -o -")

@@ -6,6 +6,7 @@ import (
 	"reflect"
 
 	"repro/internal/core"
+	"repro/internal/heapsim"
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/trace"
@@ -14,27 +15,31 @@ import (
 // CheckBlockEquivalence proves the batched replay path is observationally
 // identical to the scalar one: for every factory it replays tr twice —
 // once through core.RunSimSource (the block-driven engine) and once
-// through core.RunSimSourceScalar (the retained event-at-a-time oracle) —
-// and requires exact agreement on the SimResult and on the full observed
-// snapshot, serialized to JSON and compared byte for byte. That covers
-// every counter, histogram, timeline sample, phase mark, and pred.*
-// accuracy family, so any drift the batching could introduce (a
-// mis-offset event index, a dropped observation at a block boundary, a
-// reordered prediction) fails loudly instead of skewing results.
+// through referenceReplay (the event-at-a-time oracle) — and requires
+// exact agreement on the SimResult and on the full observed snapshot,
+// serialized to JSON and compared byte for byte. That covers every
+// counter, histogram, timeline sample, phase mark, and pred.* accuracy
+// family, so any drift the batching could introduce (a mis-offset event
+// index, a dropped observation at a block boundary, a reordered
+// prediction) fails loudly instead of skewing results.
 //
 // pred may be nil (no prediction) — pass one to also exercise the
-// predicted-short plumbing and the pred.* confusion families.
+// predicted-short plumbing, the pred.* confusion families, and the
+// per-site routing of the sitearena factory.
 func CheckBlockEquivalence(tr *trace.Trace, fs []Factory, pred *profile.Predictor) error {
 	for _, f := range fs {
 		run := func(scalar bool) (core.SimResult, []byte, error) {
 			col := obs.NewCollector(obs.Options{Label: "blockequiv/" + f.Name})
-			src := trace.NewSliceSource(tr)
 			var res core.SimResult
 			var err error
 			if scalar {
-				res, err = core.RunSimSourceScalar(src, f.New(), pred, col)
+				var oracle profile.Oracle
+				if pred != nil {
+					oracle = pred.NewMapper(tr.Table)
+				}
+				res, err = referenceReplay(tr, f.New(), oracle, col)
 			} else {
-				res, err = core.RunSimSource(src, f.New(), pred, col)
+				res, err = core.RunSimSource(trace.NewSliceSource(tr), f.New(), pred, col)
 			}
 			if err != nil {
 				return res, nil, err
@@ -62,4 +67,51 @@ func CheckBlockEquivalence(tr *trace.Trace, fs []Factory, pred *profile.Predicto
 		}
 	}
 	return nil
+}
+
+// referenceReplay is core.RunSimOracle written as the plain
+// one-event-at-a-time loop over the materialized trace: the oracle the
+// block path is differentially tested against. It scores predictions
+// through the same core.Tracker and routes a SiteArena per site exactly
+// as the block loop does.
+func referenceReplay(tr *trace.Trace, alloc heapsim.Allocator, oracle profile.Oracle, col *obs.Collector) (core.SimResult, error) {
+	ot := core.NewTracker(col, alloc, len(tr.Events), oracle)
+	sited, _ := alloc.(*heapsim.SiteArena)
+	router, _ := oracle.(core.SiteRouter)
+	res := core.SimResult{}
+	for i, ev := range tr.Events {
+		short := false
+		switch ev.Kind {
+		case trace.KindAlloc:
+			var err error
+			if sited != nil && router != nil {
+				var key profile.SiteKey
+				if key, short = router.Site(ev.Chain, ev.Size); short {
+					err = sited.AllocAt(ev.Obj, ev.Size, key.ID())
+				} else {
+					err = sited.Alloc(ev.Obj, ev.Size, false)
+				}
+			} else {
+				if oracle != nil {
+					short = oracle.PredictShort(ev.Chain, ev.Size)
+				}
+				err = alloc.Alloc(ev.Obj, ev.Size, short)
+			}
+			if err != nil {
+				return res, fmt.Errorf("core: event %d: %w", i, err)
+			}
+			res.TotalAllocs++
+			res.TotalBytes += ev.Size
+		case trace.KindFree:
+			if err := alloc.Free(ev.Obj); err != nil {
+				return res, fmt.Errorf("core: event %d: %w", i, err)
+			}
+		default:
+			return res, fmt.Errorf("core: event %d: bad kind %d", i, ev.Kind)
+		}
+		ot.Step(ev, short)
+	}
+	core.FinishSim(&res, alloc)
+	res.Obs = ot.Finish(tr.Program, tr.Table)
+	return res, nil
 }

@@ -4,17 +4,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/heapsim"
 	"repro/internal/profile"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
 // TestBlockEquivalenceAcrossModels replays every synthesis model's test
-// trace through all six allocators, block path against the scalar
+// trace through all seven allocators, block path against the scalar
 // oracle, with a trained predictor in play so the pred.* accuracy
-// families are compared too. This is the end-to-end guarantee behind the
-// columnar refactor: batching changed the engine's inner loop, not one
-// observable bit of its output.
+// families and sitearena's per-site routing are compared too. This is
+// the end-to-end guarantee behind the columnar refactor: batching changed
+// the engine's inner loop, not one observable bit of its output.
 func TestBlockEquivalenceAcrossModels(t *testing.T) {
 	fs, err := Factories()
 	if err != nil {
@@ -42,6 +43,15 @@ func TestBlockEquivalenceAcrossModels(t *testing.T) {
 			}
 			if err := CheckBlockEquivalence(tr, fs, db.Predictor()); err != nil {
 				t.Error(err)
+			}
+			// The sitearena comparison covers per-site routing only if
+			// the replay really spreads over more than one site pool.
+			sa := heapsim.NewSiteArena()
+			if _, err := referenceReplay(tr, sa, db.Predictor().NewMapper(tr.Table), nil); err != nil {
+				t.Fatal(err)
+			}
+			if onePool := int64(sa.ArenasPerSite) * sa.ArenaSize; sa.ArenaArea() <= onePool {
+				t.Errorf("sitearena used one site pool (%d bytes): per-site routing went unexercised", sa.ArenaArea())
 			}
 		})
 	}

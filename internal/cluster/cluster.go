@@ -170,7 +170,7 @@ type Result struct {
 // tenantState is the per-tenant replay state during a run.
 type tenantState struct {
 	t       Tenant
-	tracker *core.ReplayTracker
+	tracker *core.Tracker
 	res     TenantResult
 	live    int64 // admitted live payload bytes
 	lastT   int64 // global clock at last live-bytes change
@@ -222,11 +222,7 @@ func Run(cfg Config, tenants []Tenant) (*Result, error) {
 		st := &tenantState{t: t}
 		st.res.ID = t.ID
 		if cfg.TenantCollector != nil {
-			thr := profile.DefaultConfig().ShortThreshold
-			if t.Oracle != nil {
-				thr = t.Oracle.ShortThreshold()
-			}
-			st.tracker = core.NewReplayTracker(cfg.TenantCollector(t.ID), cfg.Pool, t.Events, thr)
+			st.tracker = core.NewTracker(cfg.TenantCollector(t.ID), cfg.Pool, t.Events, t.Oracle)
 		}
 		states[i] = st
 	}

@@ -264,7 +264,7 @@ func (c Config) SiteArenaComparison(a *Artifacts) (SiteArenaRow, error) {
 	if err != nil {
 		return SiteArenaRow{}, err
 	}
-	sited, err := RunSimSited(a.TestTrace, heapsim.NewSiteArena(), a.TrainPredictor)
+	sited, err := RunSim(a.TestTrace, heapsim.NewSiteArena(), a.TrainPredictor)
 	if err != nil {
 		return SiteArenaRow{}, err
 	}

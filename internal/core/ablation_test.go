@@ -158,7 +158,7 @@ func TestSiteArenaIsolatesCfracPollution(t *testing.T) {
 	}
 	// Bounded variant: 64 hash buckets + online demotion. A moderate
 	// but consistent recovery at the shared design's memory scale.
-	bounded, err := RunSimSited(a.TestTrace, heapsim.NewSiteArena(), a.TrainPredictor)
+	bounded, err := RunSim(a.TestTrace, heapsim.NewSiteArena(), a.TrainPredictor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestSiteArenaIsolatesCfracPollution(t *testing.T) {
 	// Unbounded per-site pools isolate pollution fully — CFRAC recovers
 	// most of its predicted fraction — at a memory cost that grows with
 	// the number of hot sites.
-	unbounded, err := RunSimSited(a.TestTrace,
+	unbounded, err := RunSim(a.TestTrace,
 		&heapsim.SiteArena{MaxSites: 1 << 20}, a.TrainPredictor)
 	if err != nil {
 		t.Fatal(err)

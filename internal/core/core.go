@@ -143,10 +143,11 @@ func pickCollector(observers []*obs.Collector) *obs.Collector {
 	return nil
 }
 
-// finishSim fills a replay's aggregate fields from the allocator's final
-// state (shared by the nil-collector and observed paths, so both produce
-// identical values).
-func finishSim(res *SimResult, alloc heapsim.Allocator) {
+// FinishSim fills a replay's aggregate fields from the allocator's final
+// state. Every replay loop ends with it — observed or not, and the
+// cluster's per-tenant results over a shared pool — so all of them report
+// identical values.
+func FinishSim(res *SimResult, alloc heapsim.Allocator) {
 	res.MaxHeap = alloc.MaxHeapSize()
 	res.Counts = alloc.Counts()
 	if res.TotalAllocs > 0 {
@@ -159,11 +160,6 @@ func finishSim(res *SimResult, alloc heapsim.Allocator) {
 		res.PinnedArenas = ar.PinnedArenas()
 	}
 }
-
-// FinishSim exposes finishSim for replay loops built outside this package
-// on the same SimResult vocabulary — the cluster simulator fills
-// per-tenant results from a shared pool allocator through it.
-func FinishSim(res *SimResult, alloc heapsim.Allocator) { finishSim(res, alloc) }
 
 // allocatorName labels the built-in simulators for snapshots. Composed
 // allocators (heapsim.Pool) carry their own label via the AllocatorName
@@ -205,13 +201,17 @@ const maxObsSites = 50
 // terabyte of allocation before the overflow bucket engages.
 const predLifetimeBuckets = 40
 
-// obsTracker carries the replay-side observability state: the
+// Tracker carries the replay-side observability state: the
 // bytes-allocated clock, the live set (for live-bytes timelines and for
 // scoring each alloc-time prediction against the actual lifetime observed
 // at free time), phase boundaries, and the per-site rankings. It exists
 // only when a collector is attached, so the nil-collector replay path pays
-// a single pointer compare per event.
-type obsTracker struct {
+// a single pointer compare per event. RunSimOracle keeps one per run;
+// replay loops outside this package (the cluster steps one per tenant)
+// drive it with the same calls, so their snapshots are field for field
+// the snapshot a solo replay would produce. A nil *Tracker is valid and
+// inert.
+type Tracker struct {
 	col   *obs.Collector
 	alloc heapsim.Allocator
 	occ   occupancyReporter // nil for non-arena allocators
@@ -270,14 +270,23 @@ type predSiteAgg struct {
 	fnObjects, fnBytes         int64
 }
 
-// newObsTracker attaches the collector to the allocator (when it is
-// Observable) and prepares the replay-side state. thr is the short-lifetime
-// threshold the replay's predictions are scored against.
-func newObsTracker(col *obs.Collector, alloc heapsim.Allocator, nEvents int, thr int64) *obsTracker {
+// NewTracker attaches the collector to the allocator (when it is
+// Observable) and prepares the replay-side state; a nil collector returns
+// a nil tracker. nEvents drives the 25/50/75% phase marks (0 when
+// unknown). Predictions are scored against the oracle's short-lifetime
+// threshold, or the paper's default when oracle is nil.
+func NewTracker(col *obs.Collector, alloc heapsim.Allocator, nEvents int, oracle profile.Oracle) *Tracker {
+	if col == nil {
+		return nil
+	}
+	thr := profile.DefaultConfig().ShortThreshold
+	if oracle != nil {
+		thr = oracle.ShortThreshold()
+	}
 	if o, ok := alloc.(heapsim.Observable); ok {
 		o.Observe(col)
 	}
-	t := &obsTracker{
+	t := &Tracker{
 		col:        col,
 		alloc:      alloc,
 		live:       make(map[trace.ObjectID]liveObj),
@@ -309,10 +318,19 @@ func newObsTracker(col *obs.Collector, alloc heapsim.Allocator, nEvents int, thr
 	return t
 }
 
-// step observes one replayed event (after the allocator accepted it).
+// Step observes one replayed event after the allocator accepted it.
 // short is the prediction the replay loop made for an alloc event; it is
-// ignored for frees.
-func (t *obsTracker) step(ev trace.Event, short bool) {
+// ignored for frees. Stepping a free of an object the tracker never saw
+// is a counted no-op — the cluster relies on this for frees of rejected
+// objects and for the real free arriving after an eviction. The nil check
+// inlines into the caller, so an untracked replay pays no call.
+func (t *Tracker) Step(ev trace.Event, short bool) {
+	if t != nil {
+		t.step(ev, short)
+	}
+}
+
+func (t *Tracker) step(ev trace.Event, short bool) {
 	switch ev.Kind {
 	case trace.KindAlloc:
 		born := t.clock
@@ -357,7 +375,7 @@ func (t *obsTracker) step(ev trace.Event, short bool) {
 // trace.Annotate), updating the confusion matrix, the lifetime histograms
 // split by predicted class, the per-site misprediction attribution, and
 // the rolling-accuracy channel.
-func (t *obsTracker) score(lo liveObj, lifetime int64) {
+func (t *Tracker) score(lo liveObj, lifetime int64) {
 	actualShort := lifetime < t.thr
 	correct := lo.short == actualShort
 	switch {
@@ -396,7 +414,7 @@ func (t *obsTracker) score(lo liveObj, lifetime int64) {
 	}
 }
 
-func (t *obsTracker) predSite(chain callchain.ChainID) *predSiteAgg {
+func (t *Tracker) predSite(chain callchain.ChainID) *predSiteAgg {
 	ps := t.predSites[chain]
 	if ps == nil {
 		ps = &predSiteAgg{}
@@ -406,7 +424,7 @@ func (t *obsTracker) predSite(chain callchain.ChainID) *predSiteAgg {
 }
 
 // sample records one timeline point from the current replay state.
-func (t *obsTracker) sample() {
+func (t *Tracker) sample() {
 	s := obs.Sample{
 		Clock:              t.clock,
 		LiveBytes:          t.liveBytes,
@@ -433,11 +451,14 @@ func (t *obsTracker) sample() {
 	t.col.RecordSample(s)
 }
 
-// finish scores the never-freed objects (their lifetime extends to the end
+// Finish scores the never-freed objects (their lifetime extends to the end
 // of the run, matching trace.Annotate), takes the end-of-run sample and
-// phase mark, ranks the site tables, and freezes the snapshot. The chain
-// table renders site labels.
-func (t *obsTracker) finish(program string, tb *callchain.Table) *obs.Snapshot {
+// phase mark, ranks the site tables, and freezes the snapshot — nil for a
+// nil tracker. The chain table renders site labels.
+func (t *Tracker) Finish(program string, tb *callchain.Table) *obs.Snapshot {
+	if t == nil {
+		return nil
+	}
 	// Draining the live map in arbitrary order is fine: every scoring
 	// update is a commutative accumulation (counter adds, histogram
 	// observations, per-site sums), so the result is order-independent.
@@ -480,7 +501,7 @@ func (t *obsTracker) finish(program string, tb *callchain.Table) *obs.Snapshot {
 // fragmentation failure mode), then false-positive bytes, then
 // false-negative bytes, chain id as the deterministic tie-break, capped at
 // maxObsSites like the allocation ranking.
-func (t *obsTracker) rankPredSites(tb *callchain.Table) []obs.PredSite {
+func (t *Tracker) rankPredSites(tb *callchain.Table) []obs.PredSite {
 	chains := make([]callchain.ChainID, 0, len(t.predSites))
 	for id := range t.predSites {
 		chains = append(chains, id)
@@ -542,13 +563,39 @@ func RunSimSource(src trace.Source, alloc heapsim.Allocator, pred *profile.Predi
 	return RunSimOracle(src, alloc, oracle, observers...)
 }
 
+// SiteRouter is the routing face RunSimOracle asks of an oracle that
+// drives a heapsim.SiteArena: the mapped site key and the admit verdict
+// for one allocation. profile.Mapper and profile.SiteMapper implement it,
+// so every cross-table binding profile.BindOracle produces routes per
+// site.
+type SiteRouter interface {
+	Site(raw callchain.ChainID, size int64) (profile.SiteKey, bool)
+}
+
 // RunSimOracle is RunSimSource generalized over the prediction policy: any
 // profile.Oracle — the paper's mapped site database, a zoo policy bound
 // via profile.BindOracle, or nil for no prediction — supplies the
 // per-allocation short/long hint and the threshold its accuracy is scored
 // against. The oracle must already speak the source's chain table.
+//
+// A heapsim.SiteArena driven by a SiteRouter oracle gets per-site
+// routing: each predicted-short allocation goes to the pool its mapped
+// site names, SiteKey.ID. Any other pairing passes the verdict to Alloc,
+// which puts a SiteArena's predicted-short objects on one shared
+// pseudo-site.
 func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle, observers ...*obs.Collector) (SimResult, error) {
-	ot := trackerFor(src, alloc, oracle, observers)
+	nEvents := 0
+	if c, ok := src.(trace.Counted); ok {
+		if n, known := c.EventCount(); known {
+			nEvents = n
+		}
+	}
+	ot := NewTracker(pickCollector(observers), alloc, nEvents, oracle)
+	sited, _ := alloc.(*heapsim.SiteArena)
+	router, _ := oracle.(SiteRouter)
+	if router == nil {
+		sited = nil
+	}
 	res := SimResult{}
 	// The replay runs on the block path: block-native sources (binary
 	// readers, synth generators, column views) hand over DefaultBlockLen
@@ -558,7 +605,7 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 	// indices in errors stay global (base counts completed blocks), and
 	// the tracker still steps per event, so phase marks, timeline
 	// cadence, and prediction scoring land on exactly the same events as
-	// the scalar reference replay.
+	// the event-at-a-time reference replay in internal/check.
 	bs := trace.AsBlockSource(src)
 	blk := trace.NewEventBlock(trace.DefaultBlockLen)
 	for base := 0; ; base += blk.N {
@@ -574,14 +621,25 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 		for k := 0; k < n; k++ {
 			switch kinds[k] {
 			case trace.KindAlloc:
+				// The loop's own decision is reused for quality tracking;
+				// asking the oracle twice would double a mapper's
+				// site-usage accounting.
 				short := false
-				if oracle != nil {
-					// The loop's own decision is reused for quality
-					// tracking; asking the oracle twice would double a
-					// mapper's site-usage accounting.
-					short = oracle.PredictShort(chains[k], sizes[k])
+				var err error
+				if sited != nil {
+					var key profile.SiteKey
+					if key, short = router.Site(chains[k], sizes[k]); short {
+						err = sited.AllocAt(objs[k], sizes[k], key.ID())
+					} else {
+						err = sited.Alloc(objs[k], sizes[k], false)
+					}
+				} else {
+					if oracle != nil {
+						short = oracle.PredictShort(chains[k], sizes[k])
+					}
+					err = alloc.Alloc(objs[k], sizes[k], short)
 				}
-				if err := alloc.Alloc(objs[k], sizes[k], short); err != nil {
+				if err != nil {
 					return res, fmt.Errorf("core: event %d: %w", base+k, err)
 				}
 				res.TotalAllocs++
@@ -601,87 +659,8 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 			}
 		}
 	}
-	finishSim(&res, alloc)
-	if ot != nil {
-		res.Obs = ot.finish(src.Meta().Program, src.Table())
-	}
-	return res, nil
-}
-
-// trackerFor builds the replay's obsTracker when a collector is attached,
-// resolving the event count (for phase marks) and the short threshold the
-// predictions are scored against. Shared by the block and scalar replays.
-func trackerFor(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle, observers []*obs.Collector) *obsTracker {
-	col := pickCollector(observers)
-	if col == nil {
-		return nil
-	}
-	n := 0
-	if c, ok := src.(trace.Counted); ok {
-		if cnt, known := c.EventCount(); known {
-			n = cnt
-		}
-	}
-	thr := profile.DefaultConfig().ShortThreshold
-	if oracle != nil {
-		thr = oracle.ShortThreshold()
-	}
-	return newObsTracker(col, alloc, n, thr)
-}
-
-// RunSimSourceScalar is the one-event-at-a-time reference replay — the
-// exact loop RunSimSource ran before the columnar refactor. It is kept
-// (and exercised by the conformance harness) as the oracle the block
-// path is differentially tested against: for any source, both replays
-// must produce byte-identical SimResults and snapshots.
-func RunSimSourceScalar(src trace.Source, alloc heapsim.Allocator, pred *profile.Predictor, observers ...*obs.Collector) (SimResult, error) {
-	var oracle profile.Oracle
-	if pred != nil {
-		oracle = pred.NewMapper(src.Table())
-	}
-	return RunSimOracleScalar(src, alloc, oracle, observers...)
-}
-
-// RunSimOracleScalar is the scalar reference replay generalized over the
-// prediction policy, mirroring RunSimOracle exactly as RunSimSourceScalar
-// mirrors RunSimSource.
-func RunSimOracleScalar(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle, observers ...*obs.Collector) (SimResult, error) {
-	ot := trackerFor(src, alloc, oracle, observers)
-	res := SimResult{}
-	for i := 0; ; i++ {
-		ev, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return res, err
-		}
-		short := false
-		switch ev.Kind {
-		case trace.KindAlloc:
-			if oracle != nil {
-				short = oracle.PredictShort(ev.Chain, ev.Size)
-			}
-			if err := alloc.Alloc(ev.Obj, ev.Size, short); err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-			res.TotalAllocs++
-			res.TotalBytes += ev.Size
-		case trace.KindFree:
-			if err := alloc.Free(ev.Obj); err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-		default:
-			return res, fmt.Errorf("core: event %d: bad kind %d", i, ev.Kind)
-		}
-		if ot != nil {
-			ot.step(ev, short)
-		}
-	}
-	finishSim(&res, alloc)
-	if ot != nil {
-		res.Obs = ot.finish(src.Meta().Program, src.Table())
-	}
+	FinishSim(&res, alloc)
+	res.Obs = ot.Finish(src.Meta().Program, src.Table())
 	return res, nil
 }
 
@@ -1049,58 +1028,4 @@ func RunSimStream(m *synth.Model, gcfg synth.Config, alloc heapsim.Allocator, pr
 		src.SetCount(n)
 	}
 	return RunSimSource(src, alloc, pred, observers...)
-}
-
-// RunSimSited replays a trace through the per-site arena allocator
-// (heapsim.SiteArena), routing each predicted-short allocation to its own
-// site's pool. This is the pollution-isolation variant explored under the
-// paper's "further exploration of algorithms" future work; see
-// EXPERIMENTS.md. An optional trailing obs.Collector records metrics as
-// in RunSim.
-func RunSimSited(tr *trace.Trace, alloc *heapsim.SiteArena, pred *profile.Predictor, observers ...*obs.Collector) (SimResult, error) {
-	mapper := pred.NewMapper(tr.Table)
-	var ot *obsTracker
-	if col := pickCollector(observers); col != nil {
-		ot = newObsTracker(col, alloc, len(tr.Events), mapper.ShortThreshold())
-	}
-	res := SimResult{}
-	for i, ev := range tr.Events {
-		short := false
-		switch ev.Kind {
-		case trace.KindAlloc:
-			var key profile.SiteKey
-			key, short = mapper.Site(ev.Chain, ev.Size)
-			var err error
-			if short {
-				// Fold the site key into a stable, well-mixed 64-bit
-				// pool identity (a plain shift-xor would be congruent
-				// to the size modulo the bucket count).
-				id := (uint64(key.Chain)+1)*0x9e3779b97f4a7c15 ^
-					uint64(key.Size)*0xc2b2ae3d27d4eb4f
-				err = alloc.AllocAt(ev.Obj, ev.Size, id)
-			} else {
-				err = alloc.Alloc(ev.Obj, ev.Size, false)
-			}
-			if err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-			res.TotalAllocs++
-			res.TotalBytes += ev.Size
-		case trace.KindFree:
-			if err := alloc.Free(ev.Obj); err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-		default:
-			return res, fmt.Errorf("core: event %d: bad kind %d", i, ev.Kind)
-		}
-		if ot != nil {
-			ot.step(ev, short)
-		}
-	}
-	finishSim(&res, alloc)
-	res.PinnedArenas = alloc.PinnedPools()
-	if ot != nil {
-		res.Obs = ot.finish(tr.Program, tr.Table)
-	}
-	return res, nil
 }

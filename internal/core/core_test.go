@@ -51,6 +51,26 @@ func TestRunSimFirstFitAccounting(t *testing.T) {
 	}
 }
 
+// TestRunSimRoutesSiteArenaPerSite: RunSim over a SiteArena with a
+// trained predictor sends each predicted-short allocation to its own
+// site's pool, so the arena area outgrows the single pool a replay that
+// keys every object on one pseudo-site would reserve.
+func TestRunSimRoutesSiteArenaPerSite(t *testing.T) {
+	a := buildArtifacts(t, "gawk")
+	sa := heapsim.NewSiteArena()
+	res, err := RunSim(a.TestTrace, sa, a.TrainPredictor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counts.ArenaAllocs == 0 {
+		t.Fatal("no allocation was placed in a site pool")
+	}
+	if onePool := int64(sa.ArenasPerSite) * sa.ArenaSize; sa.ArenaArea() <= onePool {
+		t.Errorf("arena area %d bytes fits one site pool (%d bytes): predicted-short objects were not routed per site",
+			sa.ArenaArea(), onePool)
+	}
+}
+
 func TestRunSimArenaUsesPrediction(t *testing.T) {
 	a := buildArtifacts(t, "gawk")
 	res, err := RunSim(a.TestTrace, heapsim.NewArena(), a.TrainPredictor)

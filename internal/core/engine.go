@@ -264,85 +264,51 @@ func (e *Engine) Run(spec Spec) (*RunResult, error) {
 		}
 	}
 
-	workers := spec.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	nCell := len(cells)
 	type slot struct {
 		rows  map[string][]string
-		err   error
 		begin time.Duration
 		dur   time.Duration
 	}
 	slots := make([]slot, len(models)*nCell)
 	buildBegin := make([]time.Duration, len(models))
 	buildDur := make([]time.Duration, len(models))
-	buildErr := make([]error, len(models))
 
 	progress := spec.Progress
 	if progress == nil {
 		progress = func(string) {}
 	}
 
-	// The semaphore bounds how many cells hold a worker slot at once;
-	// goroutine fan-out is cheap and the DAG edges are expressed by the
-	// build goroutine launching its program's cells only after the build
-	// lands.
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for pi, m := range models {
-		pi, m := pi, m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			progress(fmt.Sprintf("building %s...", m.Name))
+	build := func(pi int) (func(ci int) error, error) {
+		m := models[pi]
+		progress(fmt.Sprintf("building %s...", m.Name))
+		t0 := time.Now()
+		buildBegin[pi] = t0.Sub(start)
+		a, err := e.Artifacts(m.Name)
+		buildDur[pi] = time.Since(t0)
+		spec.Collector.ObserveTiming("engine_build", buildDur[pi])
+		if err != nil {
+			return nil, fmt.Errorf("core: building %s: %w", m.Name, err)
+		}
+		return func(ci int) error {
+			s := &slots[pi*nCell+ci]
+			s.rows = make(map[string][]string, 2)
+			add := func(tableID string, rowCells ...string) {
+				s.rows[tableID] = rowCells
+			}
 			t0 := time.Now()
-			buildBegin[pi] = t0.Sub(start)
-			a, err := e.Artifacts(m.Name)
-			buildDur[pi] = time.Since(t0)
-			<-sem
-			spec.Collector.ObserveTiming("engine_build", buildDur[pi])
+			s.begin = t0.Sub(start)
+			err := cells[ci].run(e.cfg, a, add)
+			s.dur = time.Since(t0)
+			spec.Collector.ObserveTiming("engine_cell", s.dur)
 			if err != nil {
-				buildErr[pi] = err
-				return
+				return fmt.Errorf("core: %s cell %s: %w", m.Name, cells[ci].name, err)
 			}
-			for ci := range cells {
-				ci := ci
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					s := &slots[pi*nCell+ci]
-					s.rows = make(map[string][]string, 2)
-					add := func(tableID string, rowCells ...string) {
-						s.rows[tableID] = rowCells
-					}
-					t0 := time.Now()
-					s.begin = t0.Sub(start)
-					s.err = cells[ci].run(e.cfg, a, add)
-					s.dur = time.Since(t0)
-					spec.Collector.ObserveTiming("engine_cell", s.dur)
-				}()
-			}
-		}()
+			return nil
+		}, nil
 	}
-	wg.Wait()
-
-	for pi, m := range models {
-		if buildErr[pi] != nil {
-			return nil, fmt.Errorf("core: building %s: %w", m.Name, buildErr[pi])
-		}
-	}
-	for pi, m := range models {
-		for ci := range cells {
-			if err := slots[pi*nCell+ci].err; err != nil {
-				return nil, fmt.Errorf("core: %s cell %s: %w", m.Name, cells[ci].name, err)
-			}
-		}
+	if err := schedule(len(models), nCell, spec.Workers, build); err != nil {
+		return nil, err
 	}
 
 	// Assemble: tables in render order, rows in program order — the
@@ -381,6 +347,55 @@ func (e *Engine) Run(spec Spec) (*RunResult, error) {
 		}
 	}
 	return &RunResult{Output: buf.Bytes(), Timings: timings, Wall: time.Since(start)}, nil
+}
+
+// schedule is the build→cells DAG Engine.Run and RunTournament share.
+// Each of nProg programs' build holds one of workers slots (values below
+// 1 clamp to GOMAXPROCS) and releases it; only then do the nCell cells of
+// the runner it returns queue for slots, so one program's cells overlap
+// the next program's build. Whatever a runner captures becomes garbage
+// once its program's cells finish. Callers fill per-index result slots,
+// so completion order never reaches their output. The returned error is
+// the first in deterministic order — any build error by program, then
+// cell errors by (program, cell) — the error a serial run would hit
+// first.
+func schedule(nProg, nCell, workers int, build func(pi int) (cell func(ci int) error, err error)) error {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	buildErr := make([]error, nProg)
+	cellErr := make([]error, nProg*nCell)
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for pi := 0; pi < nProg; pi++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			cell, err := build(pi)
+			<-sem
+			if err != nil {
+				buildErr[pi] = err
+				return
+			}
+			for ci := 0; ci < nCell; ci++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sem <- struct{}{}
+					defer func() { <-sem }()
+					cellErr[pi*nCell+ci] = cell(ci)
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range append(buildErr, cellErr...) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteTimings renders a run's per-cell wall-clock summary, slowest cell

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -280,5 +282,53 @@ func TestEngineArtifactsCachedAndWarmed(t *testing.T) {
 	if trainTb.NumChains() != nTrain || testTb.NumChains() != nTest {
 		t.Fatalf("second warm interned new chains: train %d->%d test %d->%d",
 			nTrain, trainTb.NumChains(), nTest, testTb.NumChains())
+	}
+}
+
+// TestScheduleFirstErrorInOrder pins the scheduler's contract at every
+// worker count: a failed build runs none of its program's cells, every
+// other cell runs exactly once, and the reported error is the first in
+// deterministic order — builds by program, then cells by (program, cell).
+func TestScheduleFirstErrorInOrder(t *testing.T) {
+	const nProg, nCell = 3, 4
+	for _, workers := range []int{1, 2, nProg * nCell} {
+		for _, failBuild := range []bool{false, true} {
+			var mu sync.Mutex
+			ran := map[[2]int]int{}
+			build := func(pi int) (func(ci int) error, error) {
+				if failBuild && pi == 2 {
+					return nil, errors.New("build 2")
+				}
+				return func(ci int) error {
+					mu.Lock()
+					ran[[2]int{pi, ci}]++
+					mu.Unlock()
+					if (pi == 0 && ci == 3) || (pi == 1 && ci == 1) {
+						return fmt.Errorf("cell %d/%d", pi, ci)
+					}
+					return nil
+				}, nil
+			}
+			err := schedule(nProg, nCell, workers, build)
+			want := "cell 0/3"
+			if failBuild {
+				want = "build 2"
+			}
+			if err == nil || err.Error() != want {
+				t.Errorf("workers=%d failBuild=%v: error %v, want %q", workers, failBuild, err, want)
+			}
+			for pi := 0; pi < nProg; pi++ {
+				for ci := 0; ci < nCell; ci++ {
+					wantRuns := 1
+					if failBuild && pi == 2 {
+						wantRuns = 0
+					}
+					if got := ran[[2]int{pi, ci}]; got != wantRuns {
+						t.Errorf("workers=%d failBuild=%v: cell %d/%d ran %d times, want %d",
+							workers, failBuild, pi, ci, got, wantRuns)
+					}
+				}
+			}
+		}
 	}
 }

@@ -42,13 +42,7 @@ func TestHeapScanReconcilesLedger(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			col := obs.NewCollector(obs.Options{Label: tc.name, HeapScan: true})
-			var err error
-			if sa, ok := tc.alloc.(*heapsim.SiteArena); ok {
-				_, err = RunSimSited(a.TestTrace, sa, a.TrainPredictor, col)
-			} else {
-				_, err = RunSim(a.TestTrace, tc.alloc, a.TrainPredictor, col)
-			}
-			if err != nil {
+			if _, err := RunSim(a.TestTrace, tc.alloc, a.TrainPredictor, col); err != nil {
 				t.Fatal(err)
 			}
 			s := col.Snapshot()

@@ -14,8 +14,9 @@ import (
 )
 
 // AllocatorNames lists the simulators RunSim drives by name, in report
-// order. (SiteArena needs the sited replay loop and is not part of the
-// standard matrix.)
+// order. SiteArena replays through the same loop (RunSimOracle routes it
+// per site), but stays out of the standard matrix so the committed
+// baselines keep their 75 cells; the tournament runs it.
 var AllocatorNames = []string{"firstfit", "bestfit", "bsd", "arena", "segfit"}
 
 // PredictorModes are the prediction configurations a matrix job can ask
@@ -132,14 +133,7 @@ type MatrixRunner struct {
 	cfg Config
 
 	mu     sync.Mutex
-	arts   map[string]*artEntry
 	models map[string]*modelEntry
-}
-
-type artEntry struct {
-	once sync.Once
-	art  *Artifacts
-	err  error
 }
 
 // modelEntry is the per-model shared state: predictors and the test
@@ -157,31 +151,7 @@ type modelEntry struct {
 
 // NewMatrixRunner returns a runner over the given experiment config.
 func NewMatrixRunner(cfg Config) *MatrixRunner {
-	return &MatrixRunner{
-		cfg:    cfg,
-		arts:   make(map[string]*artEntry),
-		models: make(map[string]*modelEntry),
-	}
-}
-
-// Artifacts returns the (cached) fully materialized artifacts for a
-// model — traces, objects, and databases. Matrix jobs do not need them
-// (Run is fully streaming); this exists for table-rendering tools that
-// work over annotated object lists.
-func (r *MatrixRunner) Artifacts(model string) (*Artifacts, error) {
-	m := synth.ByName(model)
-	if m == nil {
-		return nil, fmt.Errorf("core: unknown model %q", model)
-	}
-	r.mu.Lock()
-	e, ok := r.arts[model]
-	if !ok {
-		e = &artEntry{}
-		r.arts[model] = e
-	}
-	r.mu.Unlock()
-	e.once.Do(func() { e.art, e.err = r.cfg.Build(m) })
-	return e.art, e.err
+	return &MatrixRunner{cfg: cfg, models: make(map[string]*modelEntry)}
 }
 
 // model returns the (cached) streaming-trained per-model state.

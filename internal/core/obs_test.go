@@ -41,13 +41,13 @@ func TestNilCollectorIdentical(t *testing.T) {
 					name, aname, bare, observed)
 			}
 		}
-		// Sited replay too.
-		bare, err := RunSimSited(a.TestTrace, heapsim.NewSiteArena(), a.TrainPredictor)
+		// Per-site routed replay too.
+		bare, err := RunSim(a.TestTrace, heapsim.NewSiteArena(), a.TrainPredictor)
 		if err != nil {
 			t.Fatalf("%s/sitearena bare: %v", name, err)
 		}
 		col := obs.NewCollector(obs.Options{})
-		observed, err := RunSimSited(a.TestTrace, heapsim.NewSiteArena(), a.TrainPredictor, col)
+		observed, err := RunSim(a.TestTrace, heapsim.NewSiteArena(), a.TrainPredictor, col)
 		if err != nil {
 			t.Fatalf("%s/sitearena observed: %v", name, err)
 		}

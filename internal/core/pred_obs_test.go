@@ -169,9 +169,9 @@ func TestPredTrackingSited(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	col := obs.NewCollector(obs.Options{Label: "hand/sited"})
-	res, err := RunSimSited(test, heapsim.NewSiteArena(), pred.Predictor(), col)
+	res, err := RunSim(test, heapsim.NewSiteArena(), pred.Predictor(), col)
 	if err != nil {
-		t.Fatalf("RunSimSited: %v", err)
+		t.Fatalf("RunSim: %v", err)
 	}
 	s := res.Obs
 	for name, want := range map[string]int64{

@@ -3,12 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/callchain"
 	"repro/internal/heapsim"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -20,9 +17,9 @@ import (
 // (the profile zoo) crossed with every simulated allocator, replayed over
 // each program's Test input, scored, and ranked. It reuses the engine's
 // per-program Artifacts cache — one build and one warm per program no
-// matter how many policy × allocator cells run — and the same bounded
-// worker pool + deterministic-assembly discipline as Engine.Run, so the
-// rendered report is byte-identical at any worker count.
+// matter how many policy × allocator cells run — and Engine.Run's
+// build→cells scheduler with deterministic assembly, so the rendered
+// report is byte-identical at any worker count.
 
 // TournamentAllocators lists every simulator a tournament drives, in
 // report order: the four standard-matrix allocators plus segfit, the
@@ -68,10 +65,9 @@ func PolicyNames() []string {
 	return names
 }
 
-// newTournamentAllocator builds a fresh simulator for one cell. The two
-// profile-driven allocators need the program's artifacts: custom derives
-// its hot size classes from the training profile, sitearena is driven by
-// the replay's per-allocation hints.
+// newTournamentAllocator builds a fresh simulator for one cell. custom
+// derives its hot size classes from the program's training profile;
+// sitearena takes its per-site routing from the cell's bound oracle.
 func newTournamentAllocator(name string, a *Artifacts) (heapsim.Allocator, error) {
 	switch name {
 	case "sitearena":
@@ -145,62 +141,6 @@ type TournamentResult struct {
 	Wall   time.Duration
 }
 
-// siteKeyer is the routing face a sited replay needs: the mapped site
-// key (in the oracle's own table) plus the admit verdict per allocation.
-// Both *profile.Mapper and *profile.SiteMapper implement it, so every
-// cross-table binding BindOracle produces can route a SiteArena.
-type siteKeyer interface {
-	Site(raw callchain.ChainID, size int64) (profile.SiteKey, bool)
-}
-
-// runSimSitedOracle is RunSimSited generalized over the policy zoo:
-// predicted-short allocations route to their site's own pool, with the
-// pool identity folded from the oracle-side site key exactly as the
-// paper-predictor sited replay does.
-func runSimSitedOracle(tr *trace.Trace, alloc *heapsim.SiteArena, keyer siteKeyer, oracle profile.Oracle, col *obs.Collector) (SimResult, error) {
-	var ot *obsTracker
-	if col != nil {
-		ot = newObsTracker(col, alloc, len(tr.Events), oracle.ShortThreshold())
-	}
-	res := SimResult{}
-	for i, ev := range tr.Events {
-		short := false
-		switch ev.Kind {
-		case trace.KindAlloc:
-			var key profile.SiteKey
-			key, short = keyer.Site(ev.Chain, ev.Size)
-			var err error
-			if short {
-				id := (uint64(key.Chain)+1)*0x9e3779b97f4a7c15 ^
-					uint64(key.Size)*0xc2b2ae3d27d4eb4f
-				err = alloc.AllocAt(ev.Obj, ev.Size, id)
-			} else {
-				err = alloc.Alloc(ev.Obj, ev.Size, false)
-			}
-			if err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-			res.TotalAllocs++
-			res.TotalBytes += ev.Size
-		case trace.KindFree:
-			if err := alloc.Free(ev.Obj); err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-		default:
-			return res, fmt.Errorf("core: event %d: bad kind %d", i, ev.Kind)
-		}
-		if ot != nil {
-			ot.step(ev, short)
-		}
-	}
-	finishSim(&res, alloc)
-	res.PinnedArenas = alloc.PinnedPools()
-	if ot != nil {
-		res.Obs = ot.finish(tr.Program, tr.Table)
-	}
-	return res, nil
-}
-
 // runTournamentCell replays one cell: bind the policy's oracle to the
 // Test table (a fresh mapper per cell — mappers memoize and are not
 // goroutine-safe; the shared tables were pre-warmed by warmArtifacts so
@@ -214,16 +154,7 @@ func runTournamentCell(a *Artifacts, policy string, oracle profile.Oracle, alloc
 	}
 	bound := profile.BindOracle(oracle, a.TestTrace.Table)
 	col := obs.NewCollector(obs.Options{Label: a.Model.Name + "/" + policy + "/" + allocName})
-	var res SimResult
-	if sa, ok := alloc.(*heapsim.SiteArena); ok {
-		keyer, ok := bound.(siteKeyer)
-		if !ok {
-			return cell, fmt.Errorf("policy %s binding %T cannot route a sited arena", policy, bound)
-		}
-		res, err = runSimSitedOracle(a.TestTrace, sa, keyer, bound, col)
-	} else {
-		res, err = RunSimOracle(trace.NewSliceSource(a.TestTrace), alloc, bound, col)
-	}
+	res, err := RunSimOracle(trace.NewSliceSource(a.TestTrace), alloc, bound, col)
 	if err != nil {
 		return cell, err
 	}
@@ -265,77 +196,35 @@ func (e *Engine) RunTournament(spec TournamentSpec) (*TournamentResult, error) {
 	policies := OraclePolicies()
 	allocs := TournamentAllocators
 
-	workers := spec.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	nCell := len(policies) * len(allocs)
-	type slot struct {
-		cell TournamentCell
-		err  error
-	}
-	slots := make([]slot, len(models)*nCell)
-	buildErr := make([]error, len(models))
-
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for pi, m := range models {
-		pi, m := pi, m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			progress(fmt.Sprintf("building %s and training %d policies...", m.Name, len(policies)))
-			a, err := e.Artifacts(m.Name)
-			oracles := make([]profile.Oracle, len(policies))
-			if err == nil {
-				for qi, p := range policies {
-					if oracles[qi], err = p.Train(a, e.cfg.Profile); err != nil {
-						err = fmt.Errorf("training %s: %w", p.Name, err)
-						break
-					}
-				}
+	cells := make([]TournamentCell, len(models)*nCell)
+	build := func(pi int) (func(ci int) error, error) {
+		m := models[pi]
+		progress(fmt.Sprintf("building %s and training %d policies...", m.Name, len(policies)))
+		a, err := e.Artifacts(m.Name)
+		if err != nil {
+			return nil, fmt.Errorf("core: building %s: %w", m.Name, err)
+		}
+		oracles := make([]profile.Oracle, len(policies))
+		for qi, p := range policies {
+			if oracles[qi], err = p.Train(a, e.cfg.Profile); err != nil {
+				return nil, fmt.Errorf("core: building %s: training %s: %w", m.Name, p.Name, err)
 			}
-			<-sem
+		}
+		return func(ci int) error {
+			qi, ai := ci/len(allocs), ci%len(allocs)
+			t0 := time.Now()
+			c, err := runTournamentCell(a, policies[qi].Name, oracles[qi], allocs[ai])
+			spec.Collector.ObserveTiming("tournament_cell", time.Since(t0))
 			if err != nil {
-				buildErr[pi] = err
-				return
+				return fmt.Errorf("core: %s cell %s/%s: %w", m.Name, policies[qi].Name, allocs[ai], err)
 			}
-			for qi := range policies {
-				for ai := range allocs {
-					qi, ai := qi, ai
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						sem <- struct{}{}
-						defer func() { <-sem }()
-						t0 := time.Now()
-						s := &slots[pi*nCell+qi*len(allocs)+ai]
-						s.cell, s.err = runTournamentCell(a, policies[qi].Name, oracles[qi], allocs[ai])
-						spec.Collector.ObserveTiming("tournament_cell", time.Since(t0))
-					}()
-				}
-			}
-		}()
+			cells[pi*nCell+ci] = c
+			return nil
+		}, nil
 	}
-	wg.Wait()
-
-	for pi, m := range models {
-		if buildErr[pi] != nil {
-			return nil, fmt.Errorf("core: building %s: %w", m.Name, buildErr[pi])
-		}
-	}
-	cells := make([]TournamentCell, 0, len(slots))
-	for pi, m := range models {
-		for ci := 0; ci < nCell; ci++ {
-			s := &slots[pi*nCell+ci]
-			if s.err != nil {
-				return nil, fmt.Errorf("core: %s cell %s/%s: %w",
-					m.Name, policies[ci/len(allocs)].Name, allocs[ci%len(allocs)], s.err)
-			}
-			cells = append(cells, s.cell)
-		}
+	if err := schedule(len(models), nCell, spec.Workers, build); err != nil {
+		return nil, err
 	}
 
 	ranks := rankTournament(cells, policies, allocs, len(models))

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/profile"
 )
 
 // TestTournamentDeterministicAcrossWorkerCounts is the tournament's core
@@ -133,5 +135,22 @@ func TestTournamentAccuracyAllocatorIndependent(t *testing.T) {
 	}
 	if len(byPolicy) != len(OraclePolicies()) {
 		t.Fatalf("saw %d policies, want %d", len(byPolicy), len(OraclePolicies()))
+	}
+}
+
+// TestOraclePoliciesBindToSiteRouters: a tournament sitearena cell routes
+// per site only when its bound oracle can name the site, so every policy
+// trained on one table and bound to another must be a SiteRouter.
+func TestOraclePoliciesBindToSiteRouters(t *testing.T) {
+	a := buildArtifacts(t, "cfrac")
+	for _, p := range OraclePolicies() {
+		o, err := p.Train(a, profile.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		bound := profile.BindOracle(o, a.TestTrace.Table)
+		if _, ok := bound.(SiteRouter); !ok {
+			t.Errorf("%s: binding %T has no Site method", p.Name, bound)
+		}
 	}
 }

@@ -604,8 +604,8 @@ func TestSiteArenaPollutionIsolation(t *testing.T) {
 	if c.ArenaFallbacks != 1 {
 		t.Fatalf("pollution leaked across sites: %d fallbacks", c.ArenaFallbacks)
 	}
-	if sa.PinnedPools() != 1 {
-		t.Fatalf("pinned pools %d, want 1", sa.PinnedPools())
+	if sa.PinnedArenas() != 1 {
+		t.Fatalf("pinned pools %d, want 1", sa.PinnedArenas())
 	}
 }
 

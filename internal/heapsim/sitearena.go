@@ -247,7 +247,8 @@ func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
 
 // Alloc implements Allocator: without a site key, predicted allocations
 // are keyed on a single shared pseudo-site (degenerating toward the
-// shared design); core.RunSimSited uses AllocAt instead.
+// shared design). core.RunSimOracle calls AllocAt instead whenever its
+// oracle can name the site.
 func (s *SiteArena) Alloc(id trace.ObjectID, size int64, predictedShort bool) error {
 	s.init()
 	if !predictedShort {
@@ -357,9 +358,10 @@ func (s *SiteArena) ArenaOccupancy() float64 {
 	return float64(used) / float64(area)
 }
 
-// PinnedPools reports how many site pools currently have every arena
-// holding a live object.
-func (s *SiteArena) PinnedPools() int {
+// PinnedArenas reports how many site pools currently have every arena
+// holding a live object: the per-site counterpart of Arena.PinnedArenas,
+// which a replay's SimResult.PinnedArenas reports for both.
+func (s *SiteArena) PinnedArenas() int {
 	s.init()
 	n := 0
 	for _, pool := range s.pools {

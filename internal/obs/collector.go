@@ -79,6 +79,10 @@ func NewCollector(opts Options) *Collector {
 	}
 	if opts.HeapScan {
 		c.heatmap = newHeatmapRec(opts.HeatmapBins)
+		// The scanner's enabled marker exists from creation, like the
+		// heatmap gauges, so a scrape taken before the replay starts
+		// (while its predictors train) already shows the scanner on.
+		c.reg.Counter("heap.scan_samples")
 	}
 	if opts.Sink != nil {
 		c.sink = opts.Sink

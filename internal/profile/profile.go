@@ -125,6 +125,13 @@ type SiteKey struct {
 	Size  int64
 }
 
+// ID folds the key into a stable, well-mixed 64-bit identity: the pool a
+// per-site allocator (heapsim.SiteArena.AllocAt) routes the site to. A
+// plain shift-xor would be congruent to the size modulo the bucket count.
+func (k SiteKey) ID() uint64 {
+	return (uint64(k.Chain)+1)*0x9e3779b97f4a7c15 ^ uint64(k.Size)*0xc2b2ae3d27d4eb4f
+}
+
 // SiteStats accumulates the training observations for one site.
 type SiteStats struct {
 	Objects     int64

@@ -83,8 +83,8 @@ func (m *SiteMapper) PredictShort(raw callchain.ChainID, size int64) bool {
 }
 
 // Site returns the mapped site key (in the oracle's table) and the admit
-// verdict for one allocation — the routing face sited replays need,
-// mirroring Mapper.Site.
+// verdict for one allocation — the routing face a per-site allocator
+// needs, mirroring Mapper.Site.
 func (m *SiteMapper) Site(raw callchain.ChainID, size int64) (SiteKey, bool) {
 	key := SiteKey{
 		Chain: m.siteChainFrom(raw),

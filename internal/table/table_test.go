@@ -36,9 +36,9 @@ func TestIsNumeric(t *testing.T) {
 		}
 	}
 	for _, s := range []string{"cfrac", "1a", "x%",
-		"1.2.3",  // second dot
-		"1-2",    // sign not at position 0
-		"4+5",    // ditto for plus
+		"1.2.3",          // second dot
+		"1-2",            // sign not at position 0
+		"4+5",            // ditto for plus
 		"next-fit (A4')", // hyphenated label must stay left-aligned
 	} {
 		if isNumeric(s) {

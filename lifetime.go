@@ -293,15 +293,9 @@ func NewBSDAllocator() *BSDAllocator { return heapsim.NewBSD() }
 func NewArenaAllocator() *ArenaAllocator { return heapsim.NewArena() }
 
 // NewSiteArenaAllocator returns the per-site arena variant (2 x 4KB per
-// hot site, up to 64 sites); drive it with SimulateSited.
+// hot site, up to 64 sites); Simulate with a predictor routes each
+// predicted-short allocation to its own site's pool.
 func NewSiteArenaAllocator() *SiteArenaAllocator { return heapsim.NewSiteArena() }
-
-// SimulateSited replays a trace through the per-site arena allocator,
-// routing each predicted-short allocation to its own site's pool. An
-// optional trailing ObsCollector records metrics and events.
-func SimulateSited(tr *Trace, alloc *SiteArenaAllocator, pred *Predictor, observers ...*ObsCollector) (SimResult, error) {
-	return core.RunSimSited(tr, alloc, pred, observers...)
-}
 
 // Simulate replays a trace through an allocator; a non-nil predictor
 // drives the predicted-short hint at each allocation. An optional
