@@ -50,6 +50,9 @@ func main() {
 	if err != nil {
 		cliutil.UsageError(name, "%v", err)
 	}
+	if *workers < 1 {
+		cliutil.UsageError(name, "-workers must be at least 1 (got %d)", *workers)
+	}
 	core.SortJobs(jobs)
 
 	cfg := core.DefaultConfig(*scale)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/check"
@@ -18,46 +17,24 @@ import (
 // of events per tenant.
 const testScale = 0.01
 
-// artifacts caches per-model build products (train predictor) across
-// tests; sources and mappers are still fresh per replay.
-var (
-	artMu  sync.Mutex
-	artMap = map[string]*core.Artifacts{}
-)
-
-func modelArtifacts(t testing.TB, name string) *core.Artifacts {
-	t.Helper()
-	artMu.Lock()
-	defer artMu.Unlock()
-	if a, ok := artMap[name]; ok {
-		return a
-	}
-	m := synth.ByName(name)
-	if m == nil {
-		t.Fatalf("unknown model %q", name)
-	}
-	a, err := core.DefaultConfig(testScale).Build(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	artMap[name] = a
-	return a
-}
+// runner caches each model's streaming-trained predictors across tests,
+// as RunMatrix's set-up does; sources and mappers are still fresh per
+// replay.
+var runner = core.NewMatrixRunner(core.DefaultConfig(testScale))
 
 // freshTenant builds a new single-use source + bound oracle for a model.
 func freshTenant(t testing.TB, id, model string) Tenant {
 	t.Helper()
-	arts := modelArtifacts(t, model)
-	cfg := core.DefaultConfig(testScale)
-	src, err := arts.Model.Source(cfg.GenConfig(synth.Test))
+	pred, err := runner.Predictor(model, "true")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := synth.ByName(model).Source(core.DefaultConfig(testScale).GenConfig(synth.Test))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n, _ := src.EventCount()
-	artMu.Lock()
-	oracle := arts.TrainPredictor.NewMapper(src.Table())
-	artMu.Unlock()
-	return Tenant{ID: id, Source: src, Oracle: oracle, Events: n}
+	return Tenant{ID: id, Source: src, Oracle: pred.NewMapper(src.Table()), Events: n}
 }
 
 func mkPool(t testing.TB, label string, kinds ...string) *heapsim.Pool {

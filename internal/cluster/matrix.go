@@ -6,11 +6,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/callchain"
 	"repro/internal/core"
 	"repro/internal/heapsim"
+	"repro/internal/profile"
 	"repro/internal/synth"
 	"repro/internal/table"
 )
@@ -97,8 +97,9 @@ type MatrixConfig struct {
 	// per scenario as half the unconstrained replay's peak (self-
 	// calibrating stress).
 	Budget int64
-	// Workers caps concurrent scenarios; <= 0 means 1. Results are
-	// byte-identical at any worker count.
+	// Workers caps concurrent scenarios; values below 1 clamp to
+	// GOMAXPROCS, as in core.Schedule. Results are byte-identical at any
+	// worker count.
 	Workers int
 }
 
@@ -149,10 +150,11 @@ type MatrixResult struct {
 	Scenarios []ScenarioResult
 }
 
-// RunMatrix runs the full policy × pool tournament. Setup (artifact
-// builds and the predictor-table warm pass) is serial; scenario replays
-// fan out across Workers goroutines and are assembled in matrix order,
-// so the result is byte-identical at any worker count.
+// RunMatrix runs the full policy × pool tournament as one core.Schedule
+// program: its build is the set-up (streaming-trained predictors and the
+// predictor-table warm pass), its cells are the scenarios, filled into
+// slots in matrix order, so the result is byte-identical at any worker
+// count.
 func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("cluster: matrix needs at least one tenant")
@@ -191,62 +193,40 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 		pools[i] = kinds
 	}
 
-	// Serial setup: one artifact build per distinct model, then a warm
-	// pass that interns every tenant table's site chains into the shared
-	// predictor tables. After this, concurrent mappers only read the
-	// predictor side (see profile.Mapper), which is what makes the
-	// scenario fan-out race-free.
-	arts := map[string]*core.Artifacts{}
-	for _, spec := range specs {
-		if arts[spec.Model] != nil {
-			continue
+	// The set-up is Schedule's one build, so it runs alone: the Train-input
+	// predictor of each distinct model, trained from a streaming source,
+	// then a warm pass that interns every tenant table's site chains into
+	// the shared predictor tables. After this, concurrent mappers only
+	// read the predictor side (see profile.Mapper), which is what makes
+	// the scenario cells race-free.
+	preds := map[string]*profile.Predictor{}
+	slots := make([]ScenarioResult, len(policies)*len(cfg.Pools))
+	build := func(int) (func(int) error, error) {
+		runner := core.NewMatrixRunner(cfg.Core)
+		for _, spec := range specs {
+			pred, err := runner.Predictor(spec.Model, "true")
+			if err != nil {
+				return nil, err
+			}
+			preds[spec.Model] = pred
+			ten, err := buildTenant(cfg.Core, spec, pred)
+			if err != nil {
+				return nil, err
+			}
+			tb := ten.Source.Table()
+			for c := 0; c < tb.NumChains(); c++ {
+				ten.Oracle.PredictShort(callchain.ChainID(c), 8)
+			}
 		}
-		a, err := cfg.Core.Build(synth.ByName(spec.Model))
-		if err != nil {
-			return nil, err
-		}
-		arts[spec.Model] = a
+		return func(i int) error {
+			qi := i % len(cfg.Pools)
+			var err error
+			slots[i], err = runScenario(cfg, specs, preds, policies[i/len(cfg.Pools)], cfg.Pools[qi], pools[qi])
+			return err
+		}, nil
 	}
-	for _, spec := range specs {
-		ten, err := buildTenant(cfg.Core, spec, arts[spec.Model])
-		if err != nil {
-			return nil, err
-		}
-		tb := ten.Source.Table()
-		for c := 0; c < tb.NumChains(); c++ {
-			ten.Oracle.PredictShort(callchain.ChainID(c), 8)
-		}
-	}
-
-	type cell struct{ pi, qi int }
-	var cells []cell
-	for pi := range policies {
-		for qi := range cfg.Pools {
-			cells = append(cells, cell{pi, qi})
-		}
-	}
-	slots := make([]ScenarioResult, len(cells))
-	errs := make([]error, len(cells))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, c := range cells {
-		wg.Add(1)
-		go func(i int, c cell) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			slots[i], errs[i] = runScenario(cfg, specs, arts, policies[c.pi], cfg.Pools[c.qi], pools[c.qi])
-		}(i, c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := core.Schedule(1, len(slots), cfg.Workers, build); err != nil {
+		return nil, err
 	}
 
 	res := &MatrixResult{Tenants: specs, Admission: cfg.Admission, Scenarios: slots}
@@ -271,11 +251,11 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 
 // runScenario runs one (policy, pool) cell: unconstrained, then stressed
 // at half the unconstrained peak (or the fixed MatrixConfig budget).
-func runScenario(cfg MatrixConfig, specs []TenantSpec, arts map[string]*core.Artifacts, policy, poolSpec string, kinds []string) (ScenarioResult, error) {
+func runScenario(cfg MatrixConfig, specs []TenantSpec, preds map[string]*profile.Predictor, policy, poolSpec string, kinds []string) (ScenarioResult, error) {
 	replay := func(budget int64) (*Result, error) {
 		tenants := make([]Tenant, len(specs))
 		for i, spec := range specs {
-			t, err := buildTenant(cfg.Core, spec, arts[spec.Model])
+			t, err := buildTenant(cfg.Core, spec, preds[spec.Model])
 			if err != nil {
 				return nil, err
 			}
@@ -314,19 +294,20 @@ func runScenario(cfg MatrixConfig, specs []TenantSpec, arts map[string]*core.Art
 	return ScenarioResult{Policy: policy, Pool: poolSpec, Budget: budget, Free: free, Stressed: stressed}, nil
 }
 
-// buildTenant makes a fresh single-use tenant (source + bound oracle
-// mapper) from its spec. Sources are never shared across replays.
-func buildTenant(c core.Config, spec TenantSpec, a *core.Artifacts) (Tenant, error) {
+// buildTenant makes a fresh single-use tenant (source + oracle mapper
+// bound to the model's predictor) from its spec. Sources are never shared
+// across replays.
+func buildTenant(c core.Config, spec TenantSpec, pred *profile.Predictor) (Tenant, error) {
 	gc := c.GenConfig(synth.Test)
 	gc.Seed += spec.SeedOffset
-	src, err := a.Model.Source(gc)
+	src, err := synth.ByName(spec.Model).Source(gc)
 	if err != nil {
 		return Tenant{}, fmt.Errorf("cluster: tenant %s: %w", spec.ID, err)
 	}
 	return Tenant{
 		ID:     spec.ID,
 		Source: src,
-		Oracle: a.TrainPredictor.NewMapper(src.Table()),
+		Oracle: pred.NewMapper(src.Table()),
 	}, nil
 }
 

@@ -75,7 +75,7 @@ func TestMatrixWorkerSweepDeterminism(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("empty report")
 	}
-	for _, w := range []int{4, 8} {
+	for _, w := range []int{0, 4, 8} {
 		if got := report(w); !bytes.Equal(got, want) {
 			t.Errorf("workers=%d report diverges from workers=1:\n%s\nvs\n%s", w, got, want)
 		}

@@ -55,22 +55,18 @@ func DefaultConfig(scale float64) Config {
 	}
 }
 
-// genConfig is the single source of truth for how experiment inputs map
+// GenConfig is the single source of truth for how experiment inputs map
 // to generator configs: the Train input uses SeedBase, the Test input
-// SeedBase+1000. Build and the streaming MatrixRunner both derive their
+// SeedBase+1000. Build, the streaming MatrixRunner and out-of-package
+// replay drivers (the cluster simulator, load harnesses) all derive their
 // sources from it, which is what keeps their results byte-identical.
-func (c Config) genConfig(in synth.Input) synth.Config {
+func (c Config) GenConfig(in synth.Input) synth.Config {
 	seed := c.SeedBase
 	if in == synth.Test {
 		seed += 1000
 	}
 	return synth.Config{Input: in, Seed: seed, Scale: c.Scale}
 }
-
-// GenConfig exposes genConfig so out-of-package replay drivers (the
-// cluster simulator, load harnesses) derive their generator configs from
-// the same seed rule instead of duplicating it.
-func (c Config) GenConfig(in synth.Input) synth.Config { return c.genConfig(in) }
 
 // Artifacts bundles everything derived from one model at one scale; the
 // experiments share it so traces are generated and annotated once.
@@ -94,11 +90,11 @@ type Artifacts struct {
 func (c Config) Build(m *synth.Model) (*Artifacts, error) {
 	a := &Artifacts{Model: m}
 	var err error
-	a.TrainTrace, err = m.Generate(c.genConfig(synth.Train))
+	a.TrainTrace, err = m.Generate(c.GenConfig(synth.Train))
 	if err != nil {
 		return nil, fmt.Errorf("core: generating %s train input: %w", m.Name, err)
 	}
-	a.TestTrace, err = m.Generate(c.genConfig(synth.Test))
+	a.TestTrace, err = m.Generate(c.GenConfig(synth.Test))
 	if err != nil {
 		return nil, fmt.Errorf("core: generating %s test input: %w", m.Name, err)
 	}
@@ -548,7 +544,7 @@ func RunSim(tr *trace.Trace, alloc heapsim.Allocator, pred *profile.Predictor, o
 }
 
 // RunSimSource replays a streaming event source through an allocator —
-// the engine behind RunSim and RunSimStream. Memory stays bounded by the
+// the engine behind RunSim and MatrixRunner.Run. Memory stays bounded by the
 // source's own state (for generated or file-backed sources, the live
 // object set), never the event count. The SimResult is identical to
 // replaying the materialized trace: same events, same table, same
@@ -998,34 +994,4 @@ func replayLocality(tr *trace.Trace, alloc heapsim.Allocator, pred *profile.Pred
 	flush()
 	return 100 * cache.MissRate(), 100 * pager.FaultRate(),
 		locality.WorkingSet(allRefs, 4<<10), nil
-}
-
-// InternTables reports the chain tables in play; exposed for tools that
-// need to render chains.
-func (a *Artifacts) InternTables() (train, test *callchain.Table) {
-	return a.TrainTrace.Table, a.TestTrace.Table
-}
-
-// RunSimStream replays a workload model's events through an allocator
-// without materializing the trace: memory stays proportional to the live
-// object set, so paper-scale (and larger) simulations run in a few
-// megabytes. The predictor, when non-nil, is consulted against the chains
-// interned on the fly. An optional trailing obs.Collector records metrics
-// as in RunSim; attaching one adds a deterministic counting dry run so the
-// snapshot carries the same 25/50/75% phase marks as the materialized
-// path — with no collector there is no pre-pass and generation stays
-// single-shot.
-func RunSimStream(m *synth.Model, gcfg synth.Config, alloc heapsim.Allocator, pred *profile.Predictor, observers ...*obs.Collector) (SimResult, error) {
-	src, err := m.Source(gcfg)
-	if err != nil {
-		return SimResult{}, err
-	}
-	if pickCollector(observers) != nil {
-		n, err := m.CountEvents(gcfg)
-		if err != nil {
-			return SimResult{}, err
-		}
-		src.SetCount(n)
-	}
-	return RunSimSource(src, alloc, pred, observers...)
 }

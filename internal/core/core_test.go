@@ -284,6 +284,22 @@ func TestPaperDataComplete(t *testing.T) {
 	}
 }
 
+// countedSource is the count-then-stream source MatrixRunner.Run replays:
+// a fresh model source that knows its event total up front.
+func countedSource(t *testing.T, m *synth.Model, gcfg synth.Config) *synth.Source {
+	t.Helper()
+	src, err := m.Source(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := m.CountEvents(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.SetCount(n)
+	return src
+}
+
 func TestRunSimStreamMatchesMaterialized(t *testing.T) {
 	m := synth.ByName("perl")
 	gcfg := synth.Config{Input: synth.Test, Seed: 77, Scale: 0.01}
@@ -302,7 +318,7 @@ func TestRunSimStreamMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSimStream(m, gcfg, heapsim.NewFirstFit(), a.TrainPredictor)
+	got, err := RunSimSource(countedSource(t, m, gcfg), heapsim.NewFirstFit(), a.TrainPredictor)
 	if err != nil {
 		t.Fatal(err)
 	}

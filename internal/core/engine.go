@@ -307,7 +307,7 @@ func (e *Engine) Run(spec Spec) (*RunResult, error) {
 			return nil
 		}, nil
 	}
-	if err := schedule(len(models), nCell, spec.Workers, build); err != nil {
+	if err := Schedule(len(models), nCell, spec.Workers, build); err != nil {
 		return nil, err
 	}
 
@@ -349,17 +349,20 @@ func (e *Engine) Run(spec Spec) (*RunResult, error) {
 	return &RunResult{Output: buf.Bytes(), Timings: timings, Wall: time.Since(start)}, nil
 }
 
-// schedule is the build→cells DAG Engine.Run and RunTournament share.
+// Schedule is the one worker pool behind Engine.Run, RunTournament,
+// MatrixRunner.RunAll and the cluster tournament: a build→cells DAG.
 // Each of nProg programs' build holds one of workers slots (values below
 // 1 clamp to GOMAXPROCS) and releases it; only then do the nCell cells of
 // the runner it returns queue for slots, so one program's cells overlap
-// the next program's build. Whatever a runner captures becomes garbage
-// once its program's cells finish. Callers fill per-index result slots,
-// so completion order never reaches their output. The returned error is
-// the first in deterministic order — any build error by program, then
-// cell errors by (program, cell) — the error a serial run would hit
-// first.
-func schedule(nProg, nCell, workers int, build func(pi int) (cell func(ci int) error, err error)) error {
+// the next program's build. A cell takes its slot before it is spawned,
+// so a program's cells start in index order. Whatever a runner captures
+// becomes garbage once its program's cells finish. Callers fill
+// per-index result slots, so completion order never reaches their
+// output. The returned error is the first in deterministic order — any
+// build error by program, then cell errors by (program, cell) — the
+// error a serial run would hit first; a program whose build fails runs
+// no cells.
+func Schedule(nProg, nCell, workers int, build func(pi int) (cell func(ci int) error, err error)) error {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -379,10 +382,10 @@ func schedule(nProg, nCell, workers int, build func(pi int) (cell func(ci int) e
 				return
 			}
 			for ci := 0; ci < nCell; ci++ {
+				sem <- struct{}{}
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					sem <- struct{}{}
 					defer func() { <-sem }()
 					cellErr[pi*nCell+ci] = cell(ci)
 				}()

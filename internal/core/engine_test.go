@@ -309,7 +309,7 @@ func TestScheduleFirstErrorInOrder(t *testing.T) {
 					return nil
 				}, nil
 			}
-			err := schedule(nProg, nCell, workers, build)
+			err := Schedule(nProg, nCell, workers, build)
 			want := "cell 0/3"
 			if failBuild {
 				want = "build 2"

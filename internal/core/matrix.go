@@ -127,8 +127,8 @@ func ParseMatrix(spec string) ([]MatrixJob, error) {
 // instead of the full event list. Each job then regenerates its Test
 // events through a fresh synth.Source, so replay memory is bounded by
 // the live-object set. All methods are safe for concurrent use —
-// lpserve's workers and RunAll's pool run jobs in parallel, each with
-// its own collector.
+// lpserve's workers and RunAll's Schedule cells run jobs in parallel,
+// each with its own collector.
 type MatrixRunner struct {
 	cfg Config
 
@@ -173,7 +173,7 @@ func (r *MatrixRunner) model(name string) (*modelEntry, error) {
 
 func (e *modelEntry) build(cfg Config, m *synth.Model) {
 	train := func(in synth.Input) (*profile.Predictor, error) {
-		src, err := m.Source(cfg.genConfig(in))
+		src, err := m.Source(cfg.GenConfig(in))
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +189,7 @@ func (e *modelEntry) build(cfg Config, m *synth.Model) {
 	if e.selfPred, e.err = train(synth.Test); e.err != nil {
 		return
 	}
-	if e.testEvents, e.err = m.CountEvents(cfg.genConfig(synth.Test)); e.err != nil {
+	if e.testEvents, e.err = m.CountEvents(cfg.GenConfig(synth.Test)); e.err != nil {
 		return
 	}
 	// Pre-warm the shared predictor tables: map every chain a Test
@@ -197,7 +197,7 @@ func (e *modelEntry) build(cfg Config, m *synth.Model) {
 	// this scratch table) so the site chains and their function names
 	// are interned now, while we are still single-threaded. Concurrent
 	// jobs then only perform read-only lookups on the shared tables.
-	src, err := m.Source(cfg.genConfig(synth.Test))
+	src, err := m.Source(cfg.GenConfig(synth.Test))
 	if err != nil {
 		e.err = err
 		return
@@ -209,6 +209,29 @@ func (e *modelEntry) build(cfg Config, m *synth.Model) {
 			mapper.PredictShort(callchain.ChainID(id), 0)
 		}
 	}
+}
+
+// Predictor returns the streaming-trained predictor a job in the given
+// mode replays against: the Train-input one for "true", the Test-input
+// one for "self", and nil for "none". The model trains on first use.
+func (r *MatrixRunner) Predictor(model, mode string) (*profile.Predictor, error) {
+	e, err := r.model(model)
+	if err != nil {
+		return nil, err
+	}
+	return e.predictor(mode)
+}
+
+func (e *modelEntry) predictor(mode string) (*profile.Predictor, error) {
+	switch mode {
+	case "none":
+		return nil, nil
+	case "self":
+		return e.selfPred, nil
+	case "true":
+		return e.truePred, nil
+	}
+	return nil, fmt.Errorf("core: unknown predictor mode %q (want %s)", mode, strings.Join(PredictorModes, ", "))
 }
 
 // Run executes one matrix job, observing it through the optional
@@ -225,18 +248,15 @@ func (r *MatrixRunner) Run(j MatrixJob, col *obs.Collector) (SimResult, error) {
 	if err != nil {
 		return SimResult{}, err
 	}
-	var pred *profile.Predictor
-	switch j.Predictor {
-	case "true":
-		pred = e.truePred
-	case "self":
-		pred = e.selfPred
+	pred, err := e.predictor(j.Predictor)
+	if err != nil {
+		return SimResult{}, err
 	}
 	alloc, err := NewAllocator(j.Allocator)
 	if err != nil {
 		return SimResult{}, err
 	}
-	src, err := synth.ByName(j.Model).Source(r.cfg.genConfig(synth.Test))
+	src, err := synth.ByName(j.Model).Source(r.cfg.GenConfig(synth.Test))
 	if err != nil {
 		return SimResult{}, err
 	}
@@ -251,39 +271,25 @@ type MatrixResult struct {
 	Err error
 }
 
-// RunAll executes the jobs on a pool of workers goroutines (workers <= 1
-// runs serially) and returns results in job order. newCollector, when
-// non-nil, supplies each job's observer.
+// RunAll executes the jobs as the cells of one Schedule program on
+// workers slots (values below 1 clamp to GOMAXPROCS) and returns results
+// in job order. newCollector, when non-nil, supplies each job's observer.
 func (r *MatrixRunner) RunAll(jobs []MatrixJob, workers int, newCollector func(MatrixJob) *obs.Collector) []MatrixResult {
 	results := make([]MatrixResult, len(jobs))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				j := jobs[i]
-				var col *obs.Collector
-				if newCollector != nil {
-					col = newCollector(j)
-				}
-				res, err := r.Run(j, col)
-				results[i] = MatrixResult{Job: j, Res: res, Err: err}
+	// Each job's error stays in its own result, so no cell fails and
+	// Schedule has no error to report.
+	_ = Schedule(1, len(jobs), workers, func(int) (func(int) error, error) {
+		return func(i int) error {
+			j := jobs[i]
+			var col *obs.Collector
+			if newCollector != nil {
+				col = newCollector(j)
 			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+			res, err := r.Run(j, col)
+			results[i] = MatrixResult{Job: j, Res: res, Err: err}
+			return nil
+		}, nil
+	})
 	return results
 }
 

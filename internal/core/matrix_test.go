@@ -65,29 +65,43 @@ func TestSortJobs(t *testing.T) {
 	}
 }
 
-// TestMatrixRunnerConcurrent runs a small matrix on several workers with
-// per-job collectors and checks the observed results agree with direct
-// serial replays (the collectors must not perturb the simulation, and
-// shared artifacts must be safe to build once under contention).
+// TestMatrixRunnerConcurrent runs a hand-built job list on several
+// workers with per-job collectors: uneven per-model groups (three gawk
+// jobs, one cfrac) and one invalid job. The invalid job's error must stay
+// in its own slot, and every other result must equal its serial observed
+// Run (shared predictors must be safe to build once under contention)
+// and agree with a plain serial replay (collectors must not perturb the
+// simulation).
 func TestMatrixRunnerConcurrent(t *testing.T) {
-	jobs, err := ParseMatrix("gawk,cfrac/firstfit,arena/true")
-	if err != nil {
-		t.Fatal(err)
+	jobs := []MatrixJob{
+		{Model: "gawk", Allocator: "firstfit", Predictor: "true"},
+		{Model: "cfrac", Allocator: "arena", Predictor: "true"},
+		{Model: "gawk", Allocator: "slab", Predictor: "true"},
+		{Model: "gawk", Allocator: "arena", Predictor: "self"},
+		{Model: "gawk", Allocator: "bsd", Predictor: "none"},
+	}
+	newCol := func(j MatrixJob) *obs.Collector {
+		return obs.NewCollector(obs.Options{Label: j.String()})
 	}
 	r := NewMatrixRunner(DefaultConfig(testScale))
-	results := r.RunAll(jobs, 4, func(j MatrixJob) *obs.Collector {
-		return obs.NewCollector(obs.Options{Label: j.String()})
-	})
+	results := r.RunAll(jobs, 4, newCol)
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results, want %d", len(results), len(jobs))
 	}
 	serial := NewMatrixRunner(DefaultConfig(testScale))
 	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("job %s: %v", res.Job, res.Err)
-		}
 		if res.Job != jobs[i] {
 			t.Errorf("result %d out of order: %v", i, res.Job)
+		}
+		if res.Job.Allocator == "slab" {
+			if res.Err == nil || !strings.Contains(res.Err.Error(), `unknown allocator "slab"`) {
+				t.Errorf("job %s: error %v, want the unknown-allocator error", res.Job, res.Err)
+			}
+			continue
+		}
+		if res.Err != nil {
+			t.Errorf("job %s: %v", res.Job, res.Err)
+			continue
 		}
 		if res.Res.Obs == nil {
 			t.Errorf("job %s: no snapshot", res.Job)
@@ -96,13 +110,20 @@ func TestMatrixRunnerConcurrent(t *testing.T) {
 		if res.Res.Obs.Program != res.Job.Model || res.Res.Obs.Allocator != res.Job.Allocator {
 			t.Errorf("job %s: snapshot tagged %s/%s", res.Job, res.Res.Obs.Program, res.Res.Obs.Allocator)
 		}
-		want, err := serial.Run(res.Job, nil)
+		want, err := serial.Run(res.Job, newCol(res.Job))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Res.MaxHeap != want.MaxHeap || res.Res.TotalBytes != want.TotalBytes {
+		if !reflect.DeepEqual(res.Res, want) {
+			t.Errorf("job %s: concurrent result diverges from its serial Run", res.Job)
+		}
+		plain, err := serial.Run(res.Job, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Res.MaxHeap != plain.MaxHeap || res.Res.TotalBytes != plain.TotalBytes {
 			t.Errorf("job %s: observed run (heap %d, bytes %d) != plain run (heap %d, bytes %d)",
-				res.Job, res.Res.MaxHeap, res.Res.TotalBytes, want.MaxHeap, want.TotalBytes)
+				res.Job, res.Res.MaxHeap, res.Res.TotalBytes, plain.MaxHeap, plain.TotalBytes)
 		}
 	}
 }

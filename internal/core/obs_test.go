@@ -172,7 +172,7 @@ func TestObservedRunSimStream(t *testing.T) {
 	m := synth.ByName("cfrac")
 	gcfg := synth.Config{Input: synth.Test, Seed: 7, Scale: 0.01}
 	col := obs.NewCollector(obs.Options{})
-	res, err := RunSimStream(m, gcfg, heapsim.NewFirstFit(), nil, col)
+	res, err := RunSimSource(countedSource(t, m, gcfg), heapsim.NewFirstFit(), nil, col)
 	if err != nil {
 		t.Fatal(err)
 	}

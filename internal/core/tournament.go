@@ -223,7 +223,7 @@ func (e *Engine) RunTournament(spec TournamentSpec) (*TournamentResult, error) {
 			return nil
 		}, nil
 	}
-	if err := schedule(len(models), nCell, spec.Workers, build); err != nil {
+	if err := Schedule(len(models), nCell, spec.Workers, build); err != nil {
 		return nil, err
 	}
 

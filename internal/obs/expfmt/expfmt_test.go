@@ -120,18 +120,26 @@ func roundTrip(t *testing.T, s *obs.Snapshot) {
 func TestRoundTripMidReplay(t *testing.T) {
 	col := obs.NewCollector(obs.Options{Label: "mid", TimelineInterval: 4 << 10})
 	done := make(chan error, 1)
+	m := synth.ByName("gawk")
+	gcfg := synth.Config{Input: synth.Test, Seed: 7, Scale: 0.02}
+	src, err := m.Source(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := m.CountEvents(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.SetCount(n)
 	go func() {
-		m := synth.ByName("gawk")
-		_, err := core.RunSimStream(m,
-			synth.Config{Input: synth.Test, Seed: 7, Scale: 0.02},
-			core.MustNewAllocator("arena"), nil, col)
+		_, err := core.RunSimSource(src, core.MustNewAllocator("arena"), nil, col)
 		done <- err
 	}()
 	for i := 0; ; i++ {
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("RunSimStream: %v", err)
+				t.Fatalf("RunSimSource: %v", err)
 			}
 			// Final pass over the finished run.
 			roundTrip(t, col.Snapshot())
