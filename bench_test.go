@@ -351,11 +351,7 @@ func BenchmarkRunSimStreaming(b *testing.B) {
 		for _, alloc := range []string{"arena", "firstfit"} {
 			alloc := alloc
 			b.Run("gawk/"+alloc+"/"+sc.name, func(b *testing.B) {
-				src, err := m.Source(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tr, err := trace.CollectBlocks(src)
+				tr, err := m.Generate(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -131,6 +131,46 @@ func TestRunJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestRunRejectsOversizedBody: a POST /run body past maxRunBody — here
+// one huge string field — is refused with 413 before the decoder buffers
+// it, enqueues nothing, and leaves the server answering.
+func TestRunRejectsOversizedBody(t *testing.T) {
+	_, ts := testServer(t)
+	body := `{"model":"` + strings.Repeat("x", 4*maxRunBody) + `","allocator":"arena"}`
+	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized POST /run status = %d, want 413", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health struct {
+		Status string         `json:"status"`
+		Jobs   map[string]int `json:"jobs"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || health.Status != "ok" {
+		t.Fatalf("healthz after oversized body = %d %q, want 200 ok", resp.StatusCode, health.Status)
+	}
+	for status, n := range health.Jobs {
+		if n != 0 {
+			t.Errorf("oversized body left %d %s job(s)", n, status)
+		}
+	}
+	if views := waitDone(t, ts); len(views) != 0 {
+		t.Fatalf("oversized body enqueued jobs: %+v", views)
+	}
+}
+
 func TestMetricsRoundTripExact(t *testing.T) {
 	_, ts := testServer(t)
 	for _, body := range []string{

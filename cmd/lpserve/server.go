@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -297,14 +298,23 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, views)
 }
 
+// maxRunBody caps a POST /run body. A job spec is under 200 bytes, so
+// 64 KiB is ample; a larger body is refused before the decoder buffers it.
+const maxRunBody = 64 << 10
+
 // handleRun accepts {"model": ..., "allocator": ..., "predictor": ...}
-// and enqueues the job.
+// and enqueues the job. A body over maxRunBody gets 413.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var spec core.MatrixJob
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, map[string]string{"error": err.Error()})
 		return
 	}
 	if spec.Predictor == "" {

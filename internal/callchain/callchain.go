@@ -102,10 +102,23 @@ func (t *Table) Intern(fs []FuncID) ChainID {
 }
 
 // InternNames interns a chain given as function names, outermost first.
-func (t *Table) InternNames(names ...string) ChainID {
-	fs := make([]FuncID, len(names))
-	for i, n := range names {
+func (t *Table) InternNames(chain ...string) ChainID {
+	fs := make([]FuncID, len(chain))
+	for i, n := range chain {
 		fs[i] = t.Func(n)
+	}
+	return t.Intern(fs)
+}
+
+// InternFrom interns chain id of table from into t by function name —
+// the paper's cross-run site identity (§4, true prediction). It interns
+// the names in chain order, exactly as InternNames over them would, so
+// the returned id is the one InternNames assigns.
+func (t *Table) InternFrom(from *Table, id ChainID) ChainID {
+	src := from.chains[id]
+	fs := make([]FuncID, len(src))
+	for i, f := range src {
+		fs[i] = t.Func(from.funcNames[f])
 	}
 	return t.Intern(fs)
 }

@@ -312,3 +312,56 @@ func BenchmarkEncryptionKey(b *testing.B) {
 		_ = tb.EncryptionKey(c)
 	}
 }
+
+// TestInternFromMatchesInternNames pins the cross-run chain identity:
+// mapping chains into a table with InternFrom leaves it exactly as
+// InternNames over the same names would — the same chain ids and the
+// same function ids — whether the table starts empty or already holds
+// some of the names. Repeating a mapping is a no-op, and a mapped chain
+// renders as its source.
+func TestInternFromMatchesInternNames(t *testing.T) {
+	src := NewTable()
+	var chains []ChainID
+	for _, names := range [][]string{
+		{"main", "parse", "xmalloc"},
+		{"main", "eval", "apply", "xmalloc"},
+		{"eval", "apply"},
+		{"main", "f", "f", "g"},
+		{},
+		{"leaf", "main"},
+	} {
+		chains = append(chains, src.InternNames(names...))
+	}
+	for _, seed := range [][]string{nil, {"xmalloc", "apply", "main"}} {
+		viaFrom, viaNames := NewTable(), NewTable()
+		viaFrom.InternNames(seed...)
+		viaNames.InternNames(seed...)
+		for _, c := range chains {
+			names := make([]string, src.Len(c))
+			for i, f := range src.Funcs(c) {
+				names[i] = src.FuncName(f)
+			}
+			got := viaFrom.InternFrom(src, c)
+			if want := viaNames.InternNames(names...); got != want {
+				t.Fatalf("seed %v: InternFrom(%q) = %d, InternNames = %d", seed, src.String(c), got, want)
+			}
+			if viaFrom.String(got) != src.String(c) {
+				t.Fatalf("seed %v: mapped chain renders %q, want %q", seed, viaFrom.String(got), src.String(c))
+			}
+			n := viaFrom.NumChains()
+			if again := viaFrom.InternFrom(src, c); again != got || viaFrom.NumChains() != n {
+				t.Fatalf("seed %v: repeating InternFrom(%q) gave %d (was %d), %d chains (was %d)",
+					seed, src.String(c), again, got, viaFrom.NumChains(), n)
+			}
+		}
+		if viaFrom.NumFuncs() != viaNames.NumFuncs() || viaFrom.NumChains() != viaNames.NumChains() {
+			t.Fatalf("seed %v: tables differ in size: %d/%d funcs, %d/%d chains", seed,
+				viaFrom.NumFuncs(), viaNames.NumFuncs(), viaFrom.NumChains(), viaNames.NumChains())
+		}
+		for f := 0; f < viaFrom.NumFuncs(); f++ {
+			if a, b := viaFrom.FuncName(FuncID(f)), viaNames.FuncName(FuncID(f)); a != b {
+				t.Fatalf("seed %v: function %d is %q via InternFrom, %q via InternNames", seed, f, a, b)
+			}
+		}
+	}
+}

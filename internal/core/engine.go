@@ -112,15 +112,8 @@ func warmArtifacts(a *Artifacts) {
 		}
 	}
 	nTest := testTb.NumChains()
-	names := make([]string, 0, 16)
 	for id := 1; id < nTest; id++ {
-		t := testTb.EliminateRecursion(callchain.ChainID(id))
-		fs := testTb.Funcs(t)
-		names = names[:0]
-		for _, f := range fs {
-			names = append(names, testTb.FuncName(f))
-		}
-		trainTb.InternNames(names...)
+		trainTb.InternFrom(testTb, testTb.EliminateRecursion(callchain.ChainID(id)))
 	}
 }
 

@@ -51,13 +51,8 @@ func TrainMulti(traces []*trace.Trace, cfg Config, requireAllRuns bool) (*Predic
 		db := TrainObjects(tr.Table, objs, cfg)
 		// Re-key this run's sites into the merged table by names.
 		for key, st := range db.Sites {
-			fs := tr.Table.Funcs(key.Chain)
-			names := make([]string, len(fs))
-			for i, f := range fs {
-				names[i] = tr.Table.FuncName(f)
-			}
 			mkey := SiteKey{
-				Chain: merged.table.InternNames(names...),
+				Chain: merged.table.InternFrom(tr.Table, key.Chain),
 				Size:  key.Size,
 			}
 			a := sites[mkey]

@@ -18,9 +18,6 @@ type Oracle interface {
 // predictor's short/long verdicts are relative to.
 func (p *Predictor) ShortThreshold() int64 { return p.Config.ShortThreshold }
 
-// ShortThreshold returns the underlying predictor's lifetime threshold.
-func (m *Mapper) ShortThreshold() int64 { return m.p.Config.ShortThreshold }
-
 // ShortThreshold returns the lifetime threshold (bytes allocated) the
 // predictor's short/long verdicts are relative to.
 func (p *CCEPredictor) ShortThreshold() int64 { return p.Config.ShortThreshold }

@@ -274,25 +274,31 @@ func (p *Predictor) NumSites() int { return len(p.keys) }
 // Table returns the chain table the predictor's keys live in.
 func (p *Predictor) Table() *callchain.Table { return p.table }
 
-// PredictShort reports whether an allocation with the given raw chain (in
-// p's own table) and size is predicted short-lived.
-func (p *Predictor) PredictShort(raw callchain.ChainID, size int64) bool {
-	key := SiteKey{
-		Chain: p.Config.siteChain(p.table, raw),
-		Size:  p.Config.roundSize(size),
-	}
+// AdmitSite implements SiteOracle: the site is one of the admitted
+// short-lived predictor sites.
+func (p *Predictor) AdmitSite(key SiteKey) bool {
 	_, ok := p.keys[key]
 	return ok
 }
 
+// ProfileConfig implements SiteOracle.
+func (p *Predictor) ProfileConfig() Config { return p.Config }
+
+// PredictShort reports whether an allocation with the given raw chain (in
+// p's own table) and size is predicted short-lived.
+func (p *Predictor) PredictShort(raw callchain.ChainID, size int64) bool {
+	return predictVia(p, raw, size)
+}
+
 // Mapper translates chains from another execution's table into the
 // predictor's table by function name — the paper's cross-run site mapping.
-// It memoizes per raw chain, so the per-allocation cost is a map hit.
+// The chain mapping and Site are its SiteMapper's; Mapper adds a decision
+// cache, so the per-allocation cost is one map probe, and the site-usage
+// accounting behind SitesMatched.
 type Mapper struct {
+	*SiteMapper
 	p     *Predictor
-	from  *callchain.Table
-	memo  map[callchain.ChainID]callchain.ChainID // raw from-chain -> site chain in p.table
-	hits  map[SiteKey]int64                       // predictor sites that matched
+	hits  map[SiteKey]int64 // predictor sites that matched
 	total int64
 
 	// decisions memoizes the final PredictShort outcome per (raw chain,
@@ -309,31 +315,11 @@ type Mapper struct {
 // NewMapper prepares a mapper from chains interned in from onto p.
 func (p *Predictor) NewMapper(from *callchain.Table) *Mapper {
 	return &Mapper{
-		p:         p,
-		from:      from,
-		memo:      make(map[callchain.ChainID]callchain.ChainID),
-		hits:      make(map[SiteKey]int64),
-		decisions: make(map[uint64]bool),
+		SiteMapper: NewSiteMapper(p, from),
+		p:          p,
+		hits:       make(map[SiteKey]int64),
+		decisions:  make(map[uint64]bool),
 	}
-}
-
-// siteChainFrom maps a raw chain in the foreign table to the transformed
-// site chain interned in the predictor's table.
-func (m *Mapper) siteChainFrom(raw callchain.ChainID) callchain.ChainID {
-	if mapped, ok := m.memo[raw]; ok {
-		return mapped
-	}
-	// Transform in the foreign table first (sub-chain / elimination are
-	// structural), then re-intern by name in the predictor's table.
-	transformed := m.p.Config.siteChain(m.from, raw)
-	fs := m.from.Funcs(transformed)
-	names := make([]string, len(fs))
-	for i, f := range fs {
-		names[i] = m.from.FuncName(f)
-	}
-	mapped := m.p.table.InternNames(names...)
-	m.memo[raw] = mapped
-	return mapped
 }
 
 // PredictShort reports the prediction for an allocation observed in the
@@ -361,7 +347,7 @@ func (m *Mapper) predictSlow(raw callchain.ChainID, rounded int64) bool {
 		Size:  rounded,
 	}
 	m.total++
-	if _, ok := m.p.keys[key]; ok {
+	if m.p.AdmitSite(key) {
 		m.hits[key]++
 		return true
 	}
@@ -523,18 +509,4 @@ func (db *DB) TopSizes(n int) []int64 {
 		sizes = sizes[:n]
 	}
 	return sizes
-}
-
-// Site reports the mapped site key for an allocation observed in the
-// foreign execution and whether that site is an admitted short-lived
-// predictor. It gives allocators that segregate per site (Hanson-style)
-// a stable identity; unlike PredictShort it does not touch the site-usage
-// accounting.
-func (m *Mapper) Site(raw callchain.ChainID, size int64) (SiteKey, bool) {
-	key := SiteKey{
-		Chain: m.siteChainFrom(raw),
-		Size:  m.p.Config.roundSize(size),
-	}
-	_, ok := m.p.keys[key]
-	return key, ok
 }

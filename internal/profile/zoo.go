@@ -40,16 +40,17 @@ func predictVia(o SiteOracle, raw callchain.ChainID, size int64) bool {
 	return o.AdmitSite(key)
 }
 
-// SiteMapper adapts a SiteOracle to chains from another execution's table,
-// mirroring Mapper: transform the chain structurally in the foreign table,
-// re-intern it by function name into the oracle's table, memoize the
-// mapping. Unlike Mapper it never caches final decisions — a windowed
-// oracle's admissions drift as it keeps training, so only the (stable)
-// chain mapping is safe to memoize.
+// SiteMapper adapts a SiteOracle to chains from another execution's table
+// — the paper's cross-run site mapping: transform the chain structurally
+// in the foreign table, re-intern it by function name into the oracle's
+// table (callchain.Table.InternFrom), memoize the mapping. It never
+// caches final decisions — a windowed oracle's admissions drift as it
+// keeps training, so only the (stable) chain mapping is safe to memoize.
+// Mapper adds a decision cache on top for the paper's fixed Predictor.
 type SiteMapper struct {
 	o    SiteOracle
 	from *callchain.Table
-	memo map[callchain.ChainID]callchain.ChainID
+	memo map[callchain.ChainID]callchain.ChainID // raw from-chain -> site chain in o.Table()
 }
 
 // NewSiteMapper prepares a mapper from chains interned in from onto o.
@@ -61,17 +62,15 @@ func NewSiteMapper(o SiteOracle, from *callchain.Table) *SiteMapper {
 	}
 }
 
+// siteChainFrom maps a raw chain in the foreign table to the site chain
+// interned in the oracle's table.
 func (m *SiteMapper) siteChainFrom(raw callchain.ChainID) callchain.ChainID {
 	if mapped, ok := m.memo[raw]; ok {
 		return mapped
 	}
-	transformed := m.o.ProfileConfig().siteChain(m.from, raw)
-	fs := m.from.Funcs(transformed)
-	names := make([]string, len(fs))
-	for i, f := range fs {
-		names[i] = m.from.FuncName(f)
-	}
-	mapped := m.o.Table().InternNames(names...)
+	// Transform in the foreign table first (sub-chain / elimination are
+	// structural), then re-intern by name in the oracle's table.
+	mapped := m.o.Table().InternFrom(m.from, m.o.ProfileConfig().siteChain(m.from, raw))
 	m.memo[raw] = mapped
 	return mapped
 }
@@ -83,8 +82,9 @@ func (m *SiteMapper) PredictShort(raw callchain.ChainID, size int64) bool {
 }
 
 // Site returns the mapped site key (in the oracle's table) and the admit
-// verdict for one allocation — the routing face a per-site allocator
-// needs, mirroring Mapper.Site.
+// verdict for one allocation — the stable identity a per-site allocator
+// (Hanson-style) routes by. It does not touch Mapper's site-usage
+// accounting.
 func (m *SiteMapper) Site(raw callchain.ChainID, size int64) (SiteKey, bool) {
 	key := SiteKey{
 		Chain: m.siteChainFrom(raw),
@@ -99,9 +99,10 @@ func (m *SiteMapper) ShortThreshold() int64 {
 }
 
 // BindOracle returns an Oracle that accepts raw chains interned in from:
-// the oracle itself when it already speaks that table, or a cross-table
-// mapper otherwise. This is the one entry point the tournament uses to
-// point any trained policy at a test trace.
+// a Mapper for the paper's Predictor, the oracle itself when it already
+// speaks that table, or a cross-table SiteMapper otherwise. This is the
+// one entry point the tournament uses to point any trained policy at a
+// test trace.
 func BindOracle(o Oracle, from *callchain.Table) Oracle {
 	switch t := o.(type) {
 	case *Predictor:
@@ -353,6 +354,7 @@ var (
 	_ Oracle     = (*QuantileOracle)(nil)
 	_ Oracle     = (*WindowedOracle)(nil)
 	_ Oracle     = (*SiteMapper)(nil)
+	_ SiteOracle = (*Predictor)(nil)
 	_ SiteOracle = (*QuantileOracle)(nil)
 	_ SiteOracle = (*WindowedOracle)(nil)
 )

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -383,5 +384,56 @@ func TestZooPinnedConfusionMatrices(t *testing.T) {
 				t.Errorf("confusion matrix = %+v, want %+v", got, want[tr.Name])
 			}
 		})
+	}
+}
+
+// TestMapperMatchesSiteMapper: the paper's Mapper is a SiteMapper over
+// its Predictor plus a decision cache, so for every (chain, size) of a
+// model's Test trace the two must report the same site key and the same
+// verdict — the cache may only ever repeat an uncached answer. Mapper
+// inherits Site from its embedded SiteMapper, so the Site half only pins
+// that NewMapper builds that SiteMapper over the same predictor and
+// table; the PredictShort half is what tests the decision cache.
+func TestMapperMatchesSiteMapper(t *testing.T) {
+	m := synth.ByName("perl")
+	gen := func(in synth.Input, seed uint64) *trace.Trace {
+		tr, err := m.Generate(synth.Config{Input: in, Seed: seed, Scale: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	train, test := gen(synth.Train, 1), gen(synth.Test, 2)
+	for _, cfg := range []Config{DefaultConfig(), {ChainLength: 3}} {
+		db, err := Train(train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred := db.Predictor()
+		mapper, sm := pred.NewMapper(test.Table), NewSiteMapper(pred, test.Table)
+		short := 0
+		for i, ev := range test.Events {
+			if ev.Kind != trace.KindAlloc {
+				continue
+			}
+			mk, mok := mapper.Site(ev.Chain, ev.Size)
+			sk, sok := sm.Site(ev.Chain, ev.Size)
+			if mk != sk || mok != sok {
+				t.Fatalf("chain length %d, event %d: Mapper.Site = %+v,%v; SiteMapper.Site = %+v,%v",
+					cfg.ChainLength, i, mk, mok, sk, sok)
+			}
+			mp, sp := mapper.PredictShort(ev.Chain, ev.Size), sm.PredictShort(ev.Chain, ev.Size)
+			if mp != sp {
+				t.Fatalf("chain length %d, event %d: Mapper.PredictShort = %v, SiteMapper.PredictShort = %v",
+					cfg.ChainLength, i, mp, sp)
+			}
+			if mp {
+				short++
+			}
+		}
+		if short == 0 || mapper.SitesMatched() == 0 {
+			t.Fatalf("chain length %d: no allocation predicted short (%d sites matched); the comparison is vacuous",
+				cfg.ChainLength, mapper.SitesMatched())
+		}
 	}
 }

@@ -19,14 +19,14 @@ type segment struct {
 }
 
 // Source generates a model's events on demand, one per Next call — the
-// pull-shaped twin of Stream, and the trace.Source the whole pipeline
-// consumes. Generation state is O(live objects): the pending-death heap
-// plus the expanded site specs, never the event list.
+// trace.Source the whole pipeline consumes, and the only generator:
+// Generate is Collect over it. Generation state is O(live objects): the
+// pending-death heap plus the expanded site specs, never the event list.
 //
-// The event sequence and every RNG draw are identical to Stream and
-// Generate for the same Config: the same seeds feed the same samplers in
-// the same order, so a Source can replace a materialized trace anywhere
-// without perturbing a single byte of downstream results.
+// The same Config always yields the same event sequence: the same seeds
+// feed the same samplers in the same order, so a Source can replace a
+// materialized trace anywhere without perturbing a single byte of
+// downstream results.
 type Source struct {
 	m  *Model
 	in Input
@@ -51,16 +51,11 @@ type Source struct {
 }
 
 // Source returns a streaming generator for the model under cfg, with a
-// fresh chain table. Configuration errors (bad scale, bad phase windows,
+// fresh chain table. All site chains are interned during construction,
+// so the table is complete before the first event — the Source contract
+// consumers rely on. Configuration errors (bad scale, bad phase windows,
 // no active sites) surface here, before any event is produced.
 func (m *Model) Source(cfg Config) (*Source, error) {
-	return m.SourceInto(cfg, callchain.NewTable())
-}
-
-// SourceInto is Source with a caller-supplied chain table. All site
-// chains are interned during construction, so the table is complete
-// before the first event — the Source contract consumers rely on.
-func (m *Model) SourceInto(cfg Config, tb *callchain.Table) (*Source, error) {
 	if cfg.Scale <= 0 {
 		return nil, fmt.Errorf("synth: non-positive scale %v", cfg.Scale)
 	}
@@ -69,6 +64,7 @@ func (m *Model) SourceInto(cfg Config, tb *callchain.Table) (*Source, error) {
 		in = Train
 	}
 	master := xrand.New(cfg.Seed ^ 0xa5a5a5a5a5a5a5a5)
+	tb := callchain.NewTable()
 	specs := m.expand(tb, in, master)
 
 	// Phase segmentation: split [0,1) at every site's phase boundary and

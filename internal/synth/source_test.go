@@ -5,14 +5,17 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/callchain"
 	"repro/internal/trace"
 )
 
 // TestSourceMatchesGenerate pins the load-bearing equivalence: for every
-// model and both inputs, the pull-shaped Source yields exactly the event
-// sequence, chain table, and trailer metadata that Generate materializes.
-// All downstream determinism (calibration pins, the committed bench
-// baseline) rides on this.
+// model and both inputs, a plain Next loop over a fresh Source yields
+// exactly the event sequence, chain table, and trailer metadata that
+// Generate materializes. Generate drains the Source through its block
+// face, so this also holds NextBlock to the scalar RNG draw order. All
+// downstream determinism (calibration pins, the committed bench baseline)
+// rides on this.
 func TestSourceMatchesGenerate(t *testing.T) {
 	for _, m := range All() {
 		for _, in := range []Input{Train, Test} {
@@ -21,35 +24,26 @@ func TestSourceMatchesGenerate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", m.Name, in, err)
 			}
-			src, err := m.Source(cfg)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", m.Name, in, err)
-			}
-			got, err := trace.Collect(src)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", m.Name, in, err)
-			}
-			if got.Program != want.Program || got.Input != want.Input {
+			src, events := drainScalar(t, m, cfg)
+			meta := src.Meta()
+			if meta.Program != want.Program || meta.Input != want.Input {
 				t.Fatalf("%s/%s: meta %s/%s != %s/%s", m.Name, in,
-					got.Program, got.Input, want.Program, want.Input)
+					meta.Program, meta.Input, want.Program, want.Input)
 			}
-			if got.FunctionCalls != want.FunctionCalls || got.NonHeapRefs != want.NonHeapRefs {
+			if meta.FunctionCalls != want.FunctionCalls || meta.NonHeapRefs != want.NonHeapRefs {
 				t.Fatalf("%s/%s: trailer %d/%d != %d/%d", m.Name, in,
-					got.FunctionCalls, got.NonHeapRefs, want.FunctionCalls, want.NonHeapRefs)
+					meta.FunctionCalls, meta.NonHeapRefs, want.FunctionCalls, want.NonHeapRefs)
 			}
-			if !reflect.DeepEqual(got.Events, want.Events) {
+			if !reflect.DeepEqual(events, want.Events) {
 				t.Fatalf("%s/%s: event sequences diverge", m.Name, in)
 			}
-			if got.Table.NumChains() != want.Table.NumChains() ||
-				got.Table.NumFuncs() != want.Table.NumFuncs() {
+			tb := src.Table()
+			if tb.NumChains() != want.Table.NumChains() || tb.NumFuncs() != want.Table.NumFuncs() {
 				t.Fatalf("%s/%s: tables diverge", m.Name, in)
 			}
-			for i := range got.Events {
-				if got.Events[i].Kind != trace.KindAlloc {
-					continue
-				}
-				if got.Table.String(got.Events[i].Chain) != want.Table.String(want.Events[i].Chain) {
-					t.Fatalf("%s/%s: event %d chain diverges", m.Name, in, i)
+			for c := 0; c < tb.NumChains(); c++ {
+				if tb.String(callchain.ChainID(c)) != want.Table.String(callchain.ChainID(c)) {
+					t.Fatalf("%s/%s: chain %d diverges", m.Name, in, c)
 				}
 			}
 		}
@@ -109,31 +103,70 @@ func TestSourceConfigErrors(t *testing.T) {
 	}
 }
 
-// TestSourceBlocksMatchScalar pins the batched face of the generator: for
-// every model, draining via NextBlock yields exactly the scalar event
-// sequence and trailer — the RNG draw order is shared, so the two faces
-// cannot diverge without this failing.
+// TestSourceBlocksMatchScalar pins the batched face of the generator on
+// its own: for every model and both inputs, draining a fresh Source via
+// NextBlock into a block whose odd capacity puts the end of the stream
+// mid-block yields exactly the event sequence and trailer of a plain Next
+// loop over another fresh Source. The RNG draw order is shared, so the two
+// faces cannot diverge without this failing.
 func TestSourceBlocksMatchScalar(t *testing.T) {
 	for _, m := range All() {
-		cfg := Config{Input: Test, Seed: 42, Scale: 0.01}
-		want, err := m.Generate(cfg)
+		for _, in := range []Input{Train, Test} {
+			cfg := Config{Input: in, Seed: 42, Scale: 0.01}
+			want, wantEvents := drainScalar(t, m, cfg)
+			src, err := m.Source(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", m.Name, in, err)
+			}
+			var got []trace.Event
+			blk := trace.NewEventBlock(7)
+			for {
+				err := src.NextBlock(blk)
+				if err == io.EOF {
+					if blk.N != 0 {
+						t.Fatalf("%s/%s: io.EOF with %d events in the block", m.Name, in, blk.N)
+					}
+					break
+				}
+				if err != nil {
+					t.Fatalf("%s/%s: %v", m.Name, in, err)
+				}
+				if blk.N == 0 {
+					t.Fatalf("%s/%s: empty block with nil error", m.Name, in)
+				}
+				for i := 0; i < blk.N; i++ {
+					got = append(got, blk.Event(i))
+				}
+			}
+			if !reflect.DeepEqual(got, wantEvents) {
+				t.Fatalf("%s/%s: block event sequence diverges from scalar", m.Name, in)
+			}
+			gm, wm := src.Meta(), want.Meta()
+			if gm.FunctionCalls != wm.FunctionCalls || gm.NonHeapRefs != wm.NonHeapRefs {
+				t.Fatalf("%s/%s: trailer %d/%d != %d/%d", m.Name, in,
+					gm.FunctionCalls, gm.NonHeapRefs, wm.FunctionCalls, wm.NonHeapRefs)
+			}
+		}
+	}
+}
+
+// drainScalar builds a fresh Source for cfg and drains it with a plain
+// Next loop, independent of Collect and of the block face.
+func drainScalar(t *testing.T, m *Model, cfg Config) (*Source, []trace.Event) {
+	t.Helper()
+	src, err := m.Source(cfg)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", m.Name, cfg.Input, err)
+	}
+	var events []trace.Event
+	for {
+		ev, err := src.Next()
+		if err == io.EOF {
+			return src, events
+		}
 		if err != nil {
-			t.Fatalf("%s: %v", m.Name, err)
+			t.Fatalf("%s/%s: %v", m.Name, cfg.Input, err)
 		}
-		src, err := m.Source(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name, err)
-		}
-		got, err := trace.CollectBlocks(src)
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name, err)
-		}
-		if !reflect.DeepEqual(got.Events, want.Events) {
-			t.Fatalf("%s: block event sequence diverges from scalar", m.Name)
-		}
-		if got.FunctionCalls != want.FunctionCalls || got.NonHeapRefs != want.NonHeapRefs {
-			t.Fatalf("%s: trailer %d/%d != %d/%d", m.Name,
-				got.FunctionCalls, got.NonHeapRefs, want.FunctionCalls, want.NonHeapRefs)
-		}
+		events = append(events, ev)
 	}
 }

@@ -17,7 +17,6 @@ package synth
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -477,57 +476,15 @@ func (h *deathHeap) pop() deathEvent {
 	return ev
 }
 
-// Generate materializes a full trace for the model under cfg.
+// Generate materializes a full trace for the model under cfg: Collect
+// over the streaming Source, so the two yield the same events, chain
+// table, and trailer metadata.
 func (m *Model) Generate(cfg Config) (*trace.Trace, error) {
-	tr := &trace.Trace{
-		Program: m.Name,
-		Input:   string(cfg.Input),
-		Table:   callchain.NewTable(),
-	}
-	appendEv := func(ev trace.Event) error {
-		tr.Events = append(tr.Events, ev)
-		return nil
-	}
-	if err := m.Stream(cfg, tr.Table, appendEv); err != nil {
+	src, err := m.Source(cfg)
+	if err != nil {
 		return nil, err
 	}
-	allocs := int64(0)
-	var heapRefs int64
-	for _, ev := range tr.Events {
-		if ev.Kind == trace.KindAlloc {
-			allocs++
-			heapRefs += ev.Refs
-		}
-	}
-	tr.FunctionCalls = int64(m.CallsPerAlloc * float64(allocs))
-	if m.HeapRefFrac > 0 && m.HeapRefFrac < 1 {
-		tr.NonHeapRefs = int64(float64(heapRefs) * (1 - m.HeapRefFrac) / m.HeapRefFrac)
-	}
-	return tr, nil
-}
-
-// Stream generates the model's events in order, calling emit for each one,
-// interning chains into tb. It allocates only O(live objects) memory, so
-// paper-scale runs (millions of objects) need not materialize a trace.
-// Stream is a push-shaped driver over SourceInto; the pull-shaped Source
-// is the same generator, so both produce bit-identical event sequences.
-func (m *Model) Stream(cfg Config, tb *callchain.Table, emit func(trace.Event) error) error {
-	src, err := m.SourceInto(cfg, tb)
-	if err != nil {
-		return err
-	}
-	for {
-		ev, err := src.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := emit(ev); err != nil {
-			return err
-		}
-	}
+	return trace.Collect(src)
 }
 
 // TotalSites reports how many distinct allocation sites (chain x size) the

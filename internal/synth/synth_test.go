@@ -192,32 +192,6 @@ func TestGenerateRejectsBadScale(t *testing.T) {
 	}
 }
 
-func TestStreamMatchesGenerate(t *testing.T) {
-	m := GHOST()
-	cfg := Config{Input: Train, Seed: 9, Scale: 0.001}
-	tr, err := m.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := callchain.NewTable()
-	var events []trace.Event
-	err = m.Stream(cfg, tb, func(ev trace.Event) error {
-		events = append(events, ev)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != len(tr.Events) {
-		t.Fatalf("stream %d events, generate %d", len(events), len(tr.Events))
-	}
-	for i := range events {
-		if events[i] != tr.Events[i] {
-			t.Fatalf("event %d differs", i)
-		}
-	}
-}
-
 func TestVariantExpansionDistinctChains(t *testing.T) {
 	m := &Model{
 		Name:       "t",

@@ -11,10 +11,9 @@ import (
 // every layer boundary. EventBlock amortizes that: a producer fills a
 // fixed-capacity struct-of-arrays batch, a consumer iterates the columns
 // with plain index arithmetic, and the per-event boundary cost drops to a
-// slice load. Every Source still works (AsBlockSource wraps it) and every
-// BlockSource degrades to scalar (AsSource), so the two shapes coexist;
-// the binary Reader, the synth generators, and SliceSource produce blocks
-// natively.
+// slice load. Every Source still works (AsBlockSource wraps it), so the
+// two shapes coexist; the binary Reader, the synth generators,
+// SliceSource and ColumnsSource produce blocks natively.
 
 // DefaultBlockLen is the event capacity consumers allocate by default: big
 // enough to amortize per-block overhead to noise, small enough that a
@@ -158,76 +157,6 @@ func (a *blockAdapter) NextBlock(b *EventBlock) error {
 	return nil
 }
 
-// AsSource returns bs's scalar face: bs itself when it already implements
-// Source, otherwise a wrapper that drains one buffered block at a time.
-func AsSource(bs BlockSource) Source {
-	if src, ok := bs.(Source); ok {
-		return src
-	}
-	return &scalarAdapter{bs: bs, blk: NewEventBlock(DefaultBlockLen)}
-}
-
-// scalarAdapter lowers a BlockSource to scalar Next calls.
-type scalarAdapter struct {
-	bs  BlockSource
-	blk *EventBlock
-	pos int
-}
-
-func (a *scalarAdapter) Meta() Meta              { return a.bs.Meta() }
-func (a *scalarAdapter) Table() *callchain.Table { return a.bs.Table() }
-
-func (a *scalarAdapter) Next() (Event, error) {
-	for a.pos >= a.blk.N {
-		if err := a.bs.NextBlock(a.blk); err != nil {
-			return Event{}, err
-		}
-		a.pos = 0
-	}
-	ev := a.blk.Event(a.pos)
-	a.pos++
-	return ev, nil
-}
-
-// BlockPool is a LIFO free list of equal-capacity blocks, the recycling
-// half of the batched contract: a replay Gets one block up front, passes
-// it to every NextBlock call, and Puts it back when the stream ends, so
-// steady-state block traffic allocates nothing. Pools are single-goroutine
-// (like the Sources they serve); concurrent replays use one pool each.
-type BlockPool struct {
-	blockLen int
-	free     []*EventBlock
-}
-
-// NewBlockPool returns a pool handing out blocks of the given capacity
-// (DefaultBlockLen when n <= 0).
-func NewBlockPool(n int) *BlockPool {
-	if n <= 0 {
-		n = DefaultBlockLen
-	}
-	return &BlockPool{blockLen: n}
-}
-
-// Get returns an empty block, reusing a released one when available.
-func (p *BlockPool) Get() *EventBlock {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		b.Reset()
-		return b
-	}
-	return NewEventBlock(p.blockLen)
-}
-
-// Put releases a block back to the pool for reuse.
-func (p *BlockPool) Put(b *EventBlock) {
-	if b == nil || b.Cap() != p.blockLen {
-		return
-	}
-	p.free = append(p.free, b)
-}
-
 // NextBlock implements BlockSource for SliceSource by copying the next
 // window of events into the caller's columns.
 func (s *SliceSource) NextBlock(b *EventBlock) error {
@@ -368,38 +297,4 @@ func (s *ColumnsSource) NextBlock(b *EventBlock) error {
 	b.N = n
 	s.i = j
 	return nil
-}
-
-// CollectBlocks drains a BlockSource into a materialized Trace — Collect
-// for the batched interface, sharing its capacity-hint clamp.
-func CollectBlocks(bs BlockSource) (*Trace, error) {
-	var hint int
-	if c, ok := bs.(Counted); ok {
-		if n, known := c.EventCount(); known {
-			hint = min(n, collectCap)
-		}
-	}
-	events := make([]Event, 0, hint)
-	blk := NewEventBlock(DefaultBlockLen)
-	for {
-		err := bs.NextBlock(blk)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < blk.N; i++ {
-			events = append(events, blk.Event(i))
-		}
-	}
-	m := bs.Meta()
-	return &Trace{
-		Program:       m.Program,
-		Input:         m.Input,
-		Table:         bs.Table(),
-		Events:        events,
-		FunctionCalls: m.FunctionCalls,
-		NonHeapRefs:   m.NonHeapRefs,
-	}, nil
 }

@@ -16,16 +16,9 @@ func (s scalarOnly) Meta() Meta              { return s.src.Meta() }
 func (s scalarOnly) Table() *callchain.Table { return s.src.Table() }
 func (s scalarOnly) Next() (Event, error)    { return s.src.Next() }
 
-// blockOnly hides any native Next so AsSource must wrap.
-type blockOnly struct{ bs BlockSource }
-
-func (s blockOnly) Meta() Meta                    { return s.bs.Meta() }
-func (s blockOnly) Table() *callchain.Table       { return s.bs.Table() }
-func (s blockOnly) NextBlock(b *EventBlock) error { return s.bs.NextBlock(b) }
-
 func TestSliceSourceBlocksRoundTrip(t *testing.T) {
 	tr := randomTrace(7, 1300) // not a multiple of DefaultBlockLen
-	got, err := CollectBlocks(NewSliceSource(tr))
+	got, err := Collect(NewSliceSource(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,16 +27,7 @@ func TestSliceSourceBlocksRoundTrip(t *testing.T) {
 
 func TestBlockAdapterRoundTrip(t *testing.T) {
 	tr := randomTrace(8, 700)
-	got, err := CollectBlocks(AsBlockSource(scalarOnly{NewSliceSource(tr)}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTracesEqual(t, tr, got)
-}
-
-func TestScalarAdapterRoundTrip(t *testing.T) {
-	tr := randomTrace(9, 700)
-	got, err := Collect(AsSource(blockOnly{NewSliceSource(tr)}))
+	got, err := Collect(scalarOnly{NewSliceSource(tr)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +108,7 @@ func TestReaderNextBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectBlocks(r)
+	got, err := Collect(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +130,7 @@ func TestColumnsSourceViews(t *testing.T) {
 	if n, ok := cs.EventCount(); !ok || n != len(tr.Events) {
 		t.Fatalf("EventCount = %d/%v, want %d/true", n, ok, len(tr.Events))
 	}
-	got, err := CollectBlocks(cs)
+	got, err := Collect(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +138,15 @@ func TestColumnsSourceViews(t *testing.T) {
 
 	// Reset rewinds for another replay, and the scalar face agrees.
 	cs.Reset()
-	got2, err := Collect(cs)
-	if err != nil {
-		t.Fatal(err)
+	for i := range tr.Events {
+		ev, err := cs.Next()
+		if err != nil || ev != tr.Events[i] {
+			t.Fatalf("scalar event %d = %+v, %v; want %+v", i, ev, err, tr.Events[i])
+		}
 	}
-	assertTracesEqual(t, tr, got2)
+	if _, err := cs.Next(); err != io.EOF {
+		t.Fatalf("scalar Next past the end = %v, want io.EOF", err)
+	}
 
 	// NextBlock repoints at the column storage rather than copying.
 	cs.Reset()
@@ -168,26 +156,6 @@ func TestColumnsSourceViews(t *testing.T) {
 	}
 	if &blk.Kinds[0] != &cs.cols.Kinds[0] {
 		t.Fatal("ColumnsSource.NextBlock copied instead of repointing")
-	}
-}
-
-func TestBlockPoolRecycles(t *testing.T) {
-	p := NewBlockPool(64)
-	b := p.Get()
-	if b.Cap() != 64 {
-		t.Fatalf("cap = %d, want 64", b.Cap())
-	}
-	b.Append(Event{Kind: KindFree, Obj: 5})
-	p.Put(b)
-	if got := p.Get(); got != b {
-		t.Fatal("pool did not recycle the released block")
-	} else if got.N != 0 {
-		t.Fatal("recycled block not reset")
-	}
-	// Foreign-capacity blocks are rejected, keeping the pool homogeneous.
-	p.Put(NewEventBlock(32))
-	if got := p.Get(); got.Cap() != 64 {
-		t.Fatalf("pool handed out a foreign block of cap %d", got.Cap())
 	}
 }
 

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -106,5 +109,80 @@ func TestValidateOK(t *testing.T) {
 	tr := buildTrace(t)
 	if err := Validate(tr); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadersRejectHostileFields feeds both readers field values no trace
+// can contain — a size or refs count that only decodes as negative, and
+// non-integer metadata — and checks each is rejected with an error that
+// names the event or line, while zero sizes stay legal. The writers
+// refuse the same events, so nothing they emit is unreadable.
+func TestReadersRejectHostileFields(t *testing.T) {
+	// binaryAlloc is an LPTRACE2 stream with one function "f", one chain
+	// [f], one good alloc, then one alloc with the given size and refs.
+	binaryAlloc := func(size, refs uint64) []byte {
+		b := []byte("LPTRACE2\n\x00\x00\x01\x01f\x01\x01\x00")
+		b = append(b, byte(KindAlloc), 0, 8, 1, 0)
+		b = append(b, byte(KindAlloc), 1)
+		b = binary.AppendUvarint(b, size)
+		b = append(b, 1)
+		b = binary.AppendUvarint(b, refs)
+		return append(b, 0, 0, 0)
+	}
+	cases := []struct {
+		name, format string
+		data         []byte
+		want         string // error substring; "" means accepted
+	}{
+		{"binary size 2^63", "binary", binaryAlloc(1<<63, 0), "event 1: negative size"},
+		{"binary size max", "binary", binaryAlloc(math.MaxUint64, 0), "event 1: negative size"},
+		{"binary refs 2^63", "binary", binaryAlloc(8, 1<<63), "event 1: negative refs"},
+		{"binary zero size", "binary", binaryAlloc(0, 0), ""},
+		{"text negative size", "text", []byte("alloc 0 size=8 refs=0 chain=f\nalloc 1 size=-8 refs=0 chain=f\n"), "line 2: negative size"},
+		{"text negative refs", "text", []byte("alloc 0 size=8 refs=-3 chain=f\n"), "line 1: negative refs"},
+		{"text calls not an integer", "text", []byte("# program=p calls=abc\nalloc 0 size=8 refs=0 chain=f\n"), "line 1: bad calls value"},
+		{"text nonheaprefs not an integer", "text", []byte("alloc 0 size=8 refs=0 chain=f\n\n# nonheaprefs=1.5\n"), "line 3: bad nonheaprefs value"},
+		{"text zero size", "text", []byte("# calls=2 nonheaprefs=3\nalloc 0 size=0 refs=0 chain=f\n"), ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var err error
+			if c.format == "binary" {
+				_, err = ReadBinary(bytes.NewReader(c.data))
+			} else {
+				_, err = ReadText(bytes.NewReader(c.data))
+			}
+			if c.want == "" {
+				if err != nil {
+					t.Fatalf("legal input rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+		})
+	}
+
+	tb := callchain.NewTable()
+	chain := tb.InternNames("f")
+	for _, ev := range []Event{
+		{Kind: KindAlloc, Obj: 1, Size: -8, Chain: chain},
+		{Kind: KindAlloc, Obj: 1, Size: 8, Chain: chain, Refs: -3},
+	} {
+		w, err := NewWriter(io.Discard, Meta{}, tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(ev); err == nil {
+			t.Errorf("Writer accepted %+v", ev)
+		}
+		tw, err := NewTextWriter(io.Discard, Meta{}, tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Write(ev); err == nil {
+			t.Errorf("TextWriter accepted %+v", ev)
+		}
 	}
 }

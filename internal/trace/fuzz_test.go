@@ -67,6 +67,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly
 		}
+		assertNonNegative(t, got)
 		// Accepted input must round-trip.
 		var out bytes.Buffer
 		if err := WriteBinary(&out, got); err != nil {
@@ -76,6 +77,17 @@ func FuzzReadBinary(f *testing.F) {
 			t.Fatalf("re-serialized trace fails to parse: %v", err)
 		}
 	})
+}
+
+// assertNonNegative fails if an accepted trace holds an event no trace
+// can contain: a negative size or refs count.
+func assertNonNegative(t *testing.T, tr *Trace) {
+	t.Helper()
+	for i, ev := range tr.Events {
+		if ev.Size < 0 || ev.Refs < 0 {
+			t.Fatalf("accepted event %d has size %d, refs %d", i, ev.Size, ev.Refs)
+		}
+	}
 }
 
 // FuzzReadBinaryBlocks is the differential target for the batched
@@ -207,6 +219,7 @@ func FuzzReadText(f *testing.F) {
 		if err != nil {
 			return
 		}
+		assertNonNegative(t, got)
 		var out bytes.Buffer
 		if err := WriteText(&out, got); err != nil {
 			t.Fatalf("accepted trace fails to serialize: %v", err)

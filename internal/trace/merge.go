@@ -1,11 +1,6 @@
 package trace
 
-import (
-	"container/heap"
-	"fmt"
-
-	"repro/internal/callchain"
-)
+import "fmt"
 
 // Merge interleaves several traces into one, ordering events by each
 // shard's local byte clock (cumulative bytes allocated). This supports
@@ -27,91 +22,25 @@ import (
 // global allocation order — but byte-clock merging preserves each shard's
 // internal lifetimes up to the allocation volume the other shards
 // contribute in between, which is the same notion of time the paper uses.
+//
+// Merge is Collect over MergeSources, with each shard's ids shifted past
+// every earlier shard's maximum alloc id (RebaseOffsets).
 func Merge(traces []*Trace) (*Trace, error) {
-	if len(traces) == 0 {
-		return nil, fmt.Errorf("trace: Merge needs at least one trace")
-	}
-	programs := make([]string, len(traces))
-	inputs := make([]string, len(traces))
+	shards := make([]Source, len(traces))
+	maxIDs := make([]ObjectID, len(traces))
 	for i, tr := range traces {
-		programs[i], inputs[i] = tr.Program, tr.Input
+		shards[i] = NewSliceSource(tr)
+		for _, ev := range tr.Events {
+			if ev.Kind == KindAlloc && ev.Obj > maxIDs[i] {
+				maxIDs[i] = ev.Obj
+			}
+		}
 	}
-	program, input, err := mergeHeaders(programs, inputs)
+	ms, err := MergeSources(shards, RebaseOffsets(maxIDs))
 	if err != nil {
 		return nil, err
 	}
-	out := &Trace{
-		Program: program,
-		Input:   input,
-		Table:   callchain.NewTable(),
-	}
-
-	// Per-shard state: position, byte clock, id rebase, chain memo.
-	shards := make([]*mergeShard, len(traces))
-	var base ObjectID
-	total := 0
-	for i, tr := range traces {
-		out.FunctionCalls += tr.FunctionCalls
-		out.NonHeapRefs += tr.NonHeapRefs
-		var maxID ObjectID
-		for _, ev := range tr.Events {
-			if ev.Kind == KindAlloc && ev.Obj > maxID {
-				maxID = ev.Obj
-			}
-		}
-		shards[i] = &mergeShard{
-			tr:   tr,
-			base: base,
-			memo: make(map[callchain.ChainID]callchain.ChainID),
-		}
-		base += maxID + 1
-		total += len(tr.Events)
-	}
-
-	// Min-heap on (clock, shard index) for a deterministic interleave.
-	h := &shardHeap{}
-	for i, s := range shards {
-		if len(s.tr.Events) > 0 {
-			heap.Push(h, shardRef{s: s, idx: i})
-		}
-	}
-	out.Events = make([]Event, 0, total)
-	for h.Len() > 0 {
-		ref := heap.Pop(h).(shardRef)
-		s := ref.s
-		ev := s.tr.Events[s.pos]
-		s.pos++
-		switch ev.Kind {
-		case KindAlloc:
-			mapped, ok := s.memo[ev.Chain]
-			if !ok {
-				fs := s.tr.Table.Funcs(ev.Chain)
-				names := make([]string, len(fs))
-				for j, f := range fs {
-					names[j] = s.tr.Table.FuncName(f)
-				}
-				mapped = out.Table.InternNames(names...)
-				s.memo[ev.Chain] = mapped
-			}
-			out.Events = append(out.Events, Event{
-				Kind:  KindAlloc,
-				Obj:   ev.Obj + s.base,
-				Size:  ev.Size,
-				Chain: mapped,
-				Refs:  ev.Refs,
-			})
-			s.clock += ev.Size
-		case KindFree:
-			out.Events = append(out.Events, Event{Kind: KindFree, Obj: ev.Obj + s.base})
-		default:
-			return nil, fmt.Errorf("trace: Merge: shard %d event %d has bad kind %d",
-				ref.idx, s.pos-1, ev.Kind)
-		}
-		if s.pos < len(s.tr.Events) {
-			heap.Push(h, ref)
-		}
-	}
-	return out, nil
+	return Collect(ms)
 }
 
 // mergeHeaders resolves the merged Program and Input fields: each is the
@@ -135,37 +64,4 @@ func mergeHeaders(programs, inputs []string) (program, input string, err error) 
 		}
 	}
 	return program, input, nil
-}
-
-type shardRef struct {
-	s   *mergeShard
-	idx int
-}
-
-// mergeShard is one input trace's cursor during Merge.
-type mergeShard struct {
-	tr    *Trace
-	pos   int
-	clock int64
-	base  ObjectID
-	memo  map[callchain.ChainID]callchain.ChainID
-}
-
-type shardHeap []shardRef
-
-func (h shardHeap) Len() int { return len(h) }
-func (h shardHeap) Less(i, j int) bool {
-	if h[i].s.clock != h[j].s.clock {
-		return h[i].s.clock < h[j].s.clock
-	}
-	return h[i].idx < h[j].idx
-}
-func (h shardHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *shardHeap) Push(x interface{}) { *h = append(*h, x.(shardRef)) }
-func (h *shardHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
 }

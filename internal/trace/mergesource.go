@@ -8,18 +8,17 @@ import (
 	"repro/internal/callchain"
 )
 
-// This file generalizes Merge from whole-trace slices to streaming
-// Sources. Two layers:
+// This file is the streaming byte-clock merge. Two layers:
 //
 //   - Interleaver is the k-way merge engine: it consumes each shard
 //     through the block interface and yields (shard, event) pairs in
 //     shared byte-clock order, leaving ids, chains, and tables untouched.
 //     The cluster simulator drives it directly — each tenant keeps its
 //     own table and oracle, so no re-interning must happen.
-//   - MergeSource layers Merge's rewriting on top: object-id rebasing and
-//     chain re-interning into one fresh table, producing a stream
-//     byte-identical to materialized Merge (the differential test and
-//     FuzzMergeSources pin this).
+//   - MergeSource layers the rewriting on top: object-id rebasing and
+//     chain re-interning into one fresh table. Merge is Collect over it;
+//     the differential test and FuzzMergeSources pin it to a test-only
+//     reference merge.
 
 // Interleaver merges k event streams onto one shared virtual byte clock.
 // A shard's position in the merge is its local clock — cumulative bytes
@@ -181,8 +180,8 @@ func (h *cursorHeap) Pop() interface{} {
 // MergeSource streams the byte-clock merge of several shards as a single
 // coherent trace: object ids rebased by the caller-supplied offsets,
 // chains lazily re-interned by function name into a fresh table in
-// merged-encounter order. With offsets from RebaseOffsets the stream is
-// byte-identical to materialized Merge over the same shards.
+// merged-encounter order. With offsets from RebaseOffsets, collecting the
+// stream is exactly Merge over the same shards.
 //
 // Like TextReader, MergeSource's table grows as the stream is consumed
 // (a chain is interned the first time any shard's alloc references it),
@@ -193,7 +192,7 @@ type MergeSource struct {
 	it      *Interleaver
 	shards  []Source
 	bases   []ObjectID
-	memos   []map[callchain.ChainID]callchain.ChainID
+	memos   []map[callchain.ChainID]callchain.ChainID // per shard: shard chain -> merged chain
 	tb      *callchain.Table
 	program string
 	input   string
@@ -300,13 +299,7 @@ func (ms *MergeSource) Next() (Event, error) {
 	if ev.Kind == KindAlloc {
 		mapped, ok := ms.memos[shard][ev.Chain]
 		if !ok {
-			tb := ms.shards[shard].Table()
-			fs := tb.Funcs(ev.Chain)
-			names := make([]string, len(fs))
-			for j, f := range fs {
-				names[j] = tb.FuncName(f)
-			}
-			mapped = ms.tb.InternNames(names...)
+			mapped = ms.tb.InternFrom(ms.shards[shard].Table(), ev.Chain)
 			ms.memos[shard][ev.Chain] = mapped
 		}
 		ev.Chain = mapped

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"container/heap"
+	"fmt"
 	"io"
 	"testing"
 
@@ -20,8 +22,7 @@ func traceBytes(t testing.TB, tr *Trace) []byte {
 }
 
 // maxAllocIDs computes, per shard, the maximum object id among alloc
-// events — the quantity RebaseOffsets wants, derived the same way Merge
-// derives it internally.
+// events — the quantity RebaseOffsets and referenceMerge rebase past.
 func maxAllocIDs(traces []*Trace) []ObjectID {
 	out := make([]ObjectID, len(traces))
 	for i, tr := range traces {
@@ -34,29 +35,115 @@ func maxAllocIDs(traces []*Trace) []ObjectID {
 	return out
 }
 
-// diffMerge asserts MergeSources over the given shards streams a trace
-// byte-identical to materialized Merge.
+// referenceMerge is the byte-clock merge written over whole event slices,
+// independently of the Interleaver and of RebaseOffsets: a min-heap on
+// (shard clock, shard index), ids shifted inline past every earlier
+// shard's maximum alloc id, chains re-interned by name (InternNames) on
+// first use. It is the differential oracle for Merge, as
+// check.referenceReplay is for replay.
+func referenceMerge(traces []*Trace) (*Trace, error) {
+	if len(traces) == 0 {
+		return nil, fmt.Errorf("referenceMerge: no traces")
+	}
+	programs := make([]string, len(traces))
+	inputs := make([]string, len(traces))
+	for i, tr := range traces {
+		programs[i], inputs[i] = tr.Program, tr.Input
+	}
+	program, input, err := mergeHeaders(programs, inputs)
+	if err != nil {
+		return nil, err
+	}
+	out := &Trace{Program: program, Input: input, Table: callchain.NewTable()}
+	shards := make([]*refShard, len(traces))
+	maxIDs := maxAllocIDs(traces)
+	var base ObjectID
+	h := &refHeap{}
+	for i, tr := range traces {
+		out.FunctionCalls += tr.FunctionCalls
+		out.NonHeapRefs += tr.NonHeapRefs
+		shards[i] = &refShard{tr: tr, idx: i, base: base, memo: map[callchain.ChainID]callchain.ChainID{}}
+		base += maxIDs[i] + 1
+		if len(tr.Events) > 0 {
+			heap.Push(h, shards[i])
+		}
+	}
+	for h.Len() > 0 {
+		s := heap.Pop(h).(*refShard)
+		ev := s.tr.Events[s.pos]
+		s.pos++
+		ev.Obj += s.base
+		switch ev.Kind {
+		case KindAlloc:
+			mapped, ok := s.memo[ev.Chain]
+			if !ok {
+				fs := s.tr.Table.Funcs(ev.Chain)
+				names := make([]string, len(fs))
+				for j, f := range fs {
+					names[j] = s.tr.Table.FuncName(f)
+				}
+				mapped = out.Table.InternNames(names...)
+				s.memo[ev.Chain] = mapped
+			}
+			ev.Chain = mapped
+			s.clock += ev.Size
+		case KindFree:
+			ev = Event{Kind: KindFree, Obj: ev.Obj}
+		default:
+			return nil, fmt.Errorf("referenceMerge: shard %d event %d has bad kind %d", s.idx, s.pos-1, ev.Kind)
+		}
+		out.Events = append(out.Events, ev)
+		if s.pos < len(s.tr.Events) {
+			heap.Push(h, s)
+		}
+	}
+	return out, nil
+}
+
+// refShard is one input trace's cursor in referenceMerge.
+type refShard struct {
+	tr    *Trace
+	idx   int
+	pos   int
+	clock int64
+	base  ObjectID
+	memo  map[callchain.ChainID]callchain.ChainID
+}
+
+// refHeap orders shards by (clock, index).
+type refHeap []*refShard
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].clock != h[j].clock {
+		return h[i].clock < h[j].clock
+	}
+	return h[i].idx < h[j].idx
+}
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(*refShard)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	v := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return v
+}
+
+// diffMerge asserts Merge — Collect over MergeSources — produces a trace
+// byte-identical to referenceMerge over the same shards.
 func diffMerge(t *testing.T, traces []*Trace) {
 	t.Helper()
-	want, err := Merge(traces)
+	want, err := referenceMerge(traces)
+	if err != nil {
+		t.Fatalf("referenceMerge: %v", err)
+	}
+	got, err := Merge(traces)
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
-	shards := make([]Source, len(traces))
-	for i, tr := range traces {
-		shards[i] = NewSliceSource(tr)
-	}
-	ms, err := MergeSources(shards, RebaseOffsets(maxAllocIDs(traces)))
-	if err != nil {
-		t.Fatalf("MergeSources: %v", err)
-	}
-	got, err := Collect(ms)
-	if err != nil {
-		t.Fatalf("Collect: %v", err)
-	}
 	wb, gb := traceBytes(t, want), traceBytes(t, got)
 	if !bytes.Equal(wb, gb) {
-		t.Fatalf("streaming merge differs from materialized Merge:\nmerge:   %d bytes, %d events\nstream:  %d bytes, %d events",
+		t.Fatalf("streaming merge differs from the reference merge:\nreference: %d bytes, %d events\nstream:    %d bytes, %d events",
 			len(wb), len(want.Events), len(gb), len(got.Events))
 	}
 }
@@ -233,8 +320,7 @@ func TestInterleaverBadKind(t *testing.T) {
 }
 
 // FuzzMergeSources builds small legal shard traces from the fuzz input
-// and checks the streaming merge against materialized Merge byte for
-// byte. The interpreter keeps every generated trace well-formed (dense
+// and checks the streaming merge against referenceMerge byte for byte. The interpreter keeps every generated trace well-formed (dense
 // unique alloc ids per shard, frees only of live objects) so any
 // divergence is a merge bug, not input garbage.
 func FuzzMergeSources(f *testing.F) {
@@ -258,7 +344,7 @@ func FuzzMergeSources(f *testing.F) {
 			tb := callchain.NewTable()
 			traces[i] = &Trace{Program: "p", Input: "train", Table: tb}
 			// Pre-intern so chain ids are valid whatever op order the
-			// fuzzer picks; Merge re-interns only referenced chains.
+			// fuzzer picks; the merge re-interns only referenced chains.
 			for _, fn := range chains {
 				tb.InternNames("main", fn)
 			}

@@ -99,11 +99,17 @@ func (s *SliceSource) EventCount() (int, bool) { return len(s.tr.Events), true }
 // before any event has actually been decoded.
 const collectCap = 1 << 20
 
+// collectChunk is the largest chunk Collect gathers events in past its
+// first one; chunks double up to it.
+const collectChunk = 1 << 16
+
 // Collect drains a Source into a materialized Trace — the inverse of
-// NewSliceSource, and the other half of the compatibility bridge. The
-// returned Trace shares the source's table. Metadata is read after
-// io.EOF, so trailer-carrying sources yield complete FunctionCalls and
-// NonHeapRefs.
+// NewSliceSource. Generate, Merge, ReadBinary and ReadText are all Collect
+// over their streaming sources. It drains through AsBlockSource, so
+// block-native producers pay no per-event interface call. The Trace
+// shares the source's table; table and metadata are read after io.EOF,
+// so sources whose table grows as they stream (TextReader, MergeSource)
+// and trailer-carrying sources yield complete values.
 func Collect(src Source) (*Trace, error) {
 	var hint int
 	if c, ok := src.(Counted); ok {
@@ -111,16 +117,38 @@ func Collect(src Source) (*Trace, error) {
 			hint = min(n, collectCap)
 		}
 	}
-	events := make([]Event, 0, hint)
+	// Past the first chunk (sized by the Counted hint), events gather in
+	// doubling chunks joined once at the end: no append-growth slack, and
+	// no trace-sized array is reallocated while the stream drains.
+	var chunks [][]Event
+	cur := make([]Event, 0, max(hint, DefaultBlockLen))
+	n := 0
+	bs := AsBlockSource(src)
+	blk := NewEventBlock(DefaultBlockLen)
 	for {
-		ev, err := src.Next()
+		err := bs.NextBlock(blk)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		events = append(events, ev)
+		for i := 0; i < blk.N; i++ {
+			if len(cur) == cap(cur) {
+				chunks = append(chunks, cur)
+				cur = make([]Event, 0, min(2*cap(cur), collectChunk))
+			}
+			cur = append(cur, blk.Event(i))
+		}
+		n += blk.N
+	}
+	events := cur
+	if len(chunks) > 0 {
+		events = make([]Event, 0, n)
+		for _, c := range chunks {
+			events = append(events, c...)
+		}
+		events = append(events, cur...)
 	}
 	m := src.Meta()
 	return &Trace{
@@ -212,58 +240,6 @@ func AnnotateStream(src Source, emit func(Object) error) error {
 		}
 	}
 	return nil
-}
-
-// AnnotateSource drains a Source and returns the per-object records in
-// birth order — the exact output Annotate produces for the materialized
-// trace. Unlike AnnotateStream it holds every object, so use it only
-// when the full slice is genuinely needed.
-func AnnotateSource(src Source) ([]Object, error) {
-	objs := make([]Object, 0, 4096)
-	index := make(map[ObjectID]int, 4096)
-	var bytes int64
-	for i := 0; ; i++ {
-		ev, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch ev.Kind {
-		case KindAlloc:
-			if _, dup := index[ev.Obj]; dup {
-				return nil, fmt.Errorf("trace: event %d: object %d allocated twice", i, ev.Obj)
-			}
-			index[ev.Obj] = len(objs)
-			objs = append(objs, Object{
-				ID:    ev.Obj,
-				Size:  ev.Size,
-				Chain: ev.Chain,
-				Refs:  ev.Refs,
-				Birth: bytes,
-			})
-			bytes += ev.Size
-		case KindFree:
-			j, ok := index[ev.Obj]
-			if !ok {
-				return nil, fmt.Errorf("trace: event %d: free of unknown object %d", i, ev.Obj)
-			}
-			if objs[j].Freed {
-				return nil, fmt.Errorf("trace: event %d: double free of object %d", i, ev.Obj)
-			}
-			objs[j].Freed = true
-			objs[j].Lifetime = bytes - objs[j].Birth
-		default:
-			return nil, fmt.Errorf("trace: event %d: bad kind %d", i, ev.Kind)
-		}
-	}
-	for j := range objs {
-		if !objs[j].Freed {
-			objs[j].Lifetime = bytes - objs[j].Birth
-		}
-	}
-	return objs, nil
 }
 
 // StatsAccum computes trace summary statistics incrementally, one event

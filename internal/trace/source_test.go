@@ -182,14 +182,6 @@ func TestAnnotateStreamMatchesSlice(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("seed %d: stream annotation diverges from slice annotation", seed)
 		}
-		// AnnotateSource returns birth order directly.
-		got2, err := AnnotateSource(NewSliceSource(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got2) {
-			t.Fatalf("seed %d: AnnotateSource diverges from Annotate", seed)
-		}
 	}
 }
 
@@ -242,9 +234,6 @@ func TestAnnotateStreamErrors(t *testing.T) {
 		err := AnnotateStream(NewSliceSource(tr), func(Object) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
-		}
-		if _, err := AnnotateSource(NewSliceSource(tr)); err == nil {
-			t.Errorf("%s: AnnotateSource accepted malformed stream", c.name)
 		}
 	}
 	// emit errors stop the scan.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"repro/internal/callchain"
@@ -261,6 +262,9 @@ func (r *Reader) Next() (Event, error) {
 		ev.Size = int64(sz)
 		ev.Chain = callchain.ChainID(ch)
 		ev.Refs = int64(refs)
+		if err := checkAlloc(ev); err != nil {
+			return Event{}, fmt.Errorf("trace: event %d: %w", i, err)
+		}
 	case KindFree:
 	default:
 		return Event{}, fmt.Errorf("trace: event %d: bad kind %d", i, kb)
@@ -338,6 +342,11 @@ func (w *Writer) Write(ev Event) error {
 	if ev.Kind != KindAlloc && ev.Kind != KindFree {
 		return fmt.Errorf("trace: bad event kind %d", ev.Kind)
 	}
+	if ev.Kind == KindAlloc {
+		if err := checkAlloc(ev); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+	}
 	if err := w.bw.WriteByte(byte(ev.Kind)); err != nil {
 		return err
 	}
@@ -405,6 +414,9 @@ func (w *TextWriter) Write(ev Event) error {
 	}
 	switch ev.Kind {
 	case KindAlloc:
+		if err := checkAlloc(ev); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
 		_, err := fmt.Fprintf(w.bw, "alloc %d size=%d refs=%d chain=%s\n",
 			ev.Obj, ev.Size, ev.Refs, w.tb.String(ev.Chain))
 		return err
@@ -474,15 +486,19 @@ func (r *TextReader) Next() (Event, error) {
 				if !ok {
 					continue
 				}
+				var err error
 				switch k {
 				case "program":
 					r.meta.Program = v
 				case "input":
 					r.meta.Input = v
 				case "calls":
-					fmt.Sscanf(v, "%d", &r.meta.FunctionCalls)
+					r.meta.FunctionCalls, err = strconv.ParseInt(v, 10, 64)
 				case "nonheaprefs":
-					fmt.Sscanf(v, "%d", &r.meta.NonHeapRefs)
+					r.meta.NonHeapRefs, err = strconv.ParseInt(v, 10, 64)
+				}
+				if err != nil {
+					return Event{}, fmt.Errorf("trace: line %d: bad %s value %q", r.lineNo, k, v)
 				}
 			}
 			continue
@@ -506,6 +522,9 @@ func (r *TextReader) Next() (Event, error) {
 			chainStr, ok := strings.CutPrefix(fields[4], "chain=")
 			if !ok {
 				return Event{}, fmt.Errorf("trace: line %d: missing chain", r.lineNo)
+			}
+			if err := checkAlloc(ev); err != nil {
+				return Event{}, fmt.Errorf("trace: line %d: %w", r.lineNo, err)
 			}
 			if chainStr != "" {
 				ev.Chain = r.tb.InternNames(strings.Split(chainStr, ">")...)

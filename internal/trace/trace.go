@@ -80,6 +80,19 @@ type Object struct {
 	Freed    bool
 }
 
+// checkAlloc rejects the alloc fields no trace can contain: a negative
+// size or reference count. Zero sizes stay legal — apptrace.Recorder can
+// record them, and the allocators reject them at replay.
+func checkAlloc(ev Event) error {
+	if ev.Size < 0 {
+		return fmt.Errorf("negative size %d", ev.Size)
+	}
+	if ev.Refs < 0 {
+		return fmt.Errorf("negative refs %d", ev.Refs)
+	}
+	return nil
+}
+
 // Annotate performs the lifetime computation over a materialized trace:
 // it returns one Object per allocation, in birth order, with lifetimes in
 // bytes allocated. Objects never freed get a lifetime extending to the
@@ -90,8 +103,7 @@ type Object struct {
 // Annotate is the slice-shaped twin of AnnotateStream; the two are pinned
 // to produce identical Object records. Use AnnotateStream when the trace
 // arrives as a Source and memory must stay bounded by the live set, and
-// Annotate (or AnnotateSource) when the full birth-ordered slice is
-// genuinely needed.
+// Annotate when the full birth-ordered slice is genuinely needed.
 //
 // Annotate returns an error if a free names an unknown or already-freed
 // object, which would indicate a corrupted trace or a generator bug.

@@ -151,7 +151,7 @@ type (
 	// TraceSource streams allocation events one Next call at a time
 	// (io.EOF marks a clean end); the whole pipeline — generation,
 	// training, simulation, the CLI tools — runs over it at constant
-	// memory. A materialized Trace adapts via NewTraceSource.
+	// memory.
 	TraceSource = trace.Source
 	// TraceMeta is a source's identity and trailer totals (FunctionCalls
 	// and NonHeapRefs are only final once Next has returned io.EOF for
@@ -194,14 +194,6 @@ func GenerateSource(m *Model, input WorkloadInput, seed uint64, scale float64) (
 	return m.Source(synth.Config{Input: input, Seed: seed, Scale: scale})
 }
 
-// NewTraceSource adapts a materialized trace to the TraceSource
-// interface.
-func NewTraceSource(tr *Trace) TraceSource { return trace.NewSliceSource(tr) }
-
-// CollectTrace drains a source into a materialized Trace (the inverse of
-// NewTraceSource).
-func CollectTrace(src TraceSource) (*Trace, error) { return trace.Collect(src) }
-
 // NewTraceReader opens a streaming reader over a serialized binary
 // trace; both binary formats are auto-detected.
 func NewTraceReader(r io.Reader) (*TraceReader, error) { return trace.NewReader(r) }
@@ -222,15 +214,11 @@ func SimulateSource(src TraceSource, alloc Allocator, pred *Predictor, observers
 
 // TrainDBSource builds a site database from a streaming source, holding
 // only live-object state. With the default exact-count admission rule
-// the resulting predictor is identical to TrainDB's over the
-// materialized trace.
+// the resulting predictor is identical to Train's over the materialized
+// trace.
 func TrainDBSource(src TraceSource, cfg ProfileConfig) (*SiteDB, error) {
 	return profile.TrainSource(src, cfg)
 }
-
-// AnnotateSource computes per-object lifetimes from a streaming source,
-// returning them in birth order like Annotate.
-func AnnotateSource(src TraceSource) ([]Object, error) { return trace.AnnotateSource(src) }
 
 // NewRecorder returns a Recorder for instrumenting a Go program.
 func NewRecorder(program, input string) *Recorder {
@@ -249,12 +237,6 @@ func Train(tr *Trace, cfg ProfileConfig) (*Predictor, error) {
 		return nil, err
 	}
 	return db.Predictor(), nil
-}
-
-// TrainDB builds and returns the full site database (per-site quantile
-// histograms included), from which Predictor() derives the predictor.
-func TrainDB(tr *Trace, cfg ProfileConfig) (*SiteDB, error) {
-	return profile.Train(tr, cfg)
 }
 
 // Evaluate runs a predictor over a trace and reports effectiveness. The
