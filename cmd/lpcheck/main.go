@@ -119,10 +119,11 @@ func readTrace(path string) (*trace.Trace, error) {
 	return trace.ReadText(bytes.NewReader(data))
 }
 
-// auditModels replays each selected synth model's Test trace through each
-// selected allocator with invariant audits on the stride, using the
-// model's own trained predictor for the lifetime hints and its top
-// training sizes for CUSTOMALLOC — the same wiring the experiments use.
+// auditModels replays each selected synth model's Test trace through the
+// selected allocators in one lockstep Diff, auditing every allocator on
+// the stride, using the model's own trained predictor for the lifetime
+// hints and its top training sizes for CUSTOMALLOC — the same wiring the
+// experiments use.
 func auditModels(modelSpec, allocSpec string, scale float64, stride int) error {
 	var ms []*synth.Model
 	if modelSpec == "all" {
@@ -153,12 +154,9 @@ func auditModels(modelSpec, allocSpec string, scale float64, stride int) error {
 				fs[i].New = func() heapsim.Allocator { return heapsim.NewCustom(hot) }
 			}
 		}
-		opt := check.Options{Stride: stride, Predict: mapper.PredictShort}
-		for _, f := range fs {
-			src := trace.NewSliceSource(art.TestTrace)
-			if err := check.Audit(src, f.Name, f.New(), opt); err != nil {
-				return fmt.Errorf("model %s: %w", m.Name, err)
-			}
+		opt := check.Options{Stride: stride, Predict: mapper}
+		if err := check.Diff(trace.NewSliceSource(art.TestTrace), fs, opt); err != nil {
+			return fmt.Errorf("model %s: %w", m.Name, err)
 		}
 		fmt.Printf("%s: model %s: %d events x %d allocators audited (stride %d)\n",
 			name, m.Name, len(art.TestTrace.Events), len(fs), stride)

@@ -38,7 +38,7 @@ type Table struct {
 	chainIndex map[string]ChainID
 
 	// cceIDs[f] is the 16-bit encryption id assigned to function f; the
-	// slice is grown lazily and filled by AssignEncryptionIDs.
+	// slice is grown lazily and filled by AssignEncryptionIDsMinimizing.
 	cceIDs []uint16
 }
 
@@ -216,25 +216,15 @@ func (t *Table) Hash(id ChainID) uint64 {
 	return h
 }
 
-// AssignEncryptionIDs assigns a pseudo-random 16-bit id to every function
-// interned so far, seeding Carter's call-chain encryption. Ids are drawn
-// deterministically from seed. The paper suggests static call-graph
-// analysis to pick ids that minimize key collisions; see
-// AssignEncryptionIDsMinimizing for that variant.
-func (t *Table) AssignEncryptionIDs(seed uint64) {
-	r := xrand.New(seed)
-	t.cceIDs = make([]uint16, len(t.funcNames))
-	for i := range t.cceIDs {
-		t.cceIDs[i] = uint16(r.Uint64())
-	}
-}
-
-// AssignEncryptionIDsMinimizing assigns 16-bit ids greedily so that the
-// encryption keys of the given chains collide as little as possible: ids
-// are assigned function by function, re-drawing (up to tries times) any id
-// that introduces a new key collision among the chains seen so far. This
-// models the paper's "static call-graph analysis may be used to determine
-// the best ids". It returns the number of colliding chain pairs remaining.
+// AssignEncryptionIDsMinimizing assigns a pseudo-random 16-bit id to
+// every function interned so far, seeding Carter's call-chain encryption,
+// drawn deterministically from seed. It then re-draws ids greedily so
+// that the encryption keys of the given chains collide as little as
+// possible: function by function, up to tries re-draws each, keeping any
+// that removes a key collision among the chains. This models the paper's
+// "static call-graph analysis may be used to determine the best ids". It
+// returns the number of colliding chain pairs remaining; with no chains
+// or no tries the ids are the seed's plain draws.
 func (t *Table) AssignEncryptionIDsMinimizing(seed uint64, chains []ChainID, tries int) int {
 	r := xrand.New(seed)
 	t.cceIDs = make([]uint16, len(t.funcNames))
@@ -275,8 +265,8 @@ func (t *Table) AssignEncryptionIDsMinimizing(seed uint64, chains []ChainID, tri
 // of the 16-bit ids of its functions, computed incrementally at each call
 // in a real implementation (3 instructions per call, paper §5.1). XOR makes
 // the key order-insensitive and cancels even recursion — exactly the
-// imprecision the paper's scheme accepts. AssignEncryptionIDs (or the
-// minimizing variant) must be called first.
+// imprecision the paper's scheme accepts. AssignEncryptionIDsMinimizing
+// must be called first.
 func (t *Table) EncryptionKey(id ChainID) uint16 {
 	var k uint16
 	for _, f := range t.chains[id] {
@@ -284,6 +274,3 @@ func (t *Table) EncryptionKey(id ChainID) uint16 {
 	}
 	return k
 }
-
-// HasEncryptionIDs reports whether encryption ids have been assigned.
-func (t *Table) HasEncryptionIDs() bool { return t.cceIDs != nil }

@@ -6,7 +6,7 @@
 //
 // It has three layers:
 //
-//   - an invariant auditor (Audit, AuditState) that walks an allocator's
+//   - an invariant auditor (AuditState) that walks an allocator's
 //     block/arena layout through the heapsim.Walker interface and proves
 //     no-overlap, free-list well-formedness, live-byte conservation
 //     against the replayed trace's ledger, and the HeapSize accounting
@@ -23,42 +23,28 @@ package check
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
-	"repro/internal/callchain"
 	"repro/internal/heapsim"
 	"repro/internal/profile"
 	"repro/internal/trace"
 )
-
-// Predict is the lifetime-prediction hint fed to allocators during a
-// replay; nil predicts nothing short-lived.
-type Predict func(chain callchain.ChainID, size int64) bool
 
 // Options configures a conformance replay.
 type Options struct {
 	// Stride audits the allocator state every Stride events; 1 audits
 	// after every event, 0 or negative audits only at end of trace.
 	Stride int
-	// Predict supplies the predictedShort hint; nil predicts nothing.
-	Predict Predict
-	// DeadSample is how many recently-freed object ids the ledger
-	// retains for negative liveness probes (default 32).
-	DeadSample int
-	// Predictor, when non-nil, is threaded through the block/scalar
-	// equivalence replay (CheckBlockEquivalence) so the pred.* accuracy
-	// families are part of what must match. Unlike Predict it carries the
-	// trained site database the real replay engine consumes.
-	Predictor *profile.Predictor
+	// Predict supplies the predictedShort hint to every replay, the
+	// block/scalar equivalence included, and the lifetime threshold its
+	// pred.* accuracy families are scored against; nil predicts nothing.
+	// It must speak the replayed trace's chain table.
+	Predict profile.Oracle
 }
 
-func (o Options) deadSample() int {
-	if o.DeadSample <= 0 {
-		return 32
-	}
-	return o.DeadSample
-}
+// defaultDeadSample is how many recently-freed object ids a conformance
+// replay's ledger retains for negative liveness probes.
+const defaultDeadSample = 32
 
 // Ledger is the trace's own account of what must be live: the ground
 // truth every allocator is audited against. It also validates the event
@@ -79,7 +65,7 @@ type Ledger struct {
 // NewLedger returns an empty ledger retaining deadSample freed ids.
 func NewLedger(deadSample int) *Ledger {
 	if deadSample <= 0 {
-		deadSample = 32
+		deadSample = defaultDeadSample
 	}
 	return &Ledger{
 		live: make(map[trace.ObjectID]int64),
@@ -316,45 +302,13 @@ func auditLayout(name string, alloc heapsim.Allocator, w heapsim.Walker, led *Le
 	return nil
 }
 
-// Audit replays a trace source through one allocator, auditing on the
-// configured stride and always at end of trace. Violations carry the
-// event index at which they were detected.
-func Audit(src trace.Source, name string, alloc heapsim.Allocator, opt Options) error {
-	led := NewLedger(opt.deadSample())
-	i := 0
-	for ; ; i++ {
-		ev, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := led.Apply(ev); err != nil {
-			return fmt.Errorf("event %d: %w", i, err)
-		}
-		if err := applyEvent(alloc, ev, opt.Predict); err != nil {
-			return fmt.Errorf("event %d: %s rejected legal event: %w", i, name, err)
-		}
-		if opt.Stride > 0 && (i+1)%opt.Stride == 0 {
-			if err := AuditState(name, alloc, led); err != nil {
-				return fmt.Errorf("after event %d: %w", i, err)
-			}
-		}
-	}
-	if err := AuditState(name, alloc, led); err != nil {
-		return fmt.Errorf("at end of trace (%d events): %w", i, err)
-	}
-	return nil
-}
-
 // applyEvent feeds one event to an allocator with the prediction hint.
-func applyEvent(alloc heapsim.Allocator, ev trace.Event, pred Predict) error {
+func applyEvent(alloc heapsim.Allocator, ev trace.Event, pred profile.Oracle) error {
 	switch ev.Kind {
 	case trace.KindAlloc:
 		short := false
 		if pred != nil {
-			short = pred(ev.Chain, ev.Size)
+			short = pred.PredictShort(ev.Chain, ev.Size)
 		}
 		return alloc.Alloc(ev.Obj, ev.Size, short)
 	case trace.KindFree:

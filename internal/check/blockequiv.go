@@ -14,7 +14,7 @@ import (
 
 // CheckBlockEquivalence proves the batched replay path is observationally
 // identical to the scalar one: for every factory it replays tr twice —
-// once through core.RunSimSource (the block-driven engine) and once
+// once through core.RunSimOracle (the block-driven engine) and once
 // through referenceReplay (the event-at-a-time oracle) — and requires
 // exact agreement on the SimResult and on the full observed snapshot,
 // serialized to JSON and compared byte for byte. That covers every
@@ -23,23 +23,20 @@ import (
 // index, a dropped observation at a block boundary, a reordered
 // prediction) fails loudly instead of skewing results.
 //
-// pred may be nil (no prediction) — pass one to also exercise the
-// predicted-short plumbing, the pred.* confusion families, and the
-// per-site routing of the sitearena factory.
-func CheckBlockEquivalence(tr *trace.Trace, fs []Factory, pred *profile.Predictor) error {
+// oracle, which must speak tr's chain table, supplies the
+// predicted-short hints and the pred.* scoring threshold; nil predicts
+// nothing. A core.SiteRouter oracle (profile.Mapper, profile.SiteMapper)
+// also exercises the per-site routing of the sitearena factory.
+func CheckBlockEquivalence(tr *trace.Trace, fs []Factory, oracle profile.Oracle) error {
 	for _, f := range fs {
 		run := func(scalar bool) (core.SimResult, []byte, error) {
 			col := obs.NewCollector(obs.Options{Label: "blockequiv/" + f.Name})
 			var res core.SimResult
 			var err error
 			if scalar {
-				var oracle profile.Oracle
-				if pred != nil {
-					oracle = pred.NewMapper(tr.Table)
-				}
 				res, err = referenceReplay(tr, f.New(), oracle, col)
 			} else {
-				res, err = core.RunSimSource(trace.NewSliceSource(tr), f.New(), pred, col)
+				res, err = core.RunSimOracle(trace.NewSliceSource(tr), f.New(), oracle, col)
 			}
 			if err != nil {
 				return res, nil, err

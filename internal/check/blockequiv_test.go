@@ -41,13 +41,16 @@ func TestBlockEquivalenceAcrossModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := CheckBlockEquivalence(tr, fs, db.Predictor()); err != nil {
+			// A Mapper, unlike the bare Predictor, is a core.SiteRouter,
+			// so sitearena routes per site in both replays.
+			mapper := db.Predictor().NewMapper(tr.Table)
+			if err := CheckBlockEquivalence(tr, fs, mapper); err != nil {
 				t.Error(err)
 			}
 			// The sitearena comparison covers per-site routing only if
 			// the replay really spreads over more than one site pool.
 			sa := heapsim.NewSiteArena()
-			if _, err := referenceReplay(tr, sa, db.Predictor().NewMapper(tr.Table), nil); err != nil {
+			if _, err := referenceReplay(tr, sa, mapper, nil); err != nil {
 				t.Fatal(err)
 			}
 			if onePool := int64(sa.ArenasPerSite) * sa.ArenaSize; sa.ArenaArea() <= onePool {
@@ -85,5 +88,41 @@ func TestBlockEquivalenceCatchesDivergence(t *testing.T) {
 			t.Fatalf("block equivalence failed on a legal trace: %v", err)
 		}
 		t.Fatal(err)
+	}
+}
+
+// predSpy is a FirstFit that records whether any allocation reached it
+// with the predicted-short hint set.
+type predSpy struct {
+	*heapsim.FirstFit
+	sawShort bool
+}
+
+func (s *predSpy) Alloc(id trace.ObjectID, size int64, predictedShort bool) error {
+	s.sawShort = s.sawShort || predictedShort
+	return s.FirstFit.Alloc(id, size, predictedShort)
+}
+
+// TestCheckTracePredictsInEveryReplay: every allocator CheckTrace builds
+// (the lockstep Diff's and both block/scalar equivalence replays') must
+// receive Options.Predict's verdicts, so no layer of the suite replays
+// blind to the predicted-short path.
+func TestCheckTracePredictsInEveryReplay(t *testing.T) {
+	var spies []*predSpy
+	fs := []Factory{{Name: "spy", New: func() heapsim.Allocator {
+		s := &predSpy{FirstFit: heapsim.NewFirstFit()}
+		spies = append(spies, s)
+		return s
+	}}}
+	if err := CheckTrace(GenTrace(3, GenConfig{}), fs, Options{Stride: 50, Predict: GenPredict(512)}); err != nil {
+		t.Fatal(err)
+	}
+	if len(spies) < 3 {
+		t.Fatalf("CheckTrace built %d allocators, want the Diff's and two equivalence replays'", len(spies))
+	}
+	for i, s := range spies {
+		if !s.sawShort {
+			t.Errorf("replay %d of %d never saw a predicted-short allocation", i+1, len(spies))
+		}
 	}
 }

@@ -45,11 +45,9 @@ func TestAuditAllAllocators(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		tr := GenTrace(seed, GenConfig{Events: 300})
-		for _, f := range fs {
-			opt := Options{Stride: 1, Predict: GenPredict(512)}
-			if err := Audit(trace.NewSliceSource(tr), f.Name, f.New(), opt); err != nil {
-				t.Errorf("seed %d: %v", seed, err)
-			}
+		opt := Options{Stride: 1, Predict: GenPredict(512)}
+		if err := Diff(trace.NewSliceSource(tr), fs, opt); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
 		}
 	}
 }
@@ -137,9 +135,14 @@ func (l *leakyFree) Counts() heapsim.OpCounts {
 	return c
 }
 
+// leakyFactory builds a fresh leakyFree per replay.
+func leakyFactory(every int64) Factory {
+	return Factory{Name: "leaky", New: func() heapsim.Allocator { return newLeaky(every) }}
+}
+
 func TestAuditCatchesLeakyFree(t *testing.T) {
 	tr := GenTrace(42, GenConfig{Events: 200})
-	err := Audit(trace.NewSliceSource(tr), "leaky", newLeaky(5), Options{Stride: 1})
+	err := Diff(trace.NewSliceSource(tr), []Factory{leakyFactory(5)}, Options{Stride: 1})
 	if err == nil {
 		t.Fatal("audit passed a free-dropping allocator")
 	}
@@ -154,7 +157,7 @@ func TestAuditCatchesLeakyFree(t *testing.T) {
 // events (5 allocs + 5 frees reaches the fifth, dropped, free).
 func TestShrinkMinimizesInjectedBug(t *testing.T) {
 	fails := func(tr *trace.Trace) error {
-		return Audit(trace.NewSliceSource(tr), "leaky", newLeaky(5), Options{Stride: 1})
+		return Diff(trace.NewSliceSource(tr), []Factory{leakyFactory(5)}, Options{Stride: 1})
 	}
 	tr := GenTrace(42, GenConfig{Events: 400})
 	if fails(tr) == nil {
@@ -175,7 +178,7 @@ func TestShrinkMinimizesInjectedBug(t *testing.T) {
 func TestRunReportsShrunkViolation(t *testing.T) {
 	fs := []Factory{
 		{Name: "firstfit", New: func() heapsim.Allocator { return heapsim.NewFirstFit() }},
-		{Name: "leaky", New: func() heapsim.Allocator { return newLeaky(3) }},
+		leakyFactory(3),
 	}
 	err := Run(1993, 50, GenConfig{Events: 120}, fs, Options{Stride: 4}, nil)
 	if err == nil {

@@ -92,7 +92,7 @@ func Diff(src trace.Source, fs []Factory, opt Options) error {
 	for i, f := range fs {
 		parts[i] = participant{name: f.Name, alloc: f.New()}
 	}
-	led := NewLedger(opt.deadSample())
+	led := NewLedger(defaultDeadSample)
 	audit := func(i int, when string) error {
 		for _, p := range parts {
 			if err := AuditState(p.name, p.alloc, led); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/callchain"
+	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -13,43 +14,30 @@ import (
 type GenConfig struct {
 	// Events is the target event count per case (default 400).
 	Events int
-	// Sites is how many distinct call chains allocations draw from
-	// (default 8).
-	Sites int
-	// MaxSize bounds request sizes (default 8192, above the 4KB arena
-	// size so the big-object path is exercised).
-	MaxSize int64
-	// FreeFrac is the probability an event frees a live object instead
-	// of allocating, when any is live (default 0.45, so traces end with
-	// survivors and the never-freed paths run too).
-	FreeFrac float64
 }
 
-func (c GenConfig) withDefaults() GenConfig {
-	if c.Events <= 0 {
-		c.Events = 400
-	}
-	if c.Sites <= 0 {
-		c.Sites = 8
-	}
-	if c.MaxSize <= 0 {
-		c.MaxSize = 8192
-	}
-	if c.FreeFrac <= 0 {
-		c.FreeFrac = 0.45
-	}
-	return c
-}
+// Generated traces draw allocations from genSites call chains, bound
+// request sizes by genMaxSize (above the 4KB arena size, so the
+// big-object path is exercised) and free a live object instead of
+// allocating with probability genFreeFrac, so traces end with survivors
+// and the never-freed paths run too.
+const (
+	genSites    = 8
+	genMaxSize  = 8192
+	genFreeFrac = 0.45
+)
 
 // GenTrace generates a random legal allocation trace from the seed:
 // every free names a live object, ids are dense in birth order, sizes
 // are skewed small with an occasional arena-overflowing large request.
 // The same seed and config always produce the same trace.
 func GenTrace(seed uint64, cfg GenConfig) *trace.Trace {
-	cfg = cfg.withDefaults()
+	if cfg.Events <= 0 {
+		cfg.Events = 400
+	}
 	r := xrand.New(seed ^ 0x5bd1e995c0ffee11)
 	tb := callchain.NewTable()
-	chains := make([]callchain.ChainID, cfg.Sites)
+	chains := make([]callchain.ChainID, genSites)
 	for i := range chains {
 		switch i % 3 {
 		case 0:
@@ -70,7 +58,7 @@ func GenTrace(seed uint64, cfg GenConfig) *trace.Trace {
 	var live []trace.ObjectID
 	var next trace.ObjectID
 	for len(tr.Events) < cfg.Events {
-		if len(live) > 0 && r.Bool(cfg.FreeFrac) {
+		if len(live) > 0 && r.Bool(genFreeFrac) {
 			i := r.Intn(len(live))
 			id := live[i]
 			live[i] = live[len(live)-1]
@@ -81,7 +69,7 @@ func GenTrace(seed uint64, cfg GenConfig) *trace.Trace {
 		size := r.Range(1, 192)
 		switch {
 		case r.Bool(0.05):
-			size = r.Range(cfg.MaxSize/2, cfg.MaxSize) // arena-overflow sized
+			size = r.Range(genMaxSize/2, genMaxSize) // arena-overflow sized
 		case r.Bool(0.25):
 			size = r.Range(193, 1024)
 		}
@@ -101,8 +89,18 @@ func GenTrace(seed uint64, cfg GenConfig) *trace.Trace {
 }
 
 // GenPredict returns a deterministic pseudo-predictor for property runs:
-// it predicts small requests short-lived, which is wrong often enough on
-// random traces to exercise arena pollution, demotion, and fallback.
-func GenPredict(threshold int64) Predict {
-	return func(_ callchain.ChainID, size int64) bool { return size <= threshold }
-}
+// it predicts requests of at most threshold bytes short-lived, which is
+// wrong often enough on random traces to exercise arena pollution,
+// demotion, and fallback. Its verdicts are scored against the paper's
+// 32KB lifetime threshold.
+func GenPredict(threshold int64) profile.Oracle { return sizePredict(threshold) }
+
+// sizePredict is GenPredict's oracle: a verdict from the request size
+// alone.
+type sizePredict int64
+
+// PredictShort implements profile.Oracle.
+func (s sizePredict) PredictShort(_ callchain.ChainID, size int64) bool { return size <= int64(s) }
+
+// ShortThreshold implements profile.Oracle.
+func (sizePredict) ShortThreshold() int64 { return profile.DefaultConfig().ShortThreshold }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/callchain"
 	"repro/internal/heapsim"
+	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -82,7 +83,7 @@ func CheckRelabelInvariance(tr *trace.Trace) error {
 // extra arenas only add places for a bump allocation to land. The trace
 // and predictor are held fixed while NumArenas sweeps the given counts
 // (ascending).
-func CheckArenaMonotone(tr *trace.Trace, pred Predict, counts []int) error {
+func CheckArenaMonotone(tr *trace.Trace, pred profile.Oracle, counts []int) error {
 	prev := int64(-1)
 	prevN := 0
 	for _, n := range counts {

@@ -22,25 +22,25 @@ import (
 var zooCheckConfig = profile.Config{ShortThreshold: 1 << 10}
 
 // ZooPredicts trains every registered zoo policy on the trace itself and
-// returns each policy's Predict hook (self-prediction, own-table chains),
-// keyed by policy name. Training errors abort: an oracle that cannot
-// train on a legal trace is itself a violation.
-func ZooPredicts(tr *trace.Trace) (map[string]Predict, error) {
-	out := make(map[string]Predict)
+// returns each policy's oracle (self-prediction, own-table chains), keyed
+// by policy name. Training errors abort: an oracle that cannot train on a
+// legal trace is itself a violation.
+func ZooPredicts(tr *trace.Trace) (map[string]profile.Oracle, error) {
+	out := make(map[string]profile.Oracle)
 	for _, zt := range profile.ZooTrainers() {
 		o, err := zt.Train(tr, zooCheckConfig)
 		if err != nil {
 			return nil, fmt.Errorf("check: training %s oracle: %w", zt.Name, err)
 		}
-		out[zt.Name] = o.PredictShort
+		out[zt.Name] = o
 	}
 	return out, nil
 }
 
 // CheckTraceOracles runs CheckTrace once per zoo policy, with that
 // policy's verdicts driving the predictedShort hint for every allocator
-// in the lockstep replay. Policies run in sorted name order so failures
-// are deterministic.
+// in the lockstep replay and the block/scalar equivalence. Policies run
+// in sorted name order so failures are deterministic.
 func CheckTraceOracles(tr *trace.Trace, fs []Factory, opt Options) error {
 	preds, err := ZooPredicts(tr)
 	if err != nil {
@@ -66,23 +66,5 @@ func CheckTraceOracles(tr *trace.Trace, fs []Factory, opt Options) error {
 // and the first violation ddmin-shrinks to a minimal repro that still
 // fails CheckTraceOracles.
 func RunOracles(seedBase uint64, cases int, gcfg GenConfig, fs []Factory, opt Options, progress func(done int)) error {
-	for i := 0; i < cases; i++ {
-		seed := seedBase + uint64(i)
-		tr := GenTrace(seed, gcfg)
-		if err := CheckTraceOracles(tr, fs, opt); err != nil {
-			fails := func(cand *trace.Trace) error { return CheckTraceOracles(cand, fs, opt) }
-			shrunk := Shrink(tr, fails)
-			return &Violation{
-				Err:    fails(shrunk),
-				Seed:   seed,
-				Case:   i,
-				Trace:  shrunk,
-				Events: len(tr.Events),
-			}
-		}
-		if progress != nil {
-			progress(i + 1)
-		}
-	}
-	return nil
+	return run(seedBase, cases, gcfg, func(tr *trace.Trace) error { return CheckTraceOracles(tr, fs, opt) }, progress)
 }

@@ -26,7 +26,7 @@ func TestZooPredictsTrainsEveryPolicy(t *testing.T) {
 		n := 0
 		for _, ev := range tr.Events {
 			if ev.Kind == trace.KindAlloc {
-				if p(ev.Chain, ev.Size) {
+				if p.PredictShort(ev.Chain, ev.Size) {
 					n++
 				}
 			}
@@ -61,7 +61,7 @@ func TestCheckTraceOraclesAllAllocators(t *testing.T) {
 func TestRunOraclesShrinksViolation(t *testing.T) {
 	fs := []Factory{
 		{Name: "firstfit", New: func() heapsim.Allocator { return heapsim.NewFirstFit() }},
-		{Name: "leaky", New: func() heapsim.Allocator { return newLeaky(3) }},
+		leakyFactory(3),
 	}
 	err := RunOracles(1993, 30, GenConfig{Events: 120}, fs, Options{Stride: 4}, nil)
 	if err == nil {

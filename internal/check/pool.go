@@ -11,18 +11,18 @@ import (
 // AuditPool replays a source across a heapsim.Pool, spreading allocations
 // round-robin over the members, and audits the pool against the trace's
 // own ledger every Options.Stride events (and always at end of trace) —
-// the cluster-level counterpart of Audit. The pool's aggregated state
-// must satisfy every single-allocator invariant: member self-checks, op
-// conservation, region disjointness across the PoolStride windows, the
-// walked live set reconciling with the ledger, and dead-id probes. This
-// is what licenses the cluster simulator to treat a pool of simulators
-// as one allocator.
+// the cluster-level counterpart of Diff's per-allocator audit. The pool's
+// aggregated state must satisfy every single-allocator invariant: member
+// self-checks, op conservation, region disjointness across the
+// PoolStride windows, the walked live set reconciling with the ledger,
+// and dead-id probes. This is what licenses the cluster simulator to
+// treat a pool of simulators as one allocator.
 //
 // Round-robin placement is deliberate: it exercises every member and is
 // routing-policy-agnostic. Policy behavior is the cluster's concern; the
 // pool's invariants must hold under any placement.
 func AuditPool(src trace.Source, name string, p *heapsim.Pool, opt Options) error {
-	led := NewLedger(opt.deadSample())
+	led := NewLedger(defaultDeadSample)
 	next := 0
 	for i := 0; ; i++ {
 		ev, err := src.Next()
@@ -39,7 +39,7 @@ func AuditPool(src trace.Source, name string, p *heapsim.Pool, opt Options) erro
 		case trace.KindAlloc:
 			short := false
 			if opt.Predict != nil {
-				short = opt.Predict(ev.Chain, ev.Size)
+				short = opt.Predict.PredictShort(ev.Chain, ev.Size)
 			}
 			member := next % p.Members()
 			next++

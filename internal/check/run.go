@@ -20,7 +20,7 @@ func CheckTrace(tr *trace.Trace, fs []Factory, opt Options) error {
 	if err := CheckRelabelInvariance(tr); err != nil {
 		return fmt.Errorf("metamorphic: %w", err)
 	}
-	if err := CheckBlockEquivalence(tr, fs, opt.Predictor); err != nil {
+	if err := CheckBlockEquivalence(tr, fs, opt.Predict); err != nil {
 		return fmt.Errorf("blockequiv: %w", err)
 	}
 	if opt.Predict != nil {
@@ -37,11 +37,17 @@ func CheckTrace(tr *trace.Trace, fs []Factory, opt Options) error {
 // *Violation (which implements error). progress, when non-nil, is
 // called after every case for live reporting.
 func Run(seedBase uint64, cases int, gcfg GenConfig, fs []Factory, opt Options, progress func(done int)) error {
+	return run(seedBase, cases, gcfg, func(tr *trace.Trace) error { return CheckTrace(tr, fs, opt) }, progress)
+}
+
+// run is the generate → check → shrink loop behind Run and RunOracles:
+// fails is the check every generated case must pass, and the predicate
+// the shrinker minimizes a failing case against.
+func run(seedBase uint64, cases int, gcfg GenConfig, fails func(*trace.Trace) error, progress func(done int)) error {
 	for i := 0; i < cases; i++ {
 		seed := seedBase + uint64(i)
 		tr := GenTrace(seed, gcfg)
-		if err := CheckTrace(tr, fs, opt); err != nil {
-			fails := func(cand *trace.Trace) error { return CheckTrace(cand, fs, opt) }
+		if err := fails(tr); err != nil {
 			shrunk := Shrink(tr, fails)
 			return &Violation{
 				Err:    fails(shrunk),

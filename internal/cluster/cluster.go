@@ -176,12 +176,6 @@ type tenantState struct {
 	lastT   int64 // global clock at last live-bytes change
 }
 
-// admitted tracks one admitted object.
-type admittedObj struct {
-	shard int
-	size  int64
-}
-
 // queuedObj is one waiting allocation in Queue mode.
 type queuedObj struct {
 	shard     int
@@ -232,10 +226,9 @@ func Run(cfg Config, tenants []Tenant) (*Result, error) {
 	}
 
 	r := &clusterRun{
-		cfg:      cfg,
-		states:   states,
-		admitted: make(map[trace.ObjectID]admittedObj),
-		dropped:  make(map[trace.ObjectID]int),
+		cfg:     cfg,
+		states:  states,
+		dropped: make(map[trace.ObjectID]struct{}),
 	}
 	if cfg.Admission == Queue {
 		r.queueIndex = make(map[trace.ObjectID]*queuedObj)
@@ -265,8 +258,9 @@ type clusterRun struct {
 	admittedObjs int64
 	peakLive     int64
 
-	admitted map[trace.ObjectID]admittedObj
-	dropped  map[trace.ObjectID]int // rejected/evicted: gid -> shard
+	// The admitted objects are the pool's live set (Pool.Size); an
+	// object's shard is its id's tag, gid >> tenantShardBits.
+	dropped map[trace.ObjectID]struct{} // rejected or evicted gids
 
 	// Evict mode: pool-wide admission order, lazily compacted.
 	evictFIFO []trace.ObjectID
@@ -336,14 +330,14 @@ func (r *clusterRun) step(shard int, ev trace.Event) error {
 			st.tracker.Step(ev, false)
 			break
 		}
-		obj, ok := r.admitted[gid]
+		size, ok := r.cfg.Pool.Size(gid)
 		if !ok {
 			return fmt.Errorf("tenant %q frees unknown object %d", st.t.ID, ev.Obj)
 		}
 		if err := r.cfg.Pool.Free(gid); err != nil {
 			return err
 		}
-		r.release(gid, obj)
+		r.release(gid, size)
 		st.tracker.Step(ev, false)
 		if r.cfg.Admission == Queue {
 			if err := r.drainQueue(); err != nil {
@@ -369,7 +363,6 @@ func (r *clusterRun) admit(shard int, ev trace.Event, short bool) error {
 	if st.live > st.res.PeakLive {
 		st.res.PeakLive = st.live
 	}
-	r.admitted[ev.Obj] = admittedObj{shard: shard, size: ev.Size}
 	r.admittedLive += ev.Size
 	r.admittedObjs++
 	if r.admittedLive > r.peakLive {
@@ -386,19 +379,18 @@ func (r *clusterRun) admit(shard int, ev trace.Event, short bool) error {
 
 // reject drops one allocation.
 func (r *clusterRun) reject(st *tenantState, shard int, ev trace.Event) {
-	r.dropped[ev.Obj] = shard
+	r.dropped[ev.Obj] = struct{}{}
 	st.res.Rejected++
 	st.res.RejectedBytes += ev.Size
 }
 
-// release updates live accounting after an admitted object leaves the
-// pool (free or eviction).
-func (r *clusterRun) release(gid trace.ObjectID, obj admittedObj) {
-	st := r.states[obj.shard]
+// release updates live accounting after an admitted object of size
+// bytes leaves the pool (free or eviction).
+func (r *clusterRun) release(gid trace.ObjectID, size int64) {
+	st := r.states[gid>>tenantShardBits]
 	r.advance(st)
-	st.live -= obj.size
-	delete(r.admitted, gid)
-	r.admittedLive -= obj.size
+	st.live -= size
+	r.admittedLive -= size
 	r.admittedObjs--
 }
 
@@ -411,7 +403,7 @@ func (r *clusterRun) evictFor(size int64) bool {
 	for r.admittedLive+size > r.cfg.Budget {
 		// Lazily skip entries already freed the normal way.
 		for r.evictHead < len(r.evictFIFO) {
-			if _, live := r.admitted[r.evictFIFO[r.evictHead]]; live {
+			if _, live := r.cfg.Pool.Size(r.evictFIFO[r.evictHead]); live {
 				break
 			}
 			r.evictHead++
@@ -421,14 +413,14 @@ func (r *clusterRun) evictFor(size int64) bool {
 		}
 		gid := r.evictFIFO[r.evictHead]
 		r.evictHead++
-		obj := r.admitted[gid]
+		size, _ := r.cfg.Pool.Size(gid)
 		if err := r.cfg.Pool.Free(gid); err != nil {
 			return false
 		}
-		r.release(gid, obj)
-		st := r.states[obj.shard]
+		r.release(gid, size)
+		st := r.states[gid>>tenantShardBits]
 		st.res.Evicted++
-		r.dropped[gid] = obj.shard
+		r.dropped[gid] = struct{}{}
 		// Score the victim now: from its tracker's point of view the
 		// object just died.
 		st.tracker.Step(trace.Event{Kind: trace.KindFree, Obj: gid}, false)

@@ -13,9 +13,10 @@ import (
 // TestExperimentWiringPassesConformance replays one model's Test trace —
 // with the same predictor mapping and CUSTOMALLOC hot sizes the paper
 // experiments use — through the internal/check auditor for every
-// allocator. This is the glue test between the experiment pipeline and
-// the conformance harness: if Build's artifacts ever stop satisfying the
-// heap invariants, the tables built on them are meaningless.
+// allocator, in one lockstep differential replay. This is the glue test
+// between the experiment pipeline and the conformance harness: if
+// Build's artifacts ever stop satisfying the heap invariants, the tables
+// built on them are meaningless.
 func TestExperimentWiringPassesConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("conformance replay of a model trace is slow in -short mode")
@@ -36,12 +37,9 @@ func TestExperimentWiringPassesConformance(t *testing.T) {
 			fs[i].New = func() heapsim.Allocator { return heapsim.NewCustom(hot) }
 		}
 	}
-	opt := check.Options{Stride: 64, Predict: mapper.PredictShort}
-	for _, f := range fs {
-		if err := check.Audit(trace.NewSliceSource(a.TestTrace), f.Name, f.New(), opt); err != nil {
-			t.Errorf("%s: %v", f.Name, err)
-		}
-	}
+	// Diff audits every participant against the shared ledger on the
+	// stride, so it is the per-allocator audit too.
+	opt := check.Options{Stride: 64, Predict: mapper}
 	if err := check.Diff(trace.NewSliceSource(a.TestTrace), fs, opt); err != nil {
 		t.Errorf("differential replay: %v", err)
 	}

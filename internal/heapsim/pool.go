@@ -83,6 +83,13 @@ func (p *Pool) MemberLive(i int) int64 { return p.live[i] }
 // MemberHeap returns member i's current address-space footprint.
 func (p *Pool) MemberHeap(i int) int64 { return p.members[i].HeapSize() }
 
+// Size returns the payload size of a live object and whether the pool
+// holds it.
+func (p *Pool) Size(id trace.ObjectID) (int64, bool) {
+	slot, ok := p.owner[id]
+	return slot.size, ok
+}
+
 // AllocOn places an object on an explicit member — the routed entry point
 // the cluster uses. The id must be globally unique across the pool.
 func (p *Pool) AllocOn(member int, id trace.ObjectID, size int64, predictedShort bool) error {

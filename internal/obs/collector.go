@@ -12,20 +12,13 @@ type Options struct {
 	// TimelineInterval is the sampling cadence in bytes allocated:
 	// 0 uses DefaultTimelineInterval, negative disables the timeline.
 	TimelineInterval int64
-	// EventCap bounds the retained raw-event window (0 uses
-	// DefaultEventCap); per-kind event counts are always exact.
-	EventCap int
-	// Sink overrides the default MemorySink (e.g. NopSink to keep
-	// counters but drop events). When set, the snapshot's event summary
-	// is empty unless the sink is a *MemorySink.
-	Sink EventSink
 	// SampleHook, when set, is called with every recorded timeline
 	// sample, after it lands in the timeline. It runs on the replay
 	// goroutine and must not block (lpserve streams samples over SSE
 	// through it).
 	SampleHook func(Sample)
 	// EventHook, when set, is called with every emitted event after the
-	// sink consumed it. Same contract as SampleHook.
+	// event window recorded it. Same contract as SampleHook.
 	EventHook func(Event)
 	// HeapScan opts the replay into the heap-topology scanner: on every
 	// timeline sample the allocator's Walker layout is decomposed into
@@ -39,10 +32,11 @@ type Options struct {
 	HeatmapBins int
 }
 
-// Collector bundles a metric registry, a timeline, and an event sink,
-// plus the bytes-allocated clock that stamps events and samples. One
-// Collector observes one replay; attach it via core.RunSim's optional
-// trailing argument (or heapsim's Observable interface directly).
+// Collector bundles a metric registry, a timeline, and an event window
+// (a MemorySink of DefaultEventCap events), plus the bytes-allocated
+// clock that stamps events and samples. One Collector observes one
+// replay; attach it via core.RunSim's optional trailing argument (or
+// heapsim's Observable interface directly).
 //
 // All methods are safe on a nil *Collector — they no-op or return zero
 // values — so call sites can hold an optional collector without guards.
@@ -53,8 +47,7 @@ type Collector struct {
 
 	reg        *Registry
 	timeline   *Timeline
-	sink       EventSink
-	mem        *MemorySink // non-nil when sink is the default MemorySink
+	events     *MemorySink
 	sampleHook func(Sample)
 	eventHook  func(Event)
 	heatmap    *heatmapRec // non-nil when HeapScan was requested
@@ -71,6 +64,7 @@ func NewCollector(opts Options) *Collector {
 	c := &Collector{
 		Label:      opts.Label,
 		reg:        NewRegistry(),
+		events:     NewMemorySink(DefaultEventCap),
 		sampleHook: opts.SampleHook,
 		eventHook:  opts.EventHook,
 	}
@@ -83,15 +77,6 @@ func NewCollector(opts Options) *Collector {
 		// heatmap gauges, so a scrape taken before the replay starts
 		// (while its predictors train) already shows the scanner on.
 		c.reg.Counter("heap.scan_samples")
-	}
-	if opts.Sink != nil {
-		c.sink = opts.Sink
-		if m, ok := opts.Sink.(*MemorySink); ok {
-			c.mem = m
-		}
-	} else {
-		c.mem = NewMemorySink(opts.EventCap)
-		c.sink = c.mem
 	}
 	return c
 }
@@ -160,7 +145,7 @@ func (c *Collector) Emit(kind EventKind, arg int64) {
 		return
 	}
 	ev := Event{Kind: kind, Clock: c.clock.Load(), Arg: arg}
-	c.sink.Event(ev)
+	c.events.Event(ev)
 	if c.eventHook != nil {
 		c.eventHook(ev)
 	}
@@ -271,12 +256,10 @@ func (c *Collector) Snapshot() *Snapshot {
 	if c.heatmap != nil {
 		s.Heatmap = c.heatmap.snapshot()
 	}
-	if c.mem != nil {
-		s.Events = EventSummary{
-			Counts:  c.mem.Counts(),
-			Recent:  c.mem.Recent(),
-			Dropped: c.mem.Dropped(),
-		}
+	s.Events = EventSummary{
+		Counts:  c.events.Counts(),
+		Recent:  c.events.Recent(),
+		Dropped: c.events.Dropped(),
 	}
 	return s
 }

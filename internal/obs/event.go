@@ -49,19 +49,6 @@ type Event struct {
 	Arg   int64     `json:"arg,omitempty"`
 }
 
-// EventSink consumes structured events. Implementations must be safe for
-// concurrent use.
-type EventSink interface {
-	Event(Event)
-}
-
-// NopSink discards every event; the compiler reduces the call to nothing
-// observable, so a Collector with a NopSink costs only the counter work.
-type NopSink struct{}
-
-// Event implements EventSink.
-func (NopSink) Event(Event) {}
-
 // MemorySink keeps exact per-kind totals and a bounded window of the most
 // recent events (a ring buffer): event *counts* are always complete, the
 // raw stream is capped so long runs cannot exhaust memory.
@@ -86,7 +73,7 @@ func NewMemorySink(capN int) *MemorySink {
 	return &MemorySink{cap: capN}
 }
 
-// Event implements EventSink.
+// Event records one event. It is safe for concurrent use.
 func (s *MemorySink) Event(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

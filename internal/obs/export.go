@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -172,83 +171,4 @@ func WriteHeatmapCSV(w io.Writer, s *Snapshot) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadHeatmapCSV reads a heatmap written by WriteHeatmapCSV.
-func ReadHeatmapCSV(r io.Reader) (*Heatmap, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("obs: reading heatmap CSV: %w", err)
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("obs: heatmap CSV missing header")
-	}
-	if len(recs[0]) < 2 || recs[0][0] != "clock" || recs[0][1] != "extent" {
-		return nil, fmt.Errorf("obs: unexpected heatmap CSV header %v", recs[0])
-	}
-	h := &Heatmap{Bins: len(recs[0]) - 2}
-	for i, rec := range recs[1:] {
-		row := HeatmapRow{Cells: make([]int64, h.Bins)}
-		if row.Clock, err = strconv.ParseInt(rec[0], 10, 64); err == nil {
-			row.Extent, err = strconv.ParseInt(rec[1], 10, 64)
-		}
-		for b := 0; err == nil && b < h.Bins; b++ {
-			row.Cells[b], err = strconv.ParseInt(rec[2+b], 10, 64)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("obs: heatmap CSV row %d: %w", i+2, err)
-		}
-		h.Rows = append(h.Rows, row)
-	}
-	return h, nil
-}
-
-// WriteCountersCSV writes every counter (and each gauge's value and max)
-// as `name,value` rows, sorted by name.
-func WriteCountersCSV(w io.Writer, s *Snapshot) error {
-	if s == nil {
-		return fmt.Errorf("obs: nil snapshot")
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"name", "value"}); err != nil {
-		return err
-	}
-	rows := make([][2]string, 0, len(s.Counters)+2*len(s.Gauges))
-	for name, v := range s.Counters {
-		rows = append(rows, [2]string{name, strconv.FormatInt(v, 10)})
-	}
-	for name, g := range s.Gauges {
-		rows = append(rows, [2]string{name, strconv.FormatInt(g.Value, 10)})
-		rows = append(rows, [2]string{name + ".max", strconv.FormatInt(g.Max, 10)})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
-	for _, r := range rows {
-		if err := cw.Write(r[:]); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCountersCSV reads rows written by WriteCountersCSV into a map.
-func ReadCountersCSV(r io.Reader) (map[string]int64, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("obs: reading counters CSV: %w", err)
-	}
-	if len(recs) == 0 || len(recs[0]) != 2 || recs[0][0] != "name" {
-		return nil, fmt.Errorf("obs: unexpected counters CSV header")
-	}
-	out := make(map[string]int64, len(recs)-1)
-	for i, rec := range recs[1:] {
-		v, err := strconv.ParseInt(rec[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("obs: counters CSV row %d: %w", i+2, err)
-		}
-		out[rec[0]] = v
-	}
-	return out, nil
 }

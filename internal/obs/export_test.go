@@ -123,9 +123,6 @@ func TestWriteTimelineCSVEmpty(t *testing.T) {
 	if err := WriteTimelineCSV(&buf, nil); err == nil {
 		t.Error("WriteTimelineCSV(nil) succeeded")
 	}
-	if err := WriteCountersCSV(&buf, nil); err == nil {
-		t.Error("WriteCountersCSV(nil) succeeded")
-	}
 }
 
 func TestTimelineCSVRoundTrip(t *testing.T) {
@@ -149,37 +146,5 @@ func TestTimelineCSVBadHeader(t *testing.T) {
 	}
 	if _, err := ReadTimelineCSV(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
-	}
-}
-
-func TestCountersCSVRoundTrip(t *testing.T) {
-	s := buildSnapshot()
-	var buf bytes.Buffer
-	if err := WriteCountersCSV(&buf, s); err != nil {
-		t.Fatalf("WriteCountersCSV: %v", err)
-	}
-	got, err := ReadCountersCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadCountersCSV: %v", err)
-	}
-	for name, v := range s.Counters {
-		if got[name] != v {
-			t.Errorf("counter %s = %d, want %d", name, got[name], v)
-		}
-	}
-	for name, g := range s.Gauges {
-		if got[name] != g.Value {
-			t.Errorf("gauge %s = %d, want %d", name, got[name], g.Value)
-		}
-		if got[name+".max"] != g.Max {
-			t.Errorf("gauge %s.max = %d, want %d", name, got[name+".max"], g.Max)
-		}
-	}
-	// Rows must come out sorted by name.
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	for i := 2; i < len(lines); i++ {
-		if lines[i] < lines[i-1] {
-			t.Errorf("counters CSV not sorted: %q after %q", lines[i], lines[i-1])
-		}
 	}
 }

@@ -131,18 +131,19 @@ func TestSnapshotJSONCarriesHeatmap(t *testing.T) {
 	}
 }
 
+// TestHeatmapCSVRoundTrip pins WriteHeatmapCSV's bytes: a header naming
+// every bin, then each heatmap row, bin for bin.
 func TestHeatmapCSVRoundTrip(t *testing.T) {
 	s := scanSnapshot()
 	var buf bytes.Buffer
 	if err := WriteHeatmapCSV(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadHeatmapCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, s.Heatmap) {
-		t.Errorf("heatmap CSV round trip:\nwant %+v\ngot  %+v", s.Heatmap, back)
+	want := "clock,extent,bin0,bin1,bin2,bin3\n" +
+		"100,128,32,24,16,16\n" +
+		"200,256,64,0,0,8\n"
+	if got := buf.String(); got != want {
+		t.Errorf("heatmap CSV:\nwant %q\ngot  %q", want, got)
 	}
 }
 
@@ -165,21 +166,6 @@ func TestHeatmapCSVHeaderOnly(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 1 || lines[0] != "clock,extent,bin0,bin1,bin2" {
 		t.Errorf("empty-heatmap CSV = %q", buf.String())
-	}
-	back, err := ReadHeatmapCSV(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Bins != 3 || len(back.Rows) != 0 {
-		t.Errorf("header-only read = %+v", back)
-	}
-}
-
-func TestHeatmapCSVRejectsGarbage(t *testing.T) {
-	for _, in := range []string{"", "a,b\n1,2\n", "clock,extent,bin0\n1,2,x\n"} {
-		if _, err := ReadHeatmapCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadHeatmapCSV(%q) accepted garbage", in)
-		}
 	}
 }
 

@@ -300,14 +300,6 @@ func TestCollectorTimelineDisabled(t *testing.T) {
 	}
 }
 
-func TestCollectorCustomSink(t *testing.T) {
-	c := NewCollector(Options{Sink: NopSink{}})
-	c.Emit(EvArenaReuse, 1)
-	if s := c.Snapshot(); len(s.Events.Counts) != 0 {
-		t.Errorf("NopSink snapshot has events: %+v", s.Events)
-	}
-}
-
 func TestRegistryNames(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b.count")

@@ -31,19 +31,21 @@ func TestFlattenPredAndDropped(t *testing.T) {
 }
 
 func TestDroppedEventsSurfaced(t *testing.T) {
-	c := NewCollector(Options{Label: "tiny", EventCap: 1})
-	c.Emit(EvHeapGrow, 1)
-	c.Emit(EvHeapGrow, 2)
-	c.Emit(EvCoalesce, 3)
-	s := c.Snapshot()
-	if s.Events.Dropped != 2 {
-		t.Errorf("Dropped = %d, want 2", s.Events.Dropped)
+	c := NewCollector(Options{Label: "tiny"})
+	for i := 0; i < DefaultEventCap-1; i++ {
+		c.Emit(EvHeapGrow, int64(i))
 	}
-	if got := s.Flatten()["obs.dropped_events"]; got != 2 {
-		t.Errorf("Flatten[obs.dropped_events] = %g, want 2", got)
+	c.Emit(EvCoalesce, 1)
+	c.Emit(EvCoalesce, 2)
+	s := c.Snapshot()
+	if s.Events.Dropped != 1 {
+		t.Errorf("Dropped = %d, want 1", s.Events.Dropped)
+	}
+	if got := s.Flatten()["obs.dropped_events"]; got != 1 {
+		t.Errorf("Flatten[obs.dropped_events] = %g, want 1", got)
 	}
 	// Per-kind totals stay exact even when the raw window overflows.
-	if s.Events.Counts["heap_grow"] != 2 || s.Events.Counts["coalesce"] != 1 {
+	if s.Events.Counts["heap_grow"] != DefaultEventCap-1 || s.Events.Counts["coalesce"] != 2 {
 		t.Errorf("exact counts perturbed by window overflow: %v", s.Events.Counts)
 	}
 }

@@ -7,35 +7,14 @@ import (
 	"repro/internal/callchain"
 )
 
-// LearnedConfig parameterizes the tiny logistic lifetime classifier.
-type LearnedConfig struct {
-	// Buckets is the number of hashed call-chain feature buckets. Zero
-	// defaults to 16.
-	Buckets int
-	// Epochs is the number of full passes over the training sites. Zero
-	// defaults to 8.
-	Epochs int
-	// Rate is the gradient-descent step size. Zero defaults to 0.5.
-	Rate float64
-	// Seed mixes the chain-hash bucket assignment, so two seeds give two
-	// deterministic but different feature spaces.
-	Seed uint64
-	// L2 is the per-step weight decay (0 disables it).
-	L2 float64
-}
-
-func (c LearnedConfig) withDefaults() LearnedConfig {
-	if c.Buckets == 0 {
-		c.Buckets = 16
-	}
-	if c.Epochs == 0 {
-		c.Epochs = 8
-	}
-	if c.Rate == 0 {
-		c.Rate = 0.5
-	}
-	return c
-}
+// The classifier hashes site chains into learnedBuckets feature buckets
+// and trains for learnedEpochs full passes over the sites with
+// gradient-descent step learnedRate.
+const (
+	learnedBuckets = 16
+	learnedEpochs  = 8
+	learnedRate    = 0.5
+)
 
 // LearnedOracle is a logistic classifier over (hashed site chain, rounded
 // size magnitude, chain depth) features, trained to reproduce the paper's
@@ -47,7 +26,6 @@ func (c LearnedConfig) withDefaults() LearnedConfig {
 // can perturb the committed goldens.
 type LearnedOracle struct {
 	cfg   Config
-	lc    LearnedConfig
 	table *callchain.Table
 	// w holds [bias, sizeMagnitude, chainDepth, bucket0..bucketN-1].
 	w []float64
@@ -68,8 +46,7 @@ func fastSigmoid(z float64) float64 {
 
 // bucketOf assigns a chain to its hashed feature bucket.
 func (l *LearnedOracle) bucketOf(chain callchain.ChainID) int {
-	h := l.table.Hash(chain) ^ (l.lc.Seed * 0x9e3779b97f4a7c15)
-	return int(h % uint64(l.lc.Buckets))
+	return int(l.table.Hash(chain) % learnedBuckets)
 }
 
 // features fills x for a site key. All features are non-negative and the
@@ -103,13 +80,11 @@ func (l *LearnedOracle) score(key SiteKey) float64 {
 // TrainLearned fits the classifier to a trained site database. Labels are
 // the paper's exact admission rule per site (all training objects short),
 // weighted by each site's object count so hot sites dominate the loss.
-func TrainLearned(db *DB, lc LearnedConfig) *LearnedOracle {
-	lc = lc.withDefaults()
+func TrainLearned(db *DB) *LearnedOracle {
 	l := &LearnedOracle{
 		cfg:   db.Config,
-		lc:    lc,
 		table: db.Table,
-		w:     make([]float64, learnedFixed+lc.Buckets),
+		w:     make([]float64, learnedFixed+learnedBuckets),
 	}
 
 	keys := make([]SiteKey, 0, len(db.Sites))
@@ -132,7 +107,7 @@ func TrainLearned(db *DB, lc LearnedConfig) *LearnedOracle {
 	}
 
 	x := make([]float64, len(l.w))
-	for epoch := 0; epoch < lc.Epochs; epoch++ {
+	for epoch := 0; epoch < learnedEpochs; epoch++ {
 		for _, k := range keys {
 			st := db.Sites[k]
 			y := 0.0
@@ -148,7 +123,7 @@ func TrainLearned(db *DB, lc LearnedConfig) *LearnedOracle {
 			}
 			g := fastSigmoid(z) - y
 			for i := range l.w {
-				l.w[i] -= lc.Rate * (g*x[i]*wgt + lc.L2*l.w[i])
+				l.w[i] -= learnedRate * (g * x[i] * wgt)
 			}
 		}
 	}

@@ -50,34 +50,20 @@ type Config struct {
 	// predictor. The paper requires all of them (1.0); lower values are
 	// an ablation ("how large should this percentage be?", §4.1).
 	AdmitFraction float64
-
-	// HistogramRule admits a site by consulting its P² quantile
-	// histogram instead of exact short/long counts: the site is admitted
-	// iff the estimated AdmitFraction-quantile of its lifetime
-	// distribution lies below the threshold. This is how the paper
-	// frames the decision ("If a large percentage of the objects
-	// allocated at that site are short-lived, we consider that site to
-	// be an excellent predictor") — the histogram being the only
-	// per-site record its tool keeps. With AdmitFraction 1.0 the rule
-	// consults the histogram's tracked maximum, which is exact, so both
-	// rules coincide; at lower fractions the P² approximation differs
-	// from exact counting.
-	HistogramRule bool
-
-	// HistCells sets the number of equiprobable cells in each site's P2
-	// lifetime quantile histogram. Zero defaults to 4 (quartiles).
-	HistCells int
 }
 
+// histCells is the number of equiprobable cells in each site's P²
+// lifetime quantile histogram: quartiles.
+const histCells = 4
+
 // DefaultConfig returns the paper's configuration: 32KB threshold, 4-byte
-// rounding, complete chains, all-short admission, quartile histograms.
+// rounding, complete chains, all-short admission.
 func DefaultConfig() Config {
 	return Config{
 		ShortThreshold: 32 << 10,
 		SizeRounding:   4,
 		ChainLength:    0,
 		AdmitFraction:  1.0,
-		HistCells:      4,
 	}
 }
 
@@ -90,9 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdmitFraction == 0 {
 		c.AdmitFraction = 1.0
-	}
-	if c.HistCells == 0 {
-		c.HistCells = 4
 	}
 	return c
 }
@@ -151,14 +134,6 @@ func (s *SiteStats) admitted(frac float64) bool {
 	return float64(s.ShortCount) >= frac*float64(s.Objects)
 }
 
-// admittedByHistogram applies the quantile-histogram rule instead.
-func (s *SiteStats) admittedByHistogram(frac float64, threshold int64) bool {
-	if s.Objects == 0 {
-		return false
-	}
-	return s.Hist.Quantile(frac) < float64(threshold)
-}
-
 // DB is a trained site database: the output of a training run, mapping
 // every site to its lifetime statistics and quantile histogram.
 type DB struct {
@@ -185,8 +160,8 @@ func Train(tr *trace.Trace, cfg Config) (*DB, error) {
 // rather than Annotate's birth order. The exact-count admission rule is
 // order-insensitive, so the resulting Predictor is identical to one
 // trained via Train/TrainObjects on the materialized trace; only the P²
-// quantile histograms (consulted when Config.HistogramRule is set) are
-// insertion-order sensitive and may differ in their interior markers.
+// quantile histograms are insertion-order sensitive and may differ in
+// their interior markers.
 func TrainSource(src trace.Source, cfg Config) (*DB, error) {
 	cfg = cfg.withDefaults()
 	db := &DB{Config: cfg, Table: src.Table(), Sites: make(map[SiteKey]*SiteStats)}
@@ -217,9 +192,9 @@ func (db *DB) addObject(o *trace.Object) {
 	}
 	st := db.Sites[key]
 	if st == nil {
-		h, err := quantile.NewHistogram(db.Config.HistCells)
+		h, err := quantile.NewHistogram(histCells)
 		if err != nil {
-			panic(fmt.Sprintf("profile: bad HistCells: %v", err))
+			panic(fmt.Sprintf("profile: bad histCells: %v", err))
 		}
 		st = &SiteStats{Hist: h}
 		db.Sites[key] = st
@@ -248,11 +223,7 @@ func (db *DB) Predictor() *Predictor {
 		keys:   make(map[SiteKey]struct{}),
 	}
 	for k, st := range db.Sites {
-		ok := st.admitted(db.Config.AdmitFraction)
-		if db.Config.HistogramRule {
-			ok = st.admittedByHistogram(db.Config.AdmitFraction, db.Config.ShortThreshold)
-		}
-		if ok {
+		if st.admitted(db.Config.AdmitFraction) {
 			p.keys[k] = struct{}{}
 		}
 	}

@@ -366,7 +366,7 @@ func TestDefaultConfig(t *testing.T) {
 	// withDefaults fills zero values the same way.
 	var z Config
 	z = z.withDefaults()
-	if z.ShortThreshold != c.ShortThreshold || z.HistCells != c.HistCells {
+	if z != c {
 		t.Fatalf("withDefaults mismatch: %+v vs %+v", z, c)
 	}
 }
@@ -382,56 +382,5 @@ func TestRoundSize(t *testing.T) {
 	c1 := Config{SizeRounding: 1}
 	if got := c1.roundSize(17); got != 17 {
 		t.Errorf("rounding 1 should be identity, got %d", got)
-	}
-}
-
-func TestHistogramRuleMatchesExactAtFullFraction(t *testing.T) {
-	specs := []allocSpec{
-		{[]string{"main", "hot", "m"}, 16, 0, 0},
-		{[]string{"main", "hot", "m"}, 16, 0, 0},
-		{[]string{"main", "cold", "m"}, 16, -1, 0},
-		{[]string{"main", "pad", "m"}, 50000, 0, 0},
-	}
-	tr := mkTrace(t, specs)
-	exact, _ := Train(tr, Config{ShortThreshold: 1000})
-	hist, _ := Train(tr, Config{ShortThreshold: 1000, HistogramRule: true})
-	pe, ph := exact.Predictor(), hist.Predictor()
-	hot := tr.Table.InternNames("main", "hot", "m")
-	cold := tr.Table.InternNames("main", "cold", "m")
-	if pe.PredictShort(hot, 16) != ph.PredictShort(hot, 16) {
-		t.Fatal("rules disagree on the all-short site at fraction 1.0")
-	}
-	if ph.PredictShort(cold, 16) {
-		t.Fatal("histogram rule admitted the long-lived site")
-	}
-}
-
-func TestHistogramRuleApproximatesAtLowerFraction(t *testing.T) {
-	// A site whose lifetimes are mostly short with a few long outliers:
-	// at AdmitFraction 0.9 the histogram's 0.9-quantile estimate decides.
-	tb := callchain.NewTable()
-	c := tb.InternNames("main", "s", "m")
-	// Interleave the 5% long outliers through the stream (P2 smears
-	// badly on adversarially ordered input; traces interleave).
-	var objs []trace.Object
-	for i := 0; i < 100; i++ {
-		life := int64(100)
-		if i%20 == 10 {
-			life = 1 << 20
-		}
-		objs = append(objs, trace.Object{ID: trace.ObjectID(i), Size: 8, Chain: c, Lifetime: life, Freed: true})
-	}
-	// With quartile-only markers the 0.9-quantile would interpolate
-	// between the 0.75 marker and the extreme maximum and overestimate
-	// wildly; give the histogram a marker at 0.9.
-	cfg := Config{ShortThreshold: 32 << 10, AdmitFraction: 0.9, HistogramRule: true, HistCells: 10}
-	db := TrainObjects(tb, objs, cfg)
-	if !db.Predictor().PredictShort(c, 8) {
-		t.Fatal("histogram rule rejected a mostly-short site at fraction 0.9")
-	}
-	strict := cfg
-	strict.AdmitFraction = 1.0
-	if TrainObjects(tb, objs, strict).Predictor().PredictShort(c, 8) {
-		t.Fatal("histogram rule at fraction 1.0 admitted a site with long outliers")
 	}
 }

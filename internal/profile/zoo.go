@@ -123,12 +123,10 @@ type QuantileConfig struct {
 	// when SlackPerByte is 0); lower values read the site's P² histogram.
 	// Zero defaults to 1.
 	Q float64
-	// Threshold is the base lifetime threshold in allocated bytes. Zero
-	// defaults to the training DB's ShortThreshold.
-	Threshold int64
 	// SlackPerByte makes the threshold per-site: a site keyed at rounded
-	// size S is admitted against Threshold + SlackPerByte*S, conceding
-	// larger objects proportionally more byte-clock lifetime.
+	// size S is admitted against the training DB's ShortThreshold +
+	// SlackPerByte*S, conceding larger objects proportionally more
+	// byte-clock lifetime.
 	SlackPerByte int64
 }
 
@@ -146,16 +144,14 @@ func NewQuantileOracle(db *DB, qc QuantileConfig) *QuantileOracle {
 	if qc.Q == 0 {
 		qc.Q = 1.0
 	}
-	if qc.Threshold == 0 {
-		qc.Threshold = db.Config.ShortThreshold
-	}
 	return &QuantileOracle{db: db, qc: qc}
 }
 
 // SiteThreshold returns the lifetime threshold the site is admitted
-// against: the base plus the per-byte slack scaled by the rounded size.
+// against: the training DB's ShortThreshold plus the per-byte slack
+// scaled by the rounded size.
 func (q *QuantileOracle) SiteThreshold(key SiteKey) int64 {
-	return q.qc.Threshold + q.qc.SlackPerByte*key.Size
+	return q.db.Config.ShortThreshold + q.qc.SlackPerByte*key.Size
 }
 
 // AdmitSite implements SiteOracle.
@@ -345,7 +341,7 @@ func ZooTrainers() []OracleTrainer {
 			if err != nil {
 				return nil, err
 			}
-			return TrainLearned(db, LearnedConfig{}), nil
+			return TrainLearned(db), nil
 		}},
 	}
 }

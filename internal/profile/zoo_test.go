@@ -36,7 +36,7 @@ func strictTrainers() []OracleTrainer {
 			if err != nil {
 				return nil, err
 			}
-			return TrainLearned(db, LearnedConfig{}), nil
+			return TrainLearned(db), nil
 		}},
 	}
 }
@@ -119,19 +119,21 @@ func zooTrace(t *testing.T) *trace.Trace {
 
 // TestQuantileAdmissionsMonotoneInThreshold: raising the threshold can
 // only grow the admitted site set, at Q=1 (exact max) and at an interior
-// quantile (P² estimate) alike.
+// quantile (P² estimate) alike. Each threshold trains its own database;
+// the site keys, maxima and histograms the policy reads do not depend on
+// the threshold, only the admission bound does.
 func TestQuantileAdmissionsMonotoneInThreshold(t *testing.T) {
 	tr := zooTrace(t)
-	db, err := Train(tr, Config{ShortThreshold: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, q := range []float64{1.0, 0.75, 0.5} {
 		var prev map[SiteKey]bool
 		admittedAny := false
 		for _, thr := range []int64{1, 50, 1000, 40000, 1 << 40} {
+			db, err := Train(tr, Config{ShortThreshold: thr})
+			if err != nil {
+				t.Fatal(err)
+			}
 			cur := make(map[SiteKey]bool)
-			o := NewQuantileOracle(db, QuantileConfig{Q: q, Threshold: thr})
+			o := NewQuantileOracle(db, QuantileConfig{Q: q})
 			for key := range db.Sites {
 				cur[key] = o.AdmitSite(key)
 				if cur[key] {
@@ -298,8 +300,8 @@ func TestLearnedDeterministicAndTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := TrainLearned(db, LearnedConfig{})
-	b := TrainLearned(db, LearnedConfig{})
+	a := TrainLearned(db)
+	b := TrainLearned(db)
 	for i := range a.w {
 		if a.w[i] != b.w[i] {
 			t.Fatalf("weight %d differs across identical trainings: %v vs %v", i, a.w[i], b.w[i])
@@ -309,14 +311,6 @@ func TestLearnedDeterministicAndTotal(t *testing.T) {
 	fresh := tr.Table.InternNames("totally", "new", "site")
 	_ = a.PredictShort(fresh, 7)
 	_ = a.PredictShort(fresh, 1<<40)
-	// A different seed is a different (but still deterministic) model.
-	c := TrainLearned(db, LearnedConfig{Seed: 42})
-	d := TrainLearned(db, LearnedConfig{Seed: 42})
-	for i := range c.w {
-		if c.w[i] != d.w[i] {
-			t.Fatalf("seeded weight %d differs across identical trainings", i)
-		}
-	}
 }
 
 // confusion counts object-level prediction outcomes for one oracle over

@@ -289,7 +289,7 @@ func Simulate(tr *Trace, alloc Allocator, pred *Predictor, observers ...*ObsColl
 }
 
 // NewObsCollector returns an observability collector; see ObsOptions for
-// the timeline cadence and event-window knobs.
+// the timeline cadence, heap scanning and live hooks.
 func NewObsCollector(opts ObsOptions) *ObsCollector { return obs.NewCollector(opts) }
 
 // WriteObsJSON writes an observability snapshot as JSON (the `lpsim
