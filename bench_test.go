@@ -241,7 +241,7 @@ func BenchmarkAblationArenaGeometry(b *testing.B) {
 			var res core.SimResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				ar := &heapsim.Arena{NumArenas: g.n, ArenaSize: int64(g.sizeKB) << 10}
+				ar := heapsim.NewArenaGeometry(g.n, int64(g.sizeKB)<<10)
 				res, err = core.RunSim(a.TestTrace, ar, a.TrainPredictor)
 				if err != nil {
 					b.Fatal(err)

@@ -3,7 +3,7 @@ package check
 import (
 	"fmt"
 	"io"
-	"strings"
+	"slices"
 
 	"repro/internal/heapsim"
 	"repro/internal/trace"
@@ -23,46 +23,28 @@ type Factory struct {
 var defaultHotSizes = []int64{16, 24, 32, 48, 64, 96, 128, 256}
 
 // Factories returns construction recipes for the named allocators, or
-// all seven in canonical order when names is empty. Unknown names error,
-// naming every valid allocator.
+// all of heapsim.Names in report order when names is empty. Unknown
+// names error, naming every valid allocator.
 func Factories(names ...string) ([]Factory, error) {
-	all := []Factory{
-		{"firstfit", func() heapsim.Allocator { return heapsim.NewFirstFit() }},
-		{"bestfit", func() heapsim.Allocator { return heapsim.NewBestFit() }},
-		{"bsd", func() heapsim.Allocator { return heapsim.NewBSD() }},
-		{"arena", func() heapsim.Allocator { return heapsim.NewArena() }},
-		{"sitearena", func() heapsim.Allocator { return heapsim.NewSiteArena() }},
-		{"custom", func() heapsim.Allocator { return heapsim.NewCustom(defaultHotSizes) }},
-		{"segfit", func() heapsim.Allocator { return heapsim.NewSegFit() }},
-	}
 	if len(names) == 0 {
-		return all, nil
+		names = heapsim.Names
 	}
-	byName := make(map[string]Factory, len(all))
-	for _, f := range all {
-		byName[f.Name] = f
-	}
-	out := make([]Factory, 0, len(names))
-	for _, n := range names {
-		f, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("check: unknown allocator %q (want %s)", n, strings.Join(AllocatorNames(), ", "))
+	out := make([]Factory, len(names))
+	for i, n := range names {
+		if _, err := heapsim.New(n, nil); err != nil {
+			return nil, err
 		}
-		out = append(out, f)
+		out[i] = Factory{Name: n, New: func() heapsim.Allocator {
+			a, _ := heapsim.New(n, defaultHotSizes)
+			return a
+		}}
 	}
 	return out, nil
 }
 
 // AllocatorNames returns the canonical names of every checkable
 // allocator, in Factories order.
-func AllocatorNames() []string {
-	all, _ := Factories()
-	names := make([]string, len(all))
-	for i, f := range all {
-		names[i] = f.Name
-	}
-	return names
-}
+func AllocatorNames() []string { return slices.Clone(heapsim.Names) }
 
 // participant is one allocator in a lockstep differential replay.
 type participant struct {

@@ -81,13 +81,13 @@ func CheckRelabelInvariance(tr *trace.Trace) error {
 // arena allocator more arenas never increases ArenaFallbacks: a
 // fallback happens only when every arena is pinned by a live object, and
 // extra arenas only add places for a bump allocation to land. The trace
-// and predictor are held fixed while NumArenas sweeps the given counts
-// (ascending).
+// and predictor are held fixed while the arena count sweeps the given
+// counts (ascending).
 func CheckArenaMonotone(tr *trace.Trace, pred profile.Oracle, counts []int) error {
 	prev := int64(-1)
 	prevN := 0
 	for _, n := range counts {
-		ar := &heapsim.Arena{NumArenas: n}
+		ar := heapsim.NewArenaGeometry(n, 4<<10)
 		for i, ev := range tr.Events {
 			if err := applyEvent(ar, ev, pred); err != nil {
 				return fmt.Errorf("arenas=%d: event %d: %w", n, i, err)

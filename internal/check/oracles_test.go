@@ -107,7 +107,7 @@ func TestFactoriesUnknownNameListsAll(t *testing.T) {
 		}
 	}
 	names := AllocatorNames()
-	if len(names) != 7 || names[6] != "segfit" {
+	if len(names) != 7 || names[6] != "custom" {
 		t.Fatalf("AllocatorNames = %v", names)
 	}
 }

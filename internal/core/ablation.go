@@ -84,7 +84,7 @@ type GeometryRow struct {
 func (c Config) ArenaGeometrySweep(a *Artifacts, geometries [][2]int) ([]GeometryRow, error) {
 	out := make([]GeometryRow, 0, len(geometries))
 	for _, g := range geometries {
-		ar := &heapsim.Arena{NumArenas: g[0], ArenaSize: int64(g[1]) << 10}
+		ar := heapsim.NewArenaGeometry(g[0], int64(g[1])<<10)
 		res, err := RunSim(a.TestTrace, ar, a.TrainPredictor)
 		if err != nil {
 			return nil, err

@@ -172,8 +172,9 @@ func TestSiteArenaIsolatesCfracPollution(t *testing.T) {
 	// Unbounded per-site pools isolate pollution fully — CFRAC recovers
 	// most of its predicted fraction — at a memory cost that grows with
 	// the number of hot sites.
-	unbounded, err := RunSim(a.TestTrace,
-		&heapsim.SiteArena{MaxSites: 1 << 20}, a.TrainPredictor)
+	unboundedSA := heapsim.NewSiteArena()
+	unboundedSA.MaxSites = 1 << 20
+	unbounded, err := RunSim(a.TestTrace, unboundedSA, a.TrainPredictor)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,32 +157,6 @@ func FinishSim(res *SimResult, alloc heapsim.Allocator) {
 	}
 }
 
-// allocatorName labels the built-in simulators for snapshots. Composed
-// allocators (heapsim.Pool) carry their own label via the AllocatorName
-// hook, which wins over the type switch.
-func allocatorName(alloc heapsim.Allocator) string {
-	if n, ok := alloc.(interface{ AllocatorName() string }); ok {
-		return n.AllocatorName()
-	}
-	switch alloc.(type) {
-	case *heapsim.FirstFit:
-		return "firstfit"
-	case *heapsim.BestFit:
-		return "bestfit"
-	case *heapsim.BSD:
-		return "bsd"
-	case *heapsim.Arena:
-		return "arena"
-	case *heapsim.SiteArena:
-		return "sitearena"
-	case *heapsim.Custom:
-		return "custom"
-	case *heapsim.SegFit:
-		return "segfit"
-	}
-	return ""
-}
-
 // occupancyReporter is implemented by arena-style allocators that can
 // report their arena-area occupancy for timeline samples.
 type occupancyReporter interface {
@@ -489,7 +463,9 @@ func (t *Tracker) Finish(program string, tb *callchain.Table) *obs.Snapshot {
 
 	snap := t.col.Snapshot()
 	snap.Program = program
-	snap.Allocator = allocatorName(t.alloc)
+	if n, ok := t.alloc.(interface{ Name() string }); ok {
+		snap.Allocator = n.Name()
+	}
 	return snap
 }
 

@@ -27,23 +27,19 @@ func TestHeapScanReconcilesLedger(t *testing.T) {
 	}
 	hot := a.TrainDB.TopSizes(16)
 
-	cases := []struct {
-		name  string
-		alloc heapsim.Allocator
-	}{
-		{"firstfit", heapsim.NewFirstFit()},
-		{"bestfit", heapsim.NewBestFit()},
-		{"bsd", heapsim.NewBSD()},
-		{"arena", heapsim.NewArena()},
-		{"custom", heapsim.NewCustom(hot)},
-		{"sitearena", heapsim.NewSiteArena()},
-		{"segfit", heapsim.NewSegFit()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			col := obs.NewCollector(obs.Options{Label: tc.name, HeapScan: true})
-			if _, err := RunSim(a.TestTrace, tc.alloc, a.TrainPredictor, col); err != nil {
+	for _, name := range heapsim.Names {
+		t.Run(name, func(t *testing.T) {
+			alloc, err := heapsim.New(name, hot)
+			if err != nil {
 				t.Fatal(err)
+			}
+			col := obs.NewCollector(obs.Options{Label: name, HeapScan: true})
+			res, err := RunSim(a.TestTrace, alloc, a.TrainPredictor, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Obs.Allocator != name {
+				t.Errorf("snapshot allocator = %q, want %q", res.Obs.Allocator, name)
 			}
 			s := col.Snapshot()
 			if len(s.Timeline) == 0 {

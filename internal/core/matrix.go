@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,21 +25,12 @@ var AllocatorNames = []string{"firstfit", "bestfit", "bsd", "arena", "segfit"}
 // true (trained on the Train input — the paper's honest configuration).
 var PredictorModes = []string{"none", "self", "true"}
 
-// NewAllocator builds a fresh simulator by name.
+// NewAllocator builds a fresh simulator of the standard matrix by name.
 func NewAllocator(name string) (heapsim.Allocator, error) {
-	switch name {
-	case "firstfit":
-		return heapsim.NewFirstFit(), nil
-	case "bestfit":
-		return heapsim.NewBestFit(), nil
-	case "bsd":
-		return heapsim.NewBSD(), nil
-	case "arena":
-		return heapsim.NewArena(), nil
-	case "segfit":
-		return heapsim.NewSegFit(), nil
+	if !slices.Contains(AllocatorNames, name) {
+		return nil, fmt.Errorf("core: unknown allocator %q (want %s)", name, strings.Join(AllocatorNames, ", "))
 	}
-	return nil, fmt.Errorf("core: unknown allocator %q (want %s)", name, strings.Join(AllocatorNames, ", "))
+	return heapsim.New(name, nil)
 }
 
 // MustNewAllocator is NewAllocator for known-good names; it panics on a

@@ -22,12 +22,9 @@ import (
 // report is byte-identical at any worker count.
 
 // TournamentAllocators lists every simulator a tournament drives, in
-// report order: the four standard-matrix allocators plus segfit, the
-// sited arena, and the per-size custom allocator (hot sizes derived from
-// the training profile, as in the paper's custom configuration).
-var TournamentAllocators = []string{
-	"firstfit", "bestfit", "bsd", "arena", "segfit", "sitearena", "custom",
-}
+// report order: all of heapsim's. custom takes its hot sizes from the
+// training profile, as in the paper's custom configuration.
+var TournamentAllocators = heapsim.Names
 
 // OraclePolicy is one tournament predictor: a name and a trainer over a
 // program's built artifacts. The returned Oracle keys chains in the
@@ -63,19 +60,6 @@ func PolicyNames() []string {
 		names[i] = p.Name
 	}
 	return names
-}
-
-// newTournamentAllocator builds a fresh simulator for one cell. custom
-// derives its hot size classes from the program's training profile;
-// sitearena takes its per-site routing from the cell's bound oracle.
-func newTournamentAllocator(name string, a *Artifacts) (heapsim.Allocator, error) {
-	switch name {
-	case "sitearena":
-		return heapsim.NewSiteArena(), nil
-	case "custom":
-		return heapsim.NewCustom(a.TrainDB.TopSizes(16)), nil
-	}
-	return NewAllocator(name)
 }
 
 // TournamentSpec selects and gates one tournament run.
@@ -145,10 +129,15 @@ type TournamentResult struct {
 // Test table (a fresh mapper per cell — mappers memoize and are not
 // goroutine-safe; the shared tables were pre-warmed by warmArtifacts so
 // binding only performs read-only lookups), drive a fresh allocator, and
-// score the snapshot.
+// score the snapshot. custom's hot sizes come from the program's training
+// profile; sitearena takes its per-site routing from the bound oracle.
 func runTournamentCell(a *Artifacts, policy string, oracle profile.Oracle, allocName string) (TournamentCell, error) {
 	cell := TournamentCell{Program: a.Model.Name, Policy: policy, Allocator: allocName}
-	alloc, err := newTournamentAllocator(allocName, a)
+	var hot []int64
+	if allocName == "custom" {
+		hot = a.TrainDB.TopSizes(16)
+	}
+	alloc, err := heapsim.New(allocName, hot)
 	if err != nil {
 		return cell, err
 	}

@@ -27,18 +27,12 @@ import (
 // never reaches count zero and is never reused — the CFRAC failure mode of
 // §5.2.
 type Arena struct {
-	// NumArenas and ArenaSize default to the paper's 16 x 4KB.
-	NumArenas int
-	ArenaSize int64
-	// General is the fallback allocator; a default FirstFit if nil.
-	General *FirstFit
-
-	initialized bool
-	arenas      []arenaState
-	current     int
-	where       objIndex[arenaLoc] // arena objects only
-	ops         OpCounts
-	obs         *arenaObs // nil unless a collector is attached
+	fallback
+	arenaSize int64
+	arenas    []arenaState
+	current   int
+	where     objIndex[arenaLoc] // arena objects only
+	obs       *arenaObs          // nil unless a collector is attached
 }
 
 // arenaObs caches resolved metric handles for the hot paths.
@@ -67,38 +61,23 @@ type arenaState struct {
 	count int64
 }
 
-// NewArena returns an arena allocator with the paper's geometry over a
-// fresh first-fit general heap.
-func NewArena() *Arena {
-	a := &Arena{}
-	a.init()
-	return a
+// NewArena returns an arena allocator with the paper's 16 x 4KB
+// geometry.
+func NewArena() *Arena { return NewArenaGeometry(16, 4<<10) }
+
+// NewArenaGeometry returns an arena allocator with n arenas of size
+// bytes each (n must be positive) over a fresh first-fit general heap.
+func NewArenaGeometry(n int, size int64) *Arena {
+	return &Arena{fallback: newFallback("arena"), arenaSize: size, arenas: make([]arenaState, n)}
 }
 
-func (a *Arena) init() {
-	if a.initialized {
-		return
-	}
-	if a.NumArenas == 0 {
-		a.NumArenas = 16
-	}
-	if a.ArenaSize == 0 {
-		a.ArenaSize = 4 << 10
-	}
-	if a.General == nil {
-		// The fallback heap reports errors as the composite's, but its
-		// metrics stay under "firstfit." so snapshots separate the layers.
-		a.General = &FirstFit{name: "arena", prefix: "firstfit"}
-	}
-	a.arenas = make([]arenaState, a.NumArenas)
-	a.initialized = true
-}
+// area is the arena area's extent in bytes.
+func (a *Arena) area() int64 { return int64(len(a.arenas)) * a.arenaSize }
 
 // Observe implements Observable; the collector also attaches to the
 // general fallback heap, so one snapshot covers both layers.
 func (a *Arena) Observe(col *obs.Collector) {
-	a.init()
-	a.General.Observe(col)
+	a.general.Observe(col)
 	if col == nil {
 		a.obs = nil
 		return
@@ -116,24 +95,26 @@ func (a *Arena) Observe(col *obs.Collector) {
 // Alloc implements Allocator. Objects with predictedShort true are placed
 // in an arena when possible.
 func (a *Arena) Alloc(id trace.ObjectID, size int64, predictedShort bool) error {
-	a.init()
-	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	_, placed := a.where.get(id)
+	if err := a.admit(id, size, placed); err != nil {
+		return err
 	}
 	a.ops.PredChecks++
-	if !predictedShort || size > a.ArenaSize {
-		return a.generalAlloc(id, size, false)
+	if !predictedShort || size > a.arenaSize {
+		return a.alloc(id, size, false)
 	}
 	// Try the current arena.
 	cur := &a.arenas[a.current]
-	if cur.used+size <= a.ArenaSize {
-		return a.bump(id, size)
+	if cur.used+size <= a.arenaSize {
+		a.bump(id, size)
+		return nil
 	}
 	// Scan for an arena with no live objects (paper: "the algorithm
 	// scans all short-lived arenas attempting to find one with a zero
 	// count field").
-	for i := 1; i <= a.NumArenas; i++ {
-		idx := (a.current + i) % a.NumArenas
+	n := len(a.arenas)
+	for i := 1; i <= n; i++ {
+		idx := (a.current + i) % n
 		a.ops.ArenaScanSteps++
 		if a.arenas[idx].count == 0 {
 			a.arenas[idx].used = 0
@@ -144,27 +125,22 @@ func (a *Arena) Alloc(id trace.ObjectID, size int64, predictedShort bool) error 
 				a.obs.resets.Inc()
 				a.obs.col.Emit(obs.EvArenaReuse, int64(idx))
 			}
-			return a.bump(id, size)
+			a.bump(id, size)
+			return nil
 		}
 	}
 	// All arenas pinned by live (possibly mispredicted) objects:
 	// degenerate to the general-purpose allocator.
 	if a.obs != nil {
-		a.obs.scanLen.Observe(int64(a.NumArenas))
+		a.obs.scanLen.Observe(int64(n))
 		a.obs.fallbacks.Inc()
 		a.obs.col.Emit(obs.EvArenaOverflow, size)
 	}
-	return a.generalAlloc(id, size, true)
+	return a.alloc(id, size, true)
 }
 
-// bump places the object in the current arena.
-func (a *Arena) bump(id trace.ObjectID, size int64) error {
-	if _, dup := a.where.get(id); dup {
-		return errDoubleAlloc("arena", id)
-	}
-	if _, live := a.General.live.get(id); live {
-		return errDoubleAlloc("arena", id)
-	}
+// bump places an admitted object in the current arena.
+func (a *Arena) bump(id trace.ObjectID, size int64) {
 	st := &a.arenas[a.current]
 	a.where.put(id, arenaLoc{idx: a.current, off: st.used, size: size})
 	st.used += size
@@ -179,32 +155,12 @@ func (a *Arena) bump(id trace.ObjectID, size int64) error {
 			a.obs.pinned.Set(int64(a.PinnedArenas()))
 		}
 	}
-	return nil
-}
-
-// generalAlloc places the object in the fallback heap.
-func (a *Arena) generalAlloc(id trace.ObjectID, size int64, fallback bool) error {
-	if _, dup := a.where.get(id); dup {
-		return errDoubleAlloc("arena", id)
-	}
-	if err := a.General.Alloc(id, size, false); err != nil {
-		return err
-	}
-	a.ops.Allocs++
-	a.ops.GeneralBytes += size
-	if fallback {
-		a.ops.ArenaFallbacks++
-	}
-	// The general heap's own counters (FFAllocs etc.) accumulate inside
-	// a.General; Counts() merges them.
-	return nil
 }
 
 // Free implements Allocator. Arena objects just decrement their arena's
 // live count (the address-range check in a real implementation is a couple
 // of compares).
 func (a *Arena) Free(id trace.ObjectID) error {
-	a.init()
 	if loc, ok := a.where.del(id); ok {
 		st := &a.arenas[loc.idx]
 		if st.count <= 0 {
@@ -218,70 +174,43 @@ func (a *Arena) Free(id trace.ObjectID) error {
 		}
 		return nil
 	}
-	if err := a.General.Free(id); err != nil {
-		return err
-	}
-	a.ops.Frees++
-	return nil
+	return a.free(id)
 }
 
 // HeapSize implements Allocator: the general heap plus the full arena
 // area (the paper's Table 8 "include[s] the 64-kilobyte arena area").
-func (a *Arena) HeapSize() int64 {
-	a.init()
-	return a.General.HeapSize() + int64(a.NumArenas)*a.ArenaSize
-}
+func (a *Arena) HeapSize() int64 { return a.general.HeapSize() + a.area() }
 
 // MaxHeapSize implements Allocator.
-func (a *Arena) MaxHeapSize() int64 {
-	a.init()
-	return a.General.MaxHeapSize() + int64(a.NumArenas)*a.ArenaSize
-}
-
-// Counts implements Allocator, merging the general heap's counters.
-func (a *Arena) Counts() OpCounts {
-	a.init()
-	c := a.ops
-	g := a.General.Counts()
-	c.FFAllocs = g.FFAllocs
-	c.FFFrees = g.FFFrees
-	c.FFProbes = g.FFProbes
-	c.FFExtends = g.FFExtends
-	c.FFSplits = g.FFSplits
-	c.FFCoalesces = g.FFCoalesces
-	return c
-}
+func (a *Arena) MaxHeapSize() int64 { return a.general.MaxHeapSize() + a.area() }
 
 // Addr implements Allocator. Arena objects live in a synthetic window at
-// ArenaBase, packed into NumArenas*ArenaSize bytes, which is exactly the
-// locality property the paper claims for them; general-heap objects use
-// the first-fit address space starting at 0.
+// ArenaBase, packed into the arena area, which is exactly the locality
+// property the paper claims for them; general-heap objects use the
+// first-fit address space starting at 0.
 func (a *Arena) Addr(id trace.ObjectID) (int64, bool) {
-	a.init()
 	if loc, ok := a.where.get(id); ok {
-		return ArenaBase + int64(loc.idx)*a.ArenaSize + loc.off, true
+		return ArenaBase + int64(loc.idx)*a.arenaSize + loc.off, true
 	}
-	return a.General.Addr(id)
+	return a.general.Addr(id)
 }
 
 // ArenaOccupancy reports the fraction of the arena area's bytes under
 // the bump pointers of arenas holding live objects — the timeline
 // sampler's arena-occupancy signal.
 func (a *Arena) ArenaOccupancy() float64 {
-	a.init()
 	var used int64
 	for _, st := range a.arenas {
 		if st.count > 0 {
 			used += st.used
 		}
 	}
-	return float64(used) / float64(int64(a.NumArenas)*a.ArenaSize)
+	return float64(used) / float64(a.area())
 }
 
 // PinnedArenas reports how many arenas currently hold at least one live
 // object — a direct measure of pollution.
 func (a *Arena) PinnedArenas() int {
-	a.init()
 	n := 0
 	for _, st := range a.arenas {
 		if st.count > 0 {

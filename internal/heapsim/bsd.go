@@ -1,7 +1,6 @@
 package heapsim
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/obs"
@@ -14,17 +13,8 @@ import (
 // and nothing is ever split or coalesced. Allocation and free are a few
 // loads and stores — the cheap, memory-hungry end of the Table 9 spectrum.
 type BSD struct {
-	// Header is the per-object bookkeeping overhead (default 8, as in
-	// the historical implementation's overhead union).
-	Header int64
-	// PageSize is the slab carve granularity (default 4KB).
-	PageSize int64
-	// MinBucket is the smallest chunk size as a log2 (default 4: 16B).
-	MinBucket int
-
-	initialized bool
-	heapEnd     int64
-	liveBytes   int64
+	heapEnd   int64
+	liveBytes int64
 
 	// freeLists is indexed by bucket (log2 chunk size); bucketFor yields
 	// at most 64, so a fixed array replaces the old map and the hot paths
@@ -34,6 +24,15 @@ type BSD struct {
 	ops       OpCounts
 	obs       *bsdObs // nil unless a collector is attached
 }
+
+// The fixed geometry: an 8-byte per-object header (the historical
+// implementation's overhead union), 4KB page carves, and 16-byte (2^4)
+// minimum chunks.
+const (
+	bsdHeader    = 8
+	bsdPage      = 4 << 10
+	bsdMinBucket = 4
+)
 
 // bsdObs caches resolved metric handles for the hot paths.
 type bsdObs struct {
@@ -48,32 +47,14 @@ type bsdObj struct {
 	size   int64 // requested bytes, for layout audits
 }
 
-// NewBSD returns a BSD malloc simulator with the default geometry.
-func NewBSD() *BSD {
-	b := &BSD{}
-	b.init()
-	return b
-}
+// NewBSD returns a BSD malloc simulator.
+func NewBSD() *BSD { return &BSD{} }
 
-func (b *BSD) init() {
-	if b.initialized {
-		return
-	}
-	if b.Header == 0 {
-		b.Header = 8
-	}
-	if b.PageSize == 0 {
-		b.PageSize = 4 << 10
-	}
-	if b.MinBucket == 0 {
-		b.MinBucket = 4
-	}
-	b.initialized = true
-}
+// Name returns the simulator's name.
+func (b *BSD) Name() string { return "bsd" }
 
 // Observe implements Observable.
 func (b *BSD) Observe(col *obs.Collector) {
-	b.init()
 	if col == nil {
 		b.obs = nil
 		return
@@ -88,19 +69,18 @@ func (b *BSD) Observe(col *obs.Collector) {
 // bucketFor returns the bucket index (log2 of the chunk size) for a
 // request.
 func (b *BSD) bucketFor(size int64) int {
-	need := uint64(size + b.Header)
+	need := uint64(size + bsdHeader)
 	k := bits.Len64(need - 1) // ceil(log2(need))
-	if k < b.MinBucket {
-		k = b.MinBucket
+	if k < bsdMinBucket {
+		k = bsdMinBucket
 	}
 	return k
 }
 
 // Alloc implements Allocator; predictedShort is ignored.
 func (b *BSD) Alloc(id trace.ObjectID, size int64, _ bool) error {
-	b.init()
 	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+		return errSize(size)
 	}
 	if _, dup := b.live.get(id); dup {
 		return errDoubleAlloc("bsd", id)
@@ -117,7 +97,7 @@ func (b *BSD) Alloc(id trace.ObjectID, size int64, _ bool) error {
 		// Carve a slab into chunks of this class.
 		b.ops.BSDCarves++
 		chunk := int64(1) << bucket
-		slab := align(chunk, b.PageSize)
+		slab := align(chunk, bsdPage)
 		if b.obs != nil {
 			b.obs.carves.Inc()
 			b.obs.col.Emit(obs.EvHeapGrow, slab)
@@ -137,7 +117,6 @@ func (b *BSD) Alloc(id trace.ObjectID, size int64, _ bool) error {
 
 // Free implements Allocator: push the chunk back on its bucket's list.
 func (b *BSD) Free(id trace.ObjectID) error {
-	b.init()
 	o, ok := b.live.del(id)
 	if !ok {
 		return errUnknownFree("bsd", id)
@@ -164,5 +143,5 @@ func (b *BSD) Addr(id trace.ObjectID) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return o.addr + b.Header, true
+	return o.addr + bsdHeader, true
 }

@@ -1,8 +1,6 @@
 package heapsim
 
 import (
-	"fmt"
-
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -20,24 +18,19 @@ import (
 // optimization based upon predicted lifetimes is performed in their
 // work").
 type Custom struct {
-	// HotSizes are the profiled request sizes (after Rounding) that get
-	// dedicated free lists.
-	HotSizes []int64
-	// Rounding quantizes request sizes before the hot-size check
-	// (default 8, the allocator's alignment).
-	Rounding int64
-	// SlabSize is the carve granularity for hot-size slabs (default 4KB).
-	SlabSize int64
-	// General is the fallback; a default FirstFit if nil.
-	General *FirstFit
-
-	initialized bool
-	hot         map[int64]*sizeClass
-	heapEnd     int64 // dedicated slab region (separate from General)
-	live        map[trace.ObjectID]customObj
-	ops         OpCounts
-	obs         *customObs // nil unless a collector is attached
+	fallback
+	hot     map[int64]*sizeClass // keyed by rounded request size
+	heapEnd int64                // dedicated slab region (separate from the general heap)
+	live    map[trace.ObjectID]customObj
+	obs     *customObs // nil unless a collector is attached
 }
+
+// Request sizes are rounded to the allocator's 8-byte alignment before
+// the hot-size check, and hot-size slabs are carved 4KB at a time.
+const (
+	customRounding = 8
+	customSlab     = 4 << 10
+)
 
 // customObs caches resolved metric handles for the hot paths.
 type customObs struct {
@@ -59,43 +52,24 @@ type customObj struct {
 // space, like the arena area.
 const customBase = int64(1) << 41
 
-// NewCustom returns a CUSTOMALLOC-style simulator for the given hot sizes.
+// NewCustom returns a CUSTOMALLOC-style simulator whose hot sizes (the
+// profiled request sizes, rounded) get dedicated free lists.
 func NewCustom(hotSizes []int64) *Custom {
-	c := &Custom{HotSizes: hotSizes}
-	c.init()
+	c := &Custom{
+		fallback: newFallback("custom"),
+		hot:      make(map[int64]*sizeClass, len(hotSizes)),
+		live:     make(map[trace.ObjectID]customObj),
+	}
+	for _, s := range hotSizes {
+		c.hot[align(s, customRounding)] = &sizeClass{}
+	}
 	return c
-}
-
-func (c *Custom) init() {
-	if c.initialized {
-		return
-	}
-	if c.Rounding == 0 {
-		c.Rounding = 8
-	}
-	if c.SlabSize == 0 {
-		c.SlabSize = 4 << 10
-	}
-	if c.General == nil {
-		c.General = &FirstFit{name: "custom", prefix: "firstfit"}
-	}
-	c.hot = make(map[int64]*sizeClass, len(c.HotSizes))
-	for _, s := range c.HotSizes {
-		c.hot[c.round(s)] = &sizeClass{}
-	}
-	c.live = make(map[trace.ObjectID]customObj)
-	c.initialized = true
-}
-
-func (c *Custom) round(size int64) int64 {
-	return (size + c.Rounding - 1) / c.Rounding * c.Rounding
 }
 
 // Observe implements Observable; the collector also attaches to the
 // general fallback heap.
 func (c *Custom) Observe(col *obs.Collector) {
-	c.init()
-	c.General.Observe(col)
+	c.general.Observe(col)
 	if col == nil {
 		c.obs = nil
 		return
@@ -105,29 +79,21 @@ func (c *Custom) Observe(col *obs.Collector) {
 
 // Alloc implements Allocator; the predictedShort hint is ignored.
 func (c *Custom) Alloc(id trace.ObjectID, size int64, _ bool) error {
-	c.init()
-	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	_, placed := c.live[id]
+	if err := c.admit(id, size, placed); err != nil {
+		return err
 	}
-	if _, dup := c.live[id]; dup {
-		return errDoubleAlloc("custom", id)
-	}
-	rs := c.round(size)
+	rs := align(size, customRounding)
 	class, ok := c.hot[rs]
 	if !ok {
-		if err := c.General.Alloc(id, size, false); err != nil {
-			return err
-		}
-		c.ops.Allocs++
-		c.ops.GeneralBytes += size
-		return nil
+		return c.alloc(id, size, false)
 	}
 	c.ops.Allocs++
 	if len(class.free) == 0 {
 		// Carve a slab into exact-size chunks (no headers: the size is
 		// implied by the owning list, one of CUSTOMALLOC's savings).
 		c.ops.BSDCarves++
-		slab := align(rs, c.SlabSize)
+		slab := align(rs, customSlab)
 		if c.obs != nil {
 			c.obs.carves.Inc()
 			c.obs.col.Emit(obs.EvHeapGrow, slab)
@@ -147,7 +113,6 @@ func (c *Custom) Alloc(id trace.ObjectID, size int64, _ bool) error {
 
 // Free implements Allocator.
 func (c *Custom) Free(id trace.ObjectID) error {
-	c.init()
 	o, ok := c.live[id]
 	if ok {
 		delete(c.live, id)
@@ -155,47 +120,21 @@ func (c *Custom) Free(id trace.ObjectID) error {
 		c.hot[o.size].free = append(c.hot[o.size].free, o.addr)
 		return nil
 	}
-	if err := c.General.Free(id); err != nil {
-		return err
-	}
-	c.ops.Frees++
-	return nil
+	return c.free(id)
 }
 
 // HeapSize implements Allocator: slab region plus the general heap.
-func (c *Custom) HeapSize() int64 {
-	c.init()
-	return c.heapEnd + c.General.HeapSize()
-}
+func (c *Custom) HeapSize() int64 { return c.heapEnd + c.general.HeapSize() }
 
 // MaxHeapSize implements Allocator (the slab region never shrinks).
-func (c *Custom) MaxHeapSize() int64 {
-	c.init()
-	return c.heapEnd + c.General.MaxHeapSize()
-}
-
-// Counts implements Allocator, merging the fallback's counters.
-func (c *Custom) Counts() OpCounts {
-	c.init()
-	out := c.ops
-	g := c.General.Counts()
-	out.Allocs += 0 // general allocs already counted above
-	out.FFAllocs = g.FFAllocs
-	out.FFFrees = g.FFFrees
-	out.FFProbes = g.FFProbes
-	out.FFExtends = g.FFExtends
-	out.FFSplits = g.FFSplits
-	out.FFCoalesces = g.FFCoalesces
-	return out
-}
+func (c *Custom) MaxHeapSize() int64 { return c.heapEnd + c.general.MaxHeapSize() }
 
 // Addr implements Allocator.
 func (c *Custom) Addr(id trace.ObjectID) (int64, bool) {
-	c.init()
 	if o, ok := c.live[id]; ok {
 		return o.addr, true
 	}
-	return c.General.Addr(id)
+	return c.general.Addr(id)
 }
 
 // FastPathFrac reports the fraction of allocations served by the

@@ -14,8 +14,8 @@ func TestCustomFastPath(t *testing.T) {
 	if got := c.Counts().BSDCarves; got != 2 {
 		t.Fatalf("carves = %d, want 2", got)
 	}
-	if c.General.LiveObjects() != 1 {
-		t.Fatalf("general heap holds %d objects, want 1", c.General.LiveObjects())
+	if c.general.LiveObjects() != 1 {
+		t.Fatalf("general heap holds %d objects, want 1", c.general.LiveObjects())
 	}
 	a1, ok := c.Addr(1)
 	if !ok || a1 < customBase {

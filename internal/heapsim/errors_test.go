@@ -5,39 +5,50 @@ import (
 	"testing"
 )
 
+// mustNew builds the named simulator, giving custom the hot sizes.
+func mustNew(t *testing.T, name string, hot []int64) Allocator {
+	t.Helper()
+	a, err := New(name, hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // TestAllocatorErrorPaths pins the shared error surface of every
 // simulator: double allocation and unknown free must be rejected with the
 // exact heapsim error messages (comparison tooling greps them), and Addr
 // must report liveness truthfully for dead and never-alive ids.
 func TestAllocatorErrorPaths(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() Allocator
-	}{
-		{"firstfit", func() Allocator { return NewFirstFit() }},
-		{"bestfit", func() Allocator { return NewBestFit() }},
-		{"bsd", func() Allocator { return NewBSD() }},
-		{"arena", func() Allocator { return NewArena() }},
-		{"sitearena", func() Allocator { return NewSiteArena() }},
-		{"custom", func() Allocator { return NewCustom([]int64{16, 64}) }},
-		{"segfit", func() Allocator { return NewSegFit() }},
-	}
-	for _, tc := range cases {
+	for _, name := range Names {
 		for _, short := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/short=%v", tc.name, short), func(t *testing.T) {
-				a := tc.mk()
+			t.Run(fmt.Sprintf("%s/short=%v", name, short), func(t *testing.T) {
+				a := mustNew(t, name, []int64{16, 64})
 				if err := a.Alloc(1, 64, short); err != nil {
 					t.Fatal(err)
 				}
 
 				err := a.Alloc(1, 32, short)
-				want := fmt.Sprintf("heapsim: %s: object 1 allocated while already live", tc.name)
+				want := fmt.Sprintf("heapsim: %s: object 1 allocated while already live", name)
 				if err == nil || err.Error() != want {
 					t.Fatalf("double alloc: got %v, want %q", err, want)
 				}
 
+				// A composite must see an id live in its general heap
+				// from every layer: 100 bytes unpredicted goes to the
+				// general heap, 16 bytes predicted short (a custom hot
+				// size) would not.
+				if err := a.Alloc(3, 100, false); err != nil {
+					t.Fatal(err)
+				}
+				err = a.Alloc(3, 16, true)
+				want = fmt.Sprintf("heapsim: %s: object 3 allocated while already live", name)
+				if err == nil || err.Error() != want {
+					t.Fatalf("double alloc across layers: got %v, want %q", err, want)
+				}
+
 				err = a.Free(99)
-				want = fmt.Sprintf("heapsim: %s: free of unknown object 99", tc.name)
+				want = fmt.Sprintf("heapsim: %s: free of unknown object 99", name)
 				if err == nil || err.Error() != want {
 					t.Fatalf("unknown free: got %v, want %q", err, want)
 				}
@@ -49,7 +60,7 @@ func TestAllocatorErrorPaths(t *testing.T) {
 					t.Fatal(err)
 				}
 				err = a.Free(2)
-				want = fmt.Sprintf("heapsim: %s: free of unknown object 2", tc.name)
+				want = fmt.Sprintf("heapsim: %s: free of unknown object 2", name)
 				if err == nil || err.Error() != want {
 					t.Fatalf("double free: got %v, want %q", err, want)
 				}
@@ -64,11 +75,11 @@ func TestAllocatorErrorPaths(t *testing.T) {
 					t.Fatal("Addr reports never-allocated object 77 as live")
 				}
 
-				// Error paths must not corrupt the op counts: two
+				// Error paths must not corrupt the op counts: three
 				// successful allocs, one successful free.
 				c := a.Counts()
-				if c.Allocs != 2 || c.Frees != 1 {
-					t.Fatalf("counts after rejected ops: %+v, want Allocs=2 Frees=1", c)
+				if c.Allocs != 3 || c.Frees != 1 {
+					t.Fatalf("counts after rejected ops: %+v, want Allocs=3 Frees=1", c)
 				}
 			})
 		}
@@ -78,21 +89,9 @@ func TestAllocatorErrorPaths(t *testing.T) {
 // TestAllocatorRejectsNonPositiveSize: a non-positive request is a trace
 // corruption, never a silent no-op.
 func TestAllocatorRejectsNonPositiveSize(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() Allocator
-	}{
-		{"firstfit", func() Allocator { return NewFirstFit() }},
-		{"bestfit", func() Allocator { return NewBestFit() }},
-		{"bsd", func() Allocator { return NewBSD() }},
-		{"arena", func() Allocator { return NewArena() }},
-		{"sitearena", func() Allocator { return NewSiteArena() }},
-		{"custom", func() Allocator { return NewCustom(nil) }},
-		{"segfit", func() Allocator { return NewSegFit() }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			a := tc.mk()
+	for _, name := range Names {
+		t.Run(name, func(t *testing.T) {
+			a := mustNew(t, name, nil)
 			for _, sz := range []int64{0, -8} {
 				if err := a.Alloc(1, sz, false); err == nil {
 					t.Fatalf("size %d accepted", sz)

@@ -7,24 +7,17 @@ import (
 	"repro/internal/trace"
 )
 
-// FirstFit simulates a first-fit allocator with Knuth's enhancements
-// (TAOCP vol. 1 §2.5): a roving pointer so successive searches resume
-// where the last one stopped (Algorithm A step A4' — "next fit"), and
-// boundary-tag-style immediate coalescing so Free is O(1). The heap grows
-// in fixed chunks (8KB by default), which is why the paper's Table 8 heap
-// sizes are 8KB multiples.
+// FirstFit simulates the boundary-tag heap behind the first-fit and
+// best-fit allocators (Knuth, TAOCP vol. 1 §2.5): an address-ordered
+// block list with boundary-tag-style immediate coalescing, so Free is
+// O(1), a circular free list, and sbrk-style growth in fixed 8KB chunks,
+// which is why the paper's Table 8 heap sizes are 8KB multiples. The two
+// allocators differ only in their search. First fit (NewFirstFit) keeps
+// a roving pointer so successive searches resume where the last one
+// stopped (Algorithm A step A4', "next fit"). Best fit (NewBestFit) scans
+// the whole free list for the block with the least leftover space,
+// trading much longer searches for tighter packing.
 type FirstFit struct {
-	// Alignment and per-object header overhead, both 8 bytes by default,
-	// matching a typical 1990s 32/64-bit malloc with a size word and
-	// boundary tags.
-	Align  int64
-	Header int64
-	// Chunk is the sbrk growth granularity (default 8KB).
-	Chunk int64
-	// MinSplit is the smallest free fragment worth keeping (default 32);
-	// smaller remainders are absorbed into the allocated block rather
-	// than left as dead weight on the free list.
-	MinSplit int64
 	// RoverOnFree selects the K&R variant in which free leaves the
 	// roving pointer at the freed block, so freshly dead storage is
 	// reused immediately. The default (false) is Knuth's A4' next fit:
@@ -34,13 +27,13 @@ type FirstFit struct {
 	// see EXPERIMENTS.md.
 	RoverOnFree bool
 
-	initialized bool
-	name        string // names errors: "firstfit", "bestfit", or the composite that owns this heap
-	prefix      string // metric prefix; defaults to name, but a composite's fallback keeps "firstfit"
-	heapEnd     int64
-	maxHeapEnd  int64
-	liveBytes   int64
-	obs         *ffObs // nil unless a collector is attached
+	name       string // names errors: "firstfit", "bestfit", or the composite that owns this heap
+	prefix     string // metric prefix: the name, except a composite's general heap keeps "firstfit"
+	bestFit    bool   // search the whole free list for the tightest fit
+	heapEnd    int64
+	maxHeapEnd int64
+	liveBytes  int64
+	obs        *ffObs // nil unless a collector is attached
 
 	head, tail *ffBlock // address-ordered list of all blocks
 	freeHead   *ffBlock // circular free list
@@ -51,6 +44,18 @@ type FirstFit struct {
 	live objIndex[*ffBlock]
 	ops  OpCounts
 }
+
+// The heap's fixed geometry: 8-byte alignment and per-object header (a
+// size word and boundary tags, as in a typical 1990s malloc), the 8KB
+// sbrk growth chunk, and the smallest free fragment worth keeping;
+// smaller remainders are absorbed into the allocated block rather than
+// left as dead weight on the free list.
+const (
+	ffAlign    = 8
+	ffHeader   = 8
+	ffChunk    = 8 << 10
+	ffMinSplit = 32
+)
 
 type ffBlock struct {
 	addr, size   int64 // size includes the header and padding
@@ -101,12 +106,15 @@ func (p *ffBlockPool) put(b *ffBlock) {
 	p.free = b
 }
 
-// NewFirstFit returns a first-fit simulator with the default geometry.
-func NewFirstFit() *FirstFit {
-	ff := &FirstFit{}
-	ff.init()
-	return ff
-}
+// NewFirstFit returns a first-fit (next-fit) simulator.
+func NewFirstFit() *FirstFit { return &FirstFit{name: "firstfit", prefix: "firstfit"} }
+
+// NewBestFit returns a best-fit simulator: the same heap with the
+// full-scan search. Its errors and metrics say "bestfit".
+func NewBestFit() *FirstFit { return &FirstFit{name: "bestfit", prefix: "bestfit", bestFit: true} }
+
+// Name returns the simulator's name.
+func (ff *FirstFit) Name() string { return ff.name }
 
 // ffObs caches resolved metric handles so the hot paths pay one nil
 // check, not a registry lookup, per operation.
@@ -119,10 +127,9 @@ type ffObs struct {
 	extends   *obs.Counter
 }
 
-// Observe implements Observable: metrics are prefixed with the
-// allocator's name ("firstfit", or "bestfit" when embedded there).
+// Observe implements Observable: metrics are prefixed "firstfit." or
+// "bestfit.".
 func (ff *FirstFit) Observe(col *obs.Collector) {
-	ff.init()
 	if col == nil {
 		ff.obs = nil
 		return
@@ -136,31 +143,6 @@ func (ff *FirstFit) Observe(col *obs.Collector) {
 		coalesces: col.Counter(p + ".coalesces"),
 		extends:   col.Counter(p + ".extends"),
 	}
-}
-
-func (ff *FirstFit) init() {
-	if ff.initialized {
-		return
-	}
-	if ff.name == "" {
-		ff.name = "firstfit"
-	}
-	if ff.prefix == "" {
-		ff.prefix = ff.name
-	}
-	if ff.Align == 0 {
-		ff.Align = 8
-	}
-	if ff.Header == 0 {
-		ff.Header = 8
-	}
-	if ff.Chunk == 0 {
-		ff.Chunk = 8 << 10
-	}
-	if ff.MinSplit == 0 {
-		ff.MinSplit = 32
-	}
-	ff.initialized = true
 }
 
 // freeListInsert links b into the circular free list after the rover.
@@ -198,10 +180,10 @@ func (ff *FirstFit) freeListRemove(b *ffBlock) {
 	b.fNext, b.fPrev = nil, nil
 }
 
-// extend grows the heap by at least need bytes (in Chunk multiples),
+// extend grows the heap by at least need bytes (in ffChunk multiples),
 // merging the new space with a trailing free block when possible.
 func (ff *FirstFit) extend(need int64) {
-	growth := align(need, ff.Chunk)
+	growth := align(need, ffChunk)
 	ff.ops.FFExtends++
 	if ff.obs != nil {
 		ff.obs.extends.Inc()
@@ -230,16 +212,21 @@ func (ff *FirstFit) extend(need int64) {
 
 // Alloc implements Allocator. The predictedShort hint is ignored.
 func (ff *FirstFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
-	ff.init()
 	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+		return errSize(size)
 	}
 	if _, dup := ff.live.get(id); dup {
 		return errDoubleAlloc(ff.name, id)
 	}
+	return ff.place(id, size)
+}
+
+// place allocates a checked request: a positive size whose id is not
+// live.
+func (ff *FirstFit) place(id trace.ObjectID, size int64) error {
 	ff.ops.Allocs++
 	ff.ops.FFAllocs++
-	need := align(size+ff.Header, ff.Align)
+	need := align(size+ffHeader, ffAlign)
 
 	probesBefore := ff.ops.FFProbes
 	b := ff.search(need)
@@ -256,7 +243,7 @@ func (ff *FirstFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	}
 	// Allocate from the front of b; keep the tail free when the
 	// remainder is worth it.
-	if b.size-need >= ff.MinSplit {
+	if b.size-need >= ffMinSplit {
 		ff.ops.FFSplits++
 		if ff.obs != nil {
 			ff.obs.splits.Inc()
@@ -296,29 +283,38 @@ func (ff *FirstFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	return nil
 }
 
-// search walks the circular free list from the rover, counting probes,
-// returning the first block that fits or nil after a full cycle. The rover
-// is left at the found block (Knuth's A4': the next search resumes here).
+// search returns a free block of at least need bytes, or nil, counting
+// every block it examines. First fit walks the circular free list from
+// the rover, takes the first block that fits and leaves the rover there
+// (Knuth's A4': the next search resumes at it). Best fit scans the whole
+// list from its head for the tightest fit, stopping early only on an
+// exact fit, and leaves the rover alone.
 func (ff *FirstFit) search(need int64) *ffBlock {
-	if ff.rover == nil {
-		return nil
-	}
+	var best *ffBlock
 	b := ff.rover
+	if ff.bestFit {
+		b = ff.freeHead
+	}
 	for i := 0; i < ff.freeBlocks; i++ {
 		ff.ops.FFProbes++
-		if b.size >= need {
-			ff.rover = b
-			return b
+		if b.size >= need && (best == nil || b.size < best.size) {
+			best = b
+			if !ff.bestFit {
+				ff.rover = b
+				break
+			}
+			if b.size == need {
+				break // exact fit: cannot do better
+			}
 		}
 		b = b.fNext
 	}
-	return nil
+	return best
 }
 
 // Free implements Allocator: O(1) boundary-tag coalescing with both
 // address neighbors.
 func (ff *FirstFit) Free(id trace.ObjectID) error {
-	ff.init()
 	b, ok := ff.live.del(id)
 	if !ok {
 		return errUnknownFree(ff.name, id)
@@ -382,9 +378,6 @@ func (ff *FirstFit) LiveBytes() int64 { return ff.liveBytes }
 // LiveObjects returns the number of live objects.
 func (ff *FirstFit) LiveObjects() int { return ff.live.len() }
 
-// FreeBlocks returns the current free-list length.
-func (ff *FirstFit) FreeBlocks() int { return ff.freeBlocks }
-
 // Counts implements Allocator.
 func (ff *FirstFit) Counts() OpCounts { return ff.ops }
 
@@ -394,12 +387,11 @@ func (ff *FirstFit) Addr(id trace.ObjectID) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return b.addr + ff.Header, true
+	return b.addr + ffHeader, true
 }
 
 // CheckInvariants validates the block structures; used by tests.
 func (ff *FirstFit) CheckInvariants() error {
-	ff.init()
 	var prev *ffBlock
 	var addr int64
 	freeSeen := 0

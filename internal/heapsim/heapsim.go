@@ -1,16 +1,35 @@
-// Package heapsim simulates the three dynamic-storage allocators the paper
-// compares (§5):
+// Package heapsim simulates the dynamic-storage allocators the paper
+// compares (§5) and the ones the tournament ranks against them. Seven
+// simulators, listed in Names and built by New:
 //
-//   - FirstFit: Knuth's first-fit with the roving-pointer enhancement
-//     (Algorithm A with A4', i.e. next-fit), boundary-tag style O(1)
-//     coalescing on free, and sbrk-style heap growth. The paper's baseline
-//     and the arena allocator's general-purpose fallback.
-//   - BSD: the 4.2BSD (Kingsley) power-of-two segregated free-list malloc,
-//     which never splits or coalesces. Used in the Table 9 CPU comparison.
-//   - Arena: the paper's lifetime-predicting allocator — a small set of
+//   - firstfit: Knuth's first fit with the roving-pointer enhancement
+//     (Algorithm A with A4', i.e. next fit) over a boundary-tag heap:
+//     O(1) coalescing on free and sbrk-style growth. The paper's
+//     baseline.
+//   - bestfit: the same boundary-tag heap (the FirstFit type) with a
+//     search that scans the whole free list for the tightest fit. The
+//     two share extend, split, commit, free, coalesce and walk; only the
+//     search step differs.
+//   - bsd: the 4.2BSD (Kingsley) power-of-two segregated free-list
+//     malloc, which never splits or coalesces. Used in the Table 9 CPU
+//     comparison.
+//   - arena: the paper's lifetime-predicting allocator: a small set of
 //     fixed-size arenas for predicted-short-lived objects (bump-pointer
-//     allocation, per-arena live counts, arena reuse when a count drops to
-//     zero) over a FirstFit general heap.
+//     allocation, per-arena live counts, arena reuse when a count drops
+//     to zero).
+//   - segfit: a tcmalloc-style segregated size-class/slab allocator.
+//   - sitearena: arenas pooled per predicted site, with online demotion
+//     of sites whose objects pin their pool.
+//   - custom: a CUSTOMALLOC-style allocator with exact-fit free lists
+//     for the profiled hot sizes.
+//
+// The three composites (arena, sitearena, custom) send everything they
+// do not place themselves to the same first-fit general heap, as the
+// paper's arena allocator does ("as if it were long-lived"). One
+// unexported type, fallback, holds that heap for all three: its
+// allocation and free accounting, the merge of its first-fit counters
+// into the composite's Counts, the composite's name, and the check that
+// an id is live in neither layer before it is placed in either.
 //
 // The simulators model the *address space and operation counts*, not the
 // bytes themselves: objects are identified by trace object ids, and every
@@ -21,6 +40,7 @@ package heapsim
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -87,11 +107,40 @@ type Observable interface {
 	Observe(*obs.Collector)
 }
 
+// Names lists every simulator New builds, in report order.
+var Names = []string{"firstfit", "bestfit", "bsd", "arena", "segfit", "sitearena", "custom"}
+
+// New builds a fresh simulator by name. hot gives custom its hot request
+// sizes; the other simulators ignore it.
+func New(name string, hot []int64) (Allocator, error) {
+	switch name {
+	case "firstfit":
+		return NewFirstFit(), nil
+	case "bestfit":
+		return NewBestFit(), nil
+	case "bsd":
+		return NewBSD(), nil
+	case "arena":
+		return NewArena(), nil
+	case "segfit":
+		return NewSegFit(), nil
+	case "sitearena":
+		return NewSiteArena(), nil
+	case "custom":
+		return NewCustom(hot), nil
+	}
+	return nil, fmt.Errorf("heapsim: unknown allocator %q (want %s)", name, strings.Join(Names, ", "))
+}
+
 // errors shared by the simulators. Each carries the allocator's name so
 // multi-allocator comparison runs report which simulator rejected the
 // event.
 func errDoubleAlloc(alloc string, id trace.ObjectID) error {
 	return fmt.Errorf("heapsim: %s: object %d allocated while already live", alloc, id)
+}
+
+func errSize(size int64) error {
+	return fmt.Errorf("heapsim: non-positive allocation size %d", size)
 }
 
 func errUnknownFree(alloc string, id trace.ObjectID) error {

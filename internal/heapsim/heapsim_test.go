@@ -44,8 +44,8 @@ func TestFirstFitBasic(t *testing.T) {
 	if err := ff.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if ff.FreeBlocks() != 1 {
-		t.Fatalf("after freeing everything, free blocks = %d, want 1 (full coalesce)", ff.FreeBlocks())
+	if ff.freeBlocks != 1 {
+		t.Fatalf("after freeing everything, free blocks = %d, want 1 (full coalesce)", ff.freeBlocks)
 	}
 	if ff.LiveObjects() != 0 {
 		t.Fatalf("LiveObjects = %d", ff.LiveObjects())
@@ -140,14 +140,14 @@ func TestFirstFitCoalescing(t *testing.T) {
 	if err := ff.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if ff.FreeBlocks() < 4 {
-		t.Fatalf("alternating frees left %d free blocks, want >= 4", ff.FreeBlocks())
+	if ff.freeBlocks < 4 {
+		t.Fatalf("alternating frees left %d free blocks, want >= 4", ff.freeBlocks)
 	}
 	for i := trace.ObjectID(1); i < 8; i += 2 {
 		mustFree(t, ff, i)
 	}
-	if ff.FreeBlocks() != 1 {
-		t.Fatalf("free blocks = %d after freeing all, want 1", ff.FreeBlocks())
+	if ff.freeBlocks != 1 {
+		t.Fatalf("free blocks = %d after freeing all, want 1", ff.freeBlocks)
 	}
 	c := ff.Counts()
 	if c.FFCoalesces == 0 {
@@ -364,7 +364,7 @@ func TestArenaBumpAllocation(t *testing.T) {
 		t.Fatalf("counts %+v", c)
 	}
 	// The general heap is untouched.
-	if a.General.HeapSize() != 0 {
+	if a.general.HeapSize() != 0 {
 		t.Fatal("general heap grew for arena allocations")
 	}
 	if a.HeapSize() != 16*(4<<10) {
@@ -401,7 +401,7 @@ func TestArenaOversizedGoesGeneral(t *testing.T) {
 }
 
 func TestArenaReuseWhenEmpty(t *testing.T) {
-	a := &Arena{NumArenas: 2, ArenaSize: 1000}
+	a := NewArenaGeometry(2, 1000)
 	// Fill arena 0, free everything, fill again: must reset, not fall
 	// back.
 	for i := trace.ObjectID(0); i < 10; i++ {
@@ -430,7 +430,7 @@ func TestArenaReuseWhenEmpty(t *testing.T) {
 }
 
 func TestArenaPollution(t *testing.T) {
-	a := &Arena{NumArenas: 2, ArenaSize: 1000}
+	a := NewArenaGeometry(2, 1000)
 	// Two immortal mispredictions pin both arenas...
 	mustAlloc(t, a, 1, 900, true)
 	mustAlloc(t, a, 2, 900, true) // fills arena 0? no: 900+900 > 1000, so scan to arena 1
@@ -499,7 +499,7 @@ func TestArenaMixedWorkloadConsistency(t *testing.T) {
 	if c.ArenaBytes+c.GeneralBytes == 0 {
 		t.Fatal("no bytes accounted")
 	}
-	if err := a.General.CheckInvariants(); err != nil {
+	if err := a.general.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Every live object must be addressable, freed ones must not.
@@ -576,7 +576,8 @@ func TestSiteArenaBasics(t *testing.T) {
 }
 
 func TestSiteArenaPollutionIsolation(t *testing.T) {
-	sa := &SiteArena{ArenasPerSite: 2, ArenaSize: 1000}
+	sa := NewSiteArena()
+	sa.ArenasPerSite, sa.ArenaSize = 2, 1000
 	// Site 1 pollutes: immortal objects pin both of its arenas.
 	if err := sa.AllocAt(1, 900, 1); err != nil {
 		t.Fatal(err)
@@ -610,7 +611,8 @@ func TestSiteArenaPollutionIsolation(t *testing.T) {
 }
 
 func TestSiteArenaHashBucketsBounded(t *testing.T) {
-	sa := &SiteArena{ArenasPerSite: 1, ArenaSize: 1000, MaxSites: 2}
+	sa := NewSiteArena()
+	sa.ArenasPerSite, sa.ArenaSize, sa.MaxSites = 1, 1000, 2
 	for site := uint64(0); site < 5; site++ {
 		if err := sa.AllocAt(trace.ObjectID(site), 100, site); err != nil {
 			t.Fatal(err)

@@ -116,7 +116,7 @@ func TestObservedArena(t *testing.T) {
 	// arena reuse by allocating past the arena boundary.
 	id := trace.ObjectID(1)
 	var ids []trace.ObjectID
-	for used := int64(0); used+512 <= a.ArenaSize; used += 512 {
+	for used := int64(0); used+512 <= a.arenaSize; used += 512 {
 		mustAlloc(t, a, id, 512, true)
 		ids = append(ids, id)
 		id++
@@ -127,8 +127,8 @@ func TestObservedArena(t *testing.T) {
 	for _, i := range ids {
 		mustFree(t, a, i)
 	}
-	for j := 0; j < a.NumArenas*8; j++ {
-		mustAlloc(t, a, id, a.ArenaSize/2, true)
+	for j := 0; j < len(a.arenas)*8; j++ {
+		mustAlloc(t, a, id, a.arenaSize/2, true)
 		mustFree(t, a, id)
 		id++
 	}
@@ -152,8 +152,8 @@ func TestObservedArena(t *testing.T) {
 	col2 := obs.NewCollector(obs.Options{})
 	b.Observe(col2)
 	id = 1
-	for i := 0; i <= b.NumArenas; i++ {
-		mustAlloc(t, b, id, b.ArenaSize-16, true)
+	for i := 0; i <= len(b.arenas); i++ {
+		mustAlloc(t, b, id, b.arenaSize-16, true)
 		id++
 	}
 	s2 := col2.Snapshot()
@@ -185,7 +185,7 @@ func TestObservedSiteArenaDemotion(t *testing.T) {
 	}
 	// The pool is pinned; repeated allocations strike the owner until it
 	// is demoted.
-	for i := 0; i < sa.DemoteAfter+2; i++ {
+	for i := 0; i < siteDemoteAfter+2; i++ {
 		if err := sa.AllocAt(id, 512, site); err != nil {
 			t.Fatalf("AllocAt (pinned): %v", err)
 		}

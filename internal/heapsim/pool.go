@@ -47,7 +47,7 @@ type poolSlot struct {
 }
 
 // NewPool builds a pool over the given members. The name labels the pool
-// in snapshots and reports (core's allocator naming hook picks it up);
+// in snapshots and reports (see Name);
 // members must not be shared with any other consumer.
 func NewPool(name string, members ...Allocator) (*Pool, error) {
 	if len(members) == 0 {
@@ -66,16 +66,12 @@ func NewPool(name string, members ...Allocator) (*Pool, error) {
 	}, nil
 }
 
-// AllocatorName implements core's naming hook so pooled snapshots carry
-// the pool's label instead of an empty allocator name.
-func (p *Pool) AllocatorName() string { return p.name }
+// Name returns the pool's label, which pooled snapshots carry as their
+// allocator name.
+func (p *Pool) Name() string { return p.name }
 
 // Members returns the member count.
 func (p *Pool) Members() int { return len(p.members) }
-
-// Member returns member i (for audits and tests; routing goes through
-// AllocOn).
-func (p *Pool) Member(i int) Allocator { return p.members[i] }
 
 // MemberLive returns the live payload bytes currently placed on member i.
 func (p *Pool) MemberLive(i int) int64 { return p.live[i] }

@@ -70,8 +70,8 @@ func TestPoolSingleMemberTransparent(t *testing.T) {
 			t.Errorf("Addr(%d) = %d,%v != bare %d,%v", id, pa, pok, ba, bok)
 		}
 	}
-	if got := p.AllocatorName(); got != "pool:1xfirstfit" {
-		t.Errorf("AllocatorName = %q", got)
+	if got := p.Name(); got != "pool:1xfirstfit" {
+		t.Errorf("Name = %q", got)
 	}
 }
 

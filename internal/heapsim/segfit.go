@@ -1,7 +1,6 @@
 package heapsim
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/obs"
@@ -27,14 +26,8 @@ var segClasses = []int64{
 // little metadata for far less internal fragmentation — which is exactly
 // the axis the tournament ranks it on against the paper's allocators.
 type SegFit struct {
-	// Header is the per-object bookkeeping overhead (default 8).
-	Header int64
-	// PageSize is the slab carve granularity (default 4KB).
-	PageSize int64
-
-	initialized bool
-	heapEnd     int64
-	liveBytes   int64
+	heapEnd   int64
+	liveBytes int64
 
 	// free maps a chunk size (class or page-rounded large size) to its
 	// LIFO free list of chunk addresses.
@@ -47,6 +40,12 @@ type SegFit struct {
 	ops   OpCounts
 	obs   *segObs // nil unless a collector is attached
 }
+
+// The fixed geometry: an 8-byte per-object header and 4KB page carves.
+const (
+	segHeader = 8
+	segPage   = 4 << 10
+)
 
 // segObs caches resolved metric handles for the hot paths.
 type segObs struct {
@@ -66,30 +65,14 @@ type segTail struct {
 	addr, size int64
 }
 
-// NewSegFit returns a segregated-fit simulator with the default geometry.
-func NewSegFit() *SegFit {
-	s := &SegFit{}
-	s.init()
-	return s
-}
+// NewSegFit returns a segregated-fit simulator.
+func NewSegFit() *SegFit { return &SegFit{free: make(map[int64][]int64, len(segClasses))} }
 
-func (s *SegFit) init() {
-	if s.initialized {
-		return
-	}
-	if s.Header == 0 {
-		s.Header = 8
-	}
-	if s.PageSize == 0 {
-		s.PageSize = 4 << 10
-	}
-	s.free = make(map[int64][]int64, len(segClasses))
-	s.initialized = true
-}
+// Name returns the simulator's name.
+func (s *SegFit) Name() string { return "segfit" }
 
 // Observe implements Observable.
 func (s *SegFit) Observe(col *obs.Collector) {
-	s.init()
 	if col == nil {
 		s.obs = nil
 		return
@@ -102,22 +85,22 @@ func (s *SegFit) Observe(col *obs.Collector) {
 }
 
 // chunkFor returns the chunk size serving a request: the smallest class
-// that fits size+Header, or the page-rounded need for large requests.
+// that fits size plus the header, or the page-rounded need for large
+// requests.
 func (s *SegFit) chunkFor(size int64) int64 {
-	need := size + s.Header
+	need := size + segHeader
 	if need <= segClasses[len(segClasses)-1] {
 		i := sort.Search(len(segClasses), func(i int) bool { return segClasses[i] >= need })
 		return segClasses[i]
 	}
-	return align(need, s.PageSize)
+	return align(need, segPage)
 }
 
 // Alloc implements Allocator; predictedShort is ignored (like BSD and
 // CUSTOMALLOC, segregated fit optimizes placement by size, not lifetime).
 func (s *SegFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
-	s.init()
 	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+		return errSize(size)
 	}
 	if _, dup := s.live.get(id); dup {
 		return errDoubleAlloc("segfit", id)
@@ -134,7 +117,7 @@ func (s *SegFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 		// remainder is a permanent tail); large chunks are page-rounded
 		// already and carve exactly.
 		s.ops.SegCarves++
-		slab := align(chunk, s.PageSize)
+		slab := align(chunk, segPage)
 		if s.obs != nil {
 			s.obs.carves.Inc()
 			s.obs.col.Emit(obs.EvHeapGrow, slab)
@@ -158,7 +141,6 @@ func (s *SegFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 
 // Free implements Allocator: push the chunk back on its class list.
 func (s *SegFit) Free(id trace.ObjectID) error {
-	s.init()
 	o, ok := s.live.del(id)
 	if !ok {
 		return errUnknownFree("segfit", id)
@@ -185,20 +167,18 @@ func (s *SegFit) Addr(id trace.ObjectID) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return o.addr + s.Header, true
+	return o.addr + segHeader, true
 }
 
 // Regions implements Walker: one carve window from 0. It is tiled — live
 // chunks, free-list chunks, and the recorded slab tails cover it exactly.
 func (s *SegFit) Regions() []Region {
-	s.init()
-	return []Region{{Name: "heap", Base: 0, End: s.heapEnd, Tiled: true, Header: s.Header}}
+	return []Region{{Name: "heap", Base: 0, End: s.heapEnd, Tiled: true, Header: segHeader}}
 }
 
 // Walk implements Walker: live chunks, free chunks per class list, and
 // the permanent slab tails (reported free, since they hold no object).
 func (s *SegFit) Walk(emit func(Span) error) error {
-	s.init()
 	var werr error
 	s.live.forEach(func(id trace.ObjectID, o segObj) {
 		if werr != nil {

@@ -23,7 +23,7 @@ import (
 //  1. site-hashed pools: a polluting site only poisons the pool its hash
 //     lands in, so unrelated pools keep bump-allocating;
 //  2. online demotion: a site whose allocations repeatedly find their
-//     pool pinned (DemoteAfter strikes) has its prediction revoked for
+//     pool pinned (siteDemoteAfter strikes) has its prediction revoked for
 //     the rest of the run and goes to the general heap — the runtime
 //     answer to the paper's observation that "high error rates degrade
 //     performance dramatically and it will be important to identify
@@ -37,27 +37,25 @@ import (
 // MaxSites x ArenasPerSite x ArenaSize.
 type SiteArena struct {
 	// ArenasPerSite and ArenaSize give each site's pool (default 2 x 4KB).
+	// MaxSites is the number of hash buckets sites map onto (default 64,
+	// i.e. at most 512KB of arena area with the defaults). Set them
+	// before the first allocation.
 	ArenasPerSite int
 	ArenaSize     int64
-	// MaxSites is the number of hash buckets sites map onto (default
-	// 64, i.e. at most 512KB of arena area with the defaults).
-	MaxSites int
-	// DemoteAfter is how many pinned-pool fallbacks a site tolerates
-	// before its prediction is revoked for the rest of the run
-	// (default 4; 0 keeps the default, negative disables demotion).
-	DemoteAfter int
-	// General is the fallback allocator; a default FirstFit if nil.
-	General *FirstFit
+	MaxSites      int
 
-	initialized bool
-	pools       map[uint64]*sitePool
-	where       map[trace.ObjectID]siteLoc
-	nextPool    int
-	strikes     map[uint64]int
-	demoted     map[uint64]bool
-	ops         OpCounts
-	obs         *siteArenaObs // nil unless a collector is attached
+	fallback
+	pools    map[uint64]*sitePool
+	where    map[trace.ObjectID]siteLoc
+	nextPool int
+	strikes  map[uint64]int
+	demoted  map[uint64]bool
+	obs      *siteArenaObs // nil unless a collector is attached
 }
+
+// siteDemoteAfter is how many pinned-pool fallbacks a site's objects may
+// cause before its prediction is revoked for the rest of the run.
+const siteDemoteAfter = 4
 
 // siteArenaObs caches resolved metric handles for the hot paths.
 type siteArenaObs struct {
@@ -96,42 +94,22 @@ const siteArenaBase = int64(1) << 42
 
 // NewSiteArena returns a per-site arena allocator with defaults.
 func NewSiteArena() *SiteArena {
-	s := &SiteArena{}
-	s.init()
-	return s
-}
-
-func (s *SiteArena) init() {
-	if s.initialized {
-		return
+	return &SiteArena{
+		ArenasPerSite: 2,
+		ArenaSize:     4 << 10,
+		MaxSites:      64,
+		fallback:      newFallback("sitearena"),
+		pools:         make(map[uint64]*sitePool),
+		where:         make(map[trace.ObjectID]siteLoc),
+		strikes:       make(map[uint64]int),
+		demoted:       make(map[uint64]bool),
 	}
-	if s.ArenasPerSite == 0 {
-		s.ArenasPerSite = 2
-	}
-	if s.ArenaSize == 0 {
-		s.ArenaSize = 4 << 10
-	}
-	if s.MaxSites == 0 {
-		s.MaxSites = 64
-	}
-	if s.DemoteAfter == 0 {
-		s.DemoteAfter = 4
-	}
-	s.strikes = make(map[uint64]int)
-	s.demoted = make(map[uint64]bool)
-	if s.General == nil {
-		s.General = &FirstFit{name: "sitearena", prefix: "firstfit"}
-	}
-	s.pools = make(map[uint64]*sitePool)
-	s.where = make(map[trace.ObjectID]siteLoc)
-	s.initialized = true
 }
 
 // Observe implements Observable; the collector also attaches to the
 // general fallback heap.
 func (s *SiteArena) Observe(col *obs.Collector) {
-	s.init()
-	s.General.Observe(col)
+	s.general.Observe(col)
 	if col == nil {
 		s.obs = nil
 		return
@@ -150,22 +128,16 @@ func (s *SiteArena) Observe(col *obs.Collector) {
 // (any stable 64-bit identity for the site; core uses the predictor's
 // mapped site). Unpredicted allocations go through Alloc.
 func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
-	s.init()
-	if size <= 0 {
-		return fmt.Errorf("heapsim: non-positive allocation size %d", size)
-	}
-	if _, dup := s.where[id]; dup {
-		return errDoubleAlloc("sitearena", id)
-	}
-	if _, live := s.General.Addr(id); live {
-		return errDoubleAlloc("sitearena", id)
+	_, placed := s.where[id]
+	if err := s.admit(id, size, placed); err != nil {
+		return err
 	}
 	s.ops.PredChecks++
 	if size > s.ArenaSize {
-		return s.generalAlloc(id, size, false)
+		return s.alloc(id, size, false)
 	}
 	if s.demoted[site] {
-		return s.generalAlloc(id, size, true)
+		return s.alloc(id, size, true)
 	}
 	fullSite := site
 	bucket := site % uint64(s.MaxSites) // hash bucket; pools are bounded
@@ -201,20 +173,18 @@ func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
 		if !found {
 			// Strike the sites whose live objects pin this pool; the
 			// polluters, not the blocked allocator.
-			if s.DemoteAfter > 0 {
-				for ai := range pool.arenas {
-					for owner, n := range pool.arenas[ai].owners {
-						if n <= 0 || s.demoted[owner] {
-							continue
-						}
-						s.strikes[owner]++
-						if s.strikes[owner] >= s.DemoteAfter {
-							s.demoted[owner] = true
-							s.ops.ArenaDemotions++
-							if s.obs != nil {
-								s.obs.demotions.Inc()
-								s.obs.col.Emit(obs.EvPredictorMiss, int64(owner))
-							}
+			for ai := range pool.arenas {
+				for owner, n := range pool.arenas[ai].owners {
+					if n <= 0 || s.demoted[owner] {
+						continue
+					}
+					s.strikes[owner]++
+					if s.strikes[owner] >= siteDemoteAfter {
+						s.demoted[owner] = true
+						s.ops.ArenaDemotions++
+						if s.obs != nil {
+							s.obs.demotions.Inc()
+							s.obs.col.Emit(obs.EvPredictorMiss, int64(owner))
 						}
 					}
 				}
@@ -224,7 +194,7 @@ func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
 				s.obs.fallbacks.Inc()
 				s.obs.col.Emit(obs.EvArenaOverflow, size)
 			}
-			return s.generalAlloc(id, size, true)
+			return s.alloc(id, size, true)
 		}
 		cur = &pool.arenas[pool.cur]
 	}
@@ -250,31 +220,18 @@ func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
 // shared design). core.RunSimOracle calls AllocAt instead whenever its
 // oracle can name the site.
 func (s *SiteArena) Alloc(id trace.ObjectID, size int64, predictedShort bool) error {
-	s.init()
-	if !predictedShort {
-		return s.generalAlloc(id, size, false)
+	if predictedShort {
+		return s.AllocAt(id, size, 0)
 	}
-	return s.AllocAt(id, size, 0)
-}
-
-func (s *SiteArena) generalAlloc(id trace.ObjectID, size int64, fallback bool) error {
-	if _, dup := s.where[id]; dup {
-		return errDoubleAlloc("sitearena", id)
-	}
-	if err := s.General.Alloc(id, size, false); err != nil {
+	_, placed := s.where[id]
+	if err := s.admit(id, size, placed); err != nil {
 		return err
 	}
-	s.ops.Allocs++
-	s.ops.GeneralBytes += size
-	if fallback {
-		s.ops.ArenaFallbacks++
-	}
-	return nil
+	return s.alloc(id, size, false)
 }
 
 // Free implements Allocator.
 func (s *SiteArena) Free(id trace.ObjectID) error {
-	s.init()
 	if loc, ok := s.where[id]; ok {
 		delete(s.where, id)
 		st := &s.pools[loc.bucket].arenas[loc.idx]
@@ -289,60 +246,33 @@ func (s *SiteArena) Free(id trace.ObjectID) error {
 		s.ops.ArenaFrees++
 		return nil
 	}
-	if err := s.General.Free(id); err != nil {
-		return err
-	}
-	s.ops.Frees++
-	return nil
+	return s.free(id)
 }
 
 // ArenaArea reports the total arena bytes currently reserved.
 func (s *SiteArena) ArenaArea() int64 {
-	s.init()
 	return int64(len(s.pools)) * int64(s.ArenasPerSite) * s.ArenaSize
 }
 
 // HeapSize implements Allocator: general heap plus the reserved pools.
-func (s *SiteArena) HeapSize() int64 {
-	s.init()
-	return s.General.HeapSize() + s.ArenaArea()
-}
+func (s *SiteArena) HeapSize() int64 { return s.general.HeapSize() + s.ArenaArea() }
 
 // MaxHeapSize implements Allocator (pools only grow).
-func (s *SiteArena) MaxHeapSize() int64 {
-	s.init()
-	return s.General.MaxHeapSize() + s.ArenaArea()
-}
-
-// Counts implements Allocator, merging the fallback heap's counters.
-func (s *SiteArena) Counts() OpCounts {
-	s.init()
-	c := s.ops
-	g := s.General.Counts()
-	c.FFAllocs = g.FFAllocs
-	c.FFFrees = g.FFFrees
-	c.FFProbes = g.FFProbes
-	c.FFExtends = g.FFExtends
-	c.FFSplits = g.FFSplits
-	c.FFCoalesces = g.FFCoalesces
-	return c
-}
+func (s *SiteArena) MaxHeapSize() int64 { return s.general.MaxHeapSize() + s.ArenaArea() }
 
 // Addr implements Allocator with synthetic pool addresses.
 func (s *SiteArena) Addr(id trace.ObjectID) (int64, bool) {
-	s.init()
 	if loc, ok := s.where[id]; ok {
 		pool := s.pools[loc.bucket]
 		poolBase := siteArenaBase + int64(pool.index)*int64(s.ArenasPerSite)*s.ArenaSize
 		return poolBase + int64(loc.idx)*s.ArenaSize + loc.off, true
 	}
-	return s.General.Addr(id)
+	return s.general.Addr(id)
 }
 
 // ArenaOccupancy reports the fraction of the reserved pool area's bytes
 // under the bump pointers of arenas holding live objects.
 func (s *SiteArena) ArenaOccupancy() float64 {
-	s.init()
 	area := s.ArenaArea()
 	if area == 0 {
 		return 0
@@ -362,7 +292,6 @@ func (s *SiteArena) ArenaOccupancy() float64 {
 // holding a live object: the per-site counterpart of Arena.PinnedArenas,
 // which a replay's SimResult.PinnedArenas reports for both.
 func (s *SiteArena) PinnedArenas() int {
-	s.init()
 	n := 0
 	for _, pool := range s.pools {
 		pinned := true

@@ -76,10 +76,14 @@ func liveByBlock(live *objIndex[*ffBlock]) map[*ffBlock]trace.ObjectID {
 	return inv
 }
 
-// walkFF walks a FirstFit heap's address-ordered block list under the
-// given region name (FirstFit and BestFit share the machinery).
-func walkFF(ff *FirstFit, emit func(Span) error) error {
-	ff.init()
+// Regions implements Walker: the boundary-tag heap owns one sbrk window
+// from 0.
+func (ff *FirstFit) Regions() []Region {
+	return []Region{{Name: "heap", Base: 0, End: ff.heapEnd, Tiled: true, Coalesced: true, Header: ffHeader}}
+}
+
+// Walk implements Walker over the address-ordered block list.
+func (ff *FirstFit) Walk(emit func(Span) error) error {
 	inv := liveByBlock(&ff.live)
 	for b := ff.head; b != nil; b = b.aNext {
 		s := Span{Region: "heap", Addr: b.addr, Size: b.size, Free: b.free}
@@ -103,37 +107,14 @@ func walkFF(ff *FirstFit, emit func(Span) error) error {
 	return nil
 }
 
-// Regions implements Walker: first-fit owns one sbrk window from 0.
-func (ff *FirstFit) Regions() []Region {
-	ff.init()
-	return []Region{{Name: "heap", Base: 0, End: ff.heapEnd, Tiled: true, Coalesced: true, Header: ff.Header}}
-}
-
-// Walk implements Walker over the address-ordered block list.
-func (ff *FirstFit) Walk(emit func(Span) error) error { return walkFF(ff, emit) }
-
-// Regions implements Walker.
-func (b *BestFit) Regions() []Region {
-	b.init()
-	return b.ff.Regions()
-}
-
-// Walk implements Walker.
-func (b *BestFit) Walk(emit func(Span) error) error {
-	b.init()
-	return walkFF(&b.ff, emit)
-}
-
 // Regions implements Walker: BSD owns one carve window from 0.
 func (b *BSD) Regions() []Region {
-	b.init()
-	return []Region{{Name: "heap", Base: 0, End: b.heapEnd, Tiled: true, Header: b.Header}}
+	return []Region{{Name: "heap", Base: 0, End: b.heapEnd, Tiled: true, Header: bsdHeader}}
 }
 
 // Walk implements Walker: every carved chunk is either live or on its
 // bucket's free list, so the two together tile the heap.
 func (b *BSD) Walk(emit func(Span) error) error {
-	b.init()
 	var werr error
 	b.live.forEach(func(id trace.ObjectID, o bsdObj) {
 		if werr != nil {
@@ -170,17 +151,14 @@ func (b *BSD) Walk(emit func(Span) error) error {
 // arena area. The arena window is not tiled — freed objects leave holes
 // under the bump pointers until a reset reclaims the whole arena.
 func (a *Arena) Regions() []Region {
-	a.init()
-	end := ArenaBase + int64(a.NumArenas)*a.ArenaSize
-	return append(a.General.Regions(),
-		Region{Name: "arena", Base: ArenaBase, End: end})
+	return append(a.general.Regions(),
+		Region{Name: "arena", Base: ArenaBase, End: ArenaBase + a.area()})
 }
 
 // Walk implements Walker: the general heap's blocks plus one span per
 // live arena object at its synthetic bump address.
 func (a *Arena) Walk(emit func(Span) error) error {
-	a.init()
-	if err := a.General.Walk(emit); err != nil {
+	if err := a.general.Walk(emit); err != nil {
 		return err
 	}
 	var werr error
@@ -190,7 +168,7 @@ func (a *Arena) Walk(emit func(Span) error) error {
 		}
 		werr = emit(Span{
 			Region:  "arena",
-			Addr:    ArenaBase + int64(loc.idx)*a.ArenaSize + loc.off,
+			Addr:    ArenaBase + int64(loc.idx)*a.arenaSize + loc.off,
 			Size:    loc.size,
 			Obj:     id,
 			Payload: loc.size,
@@ -203,16 +181,14 @@ func (a *Arena) Walk(emit func(Span) error) error {
 // pools (pools are allocated densely, so the window ends at the next
 // unassigned pool index).
 func (s *SiteArena) Regions() []Region {
-	s.init()
 	end := siteArenaBase + int64(s.nextPool)*int64(s.ArenasPerSite)*s.ArenaSize
-	return append(s.General.Regions(),
+	return append(s.general.Regions(),
 		Region{Name: "sitearena", Base: siteArenaBase, End: end})
 }
 
 // Walk implements Walker.
 func (s *SiteArena) Walk(emit func(Span) error) error {
-	s.init()
-	if err := s.General.Walk(emit); err != nil {
+	if err := s.general.Walk(emit); err != nil {
 		return err
 	}
 	poolSize := int64(s.ArenasPerSite) * s.ArenaSize
@@ -237,16 +213,14 @@ func (s *SiteArena) Walk(emit func(Span) error) error {
 // so a slab whose chunk size does not divide it ends in a small
 // permanently-unused tail.
 func (c *Custom) Regions() []Region {
-	c.init()
-	return append(c.General.Regions(),
+	return append(c.general.Regions(),
 		Region{Name: "slab", Base: customBase, End: customBase + c.heapEnd})
 }
 
 // Walk implements Walker: live hot-size chunks, free chunks on the
 // per-class lists, and the general heap's blocks.
 func (c *Custom) Walk(emit func(Span) error) error {
-	c.init()
-	if err := c.General.Walk(emit); err != nil {
+	if err := c.general.Walk(emit); err != nil {
 		return err
 	}
 	for id, o := range c.live {

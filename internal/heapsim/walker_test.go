@@ -11,8 +11,8 @@ import (
 // Every simulator must expose its layout for conformance auditing.
 var (
 	_ Walker = (*FirstFit)(nil)
-	_ Walker = (*BestFit)(nil)
 	_ Walker = (*BSD)(nil)
+	_ Walker = (*SegFit)(nil)
 	_ Walker = (*Arena)(nil)
 	_ Walker = (*SiteArena)(nil)
 	_ Walker = (*Custom)(nil)
@@ -41,15 +41,17 @@ func walkerWorkload(t *testing.T, a Allocator) {
 	}
 }
 
+// walkerCases builds every registered simulator, giving custom three of
+// the workload's sizes as hot sizes.
 func walkerCases() map[string]func() Allocator {
-	return map[string]func() Allocator{
-		"firstfit":  func() Allocator { return NewFirstFit() },
-		"bestfit":   func() Allocator { return &BestFit{} },
-		"bsd":       func() Allocator { return &BSD{} },
-		"arena":     func() Allocator { return &Arena{} },
-		"sitearena": func() Allocator { return &SiteArena{} },
-		"custom":    func() Allocator { return &Custom{HotSizes: []int64{16, 32, 64}} },
+	cases := make(map[string]func() Allocator, len(Names))
+	for _, name := range Names {
+		cases[name] = func() Allocator {
+			a, _ := New(name, []int64{16, 32, 64})
+			return a
+		}
 	}
+	return cases
 }
 
 // TestWalkerLayout checks the core Walker contract on every simulator:

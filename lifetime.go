@@ -94,10 +94,9 @@ type (
 
 	// Allocator is the allocator-simulator interface.
 	Allocator = heapsim.Allocator
-	// FirstFitAllocator simulates Knuth's first-fit with a roving pointer.
+	// FirstFitAllocator simulates Knuth's boundary-tag heap: first fit
+	// with a roving pointer, or best fit over the same free list.
 	FirstFitAllocator = heapsim.FirstFit
-	// BestFitAllocator simulates best-fit over the same free list.
-	BestFitAllocator = heapsim.BestFit
 	// BSDAllocator simulates the 4.2BSD power-of-two malloc.
 	BSDAllocator = heapsim.BSD
 	// ArenaAllocator simulates the paper's lifetime-predicting allocator.
@@ -263,9 +262,9 @@ func LifetimeQuantiles(objs []Object, probs []float64, byteWeighted bool) []floa
 // geometry (8-byte header and alignment, 8KB growth chunks).
 func NewFirstFitAllocator() *FirstFitAllocator { return heapsim.NewFirstFit() }
 
-// NewBestFitAllocator returns a best-fit simulator sharing the first-fit
-// geometry.
-func NewBestFitAllocator() *BestFitAllocator { return heapsim.NewBestFit() }
+// NewBestFitAllocator returns a best-fit simulator: the first-fit heap
+// with a search that scans the whole free list for the tightest fit.
+func NewBestFitAllocator() *FirstFitAllocator { return heapsim.NewBestFit() }
 
 // NewBSDAllocator returns a 4.2BSD malloc simulator.
 func NewBSDAllocator() *BSDAllocator { return heapsim.NewBSD() }
