@@ -22,6 +22,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{"zero workers", []string{"-workers", "0"}, "-workers must be at least 1"},
 		{"bad matrix", []string{"-matrix", "gawk/slab"}, `unknown allocator "slab"`},
+		{"repeated model", []string{"-matrix", "gawk,gawk"}, `repeats model "gawk"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -162,6 +162,8 @@ func TestUsageErrors(t *testing.T) {
 		{"bad policy", []string{"-policies", "random"}, `unknown routing policy "random"`},
 		{"bad pool kind", []string{"-pools", "4xslab"}, `pool spec "4xslab"`},
 		{"zero pool members", []string{"-pools", "0xarena"}, "bad member count"},
+		{"pool past member cap", []string{"-pools", "65xarena"}, `"65xarena" takes the pool past 64 members`},
+		{"pool parts past member cap", []string{"-pools", "40xarena+40xbsd"}, `"40xbsd" takes the pool past 64 members`},
 		{"zero workers", []string{"-workers", "0"}, "-workers must be at least 1"},
 	}
 	for _, tc := range cases {

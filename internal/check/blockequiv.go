@@ -25,8 +25,9 @@ import (
 //
 // oracle, which must speak tr's chain table, supplies the
 // predicted-short hints and the pred.* scoring threshold; nil predicts
-// nothing. A core.SiteRouter oracle (profile.Mapper, profile.SiteMapper)
-// also exercises the per-site routing of the sitearena factory.
+// nothing. A *profile.Mapper oracle, which profile.BindOracle makes of
+// every site policy, also exercises the per-site routing of the
+// sitearena factory.
 func CheckBlockEquivalence(tr *trace.Trace, fs []Factory, oracle profile.Oracle) error {
 	for _, f := range fs {
 		run := func(scalar bool) (core.SimResult, []byte, error) {
@@ -74,16 +75,16 @@ func CheckBlockEquivalence(tr *trace.Trace, fs []Factory, oracle profile.Oracle)
 func referenceReplay(tr *trace.Trace, alloc heapsim.Allocator, oracle profile.Oracle, col *obs.Collector) (core.SimResult, error) {
 	ot := core.NewTracker(col, alloc, len(tr.Events), oracle)
 	sited, _ := alloc.(*heapsim.SiteArena)
-	router, _ := oracle.(core.SiteRouter)
+	mapper, _ := oracle.(*profile.Mapper)
 	res := core.SimResult{}
 	for i, ev := range tr.Events {
 		short := false
 		switch ev.Kind {
 		case trace.KindAlloc:
 			var err error
-			if sited != nil && router != nil {
+			if sited != nil && mapper != nil {
 				var key profile.SiteKey
-				if key, short = router.Site(ev.Chain, ev.Size); short {
+				if key, short = mapper.Site(ev.Chain, ev.Size); short {
 					err = sited.AllocAt(ev.Obj, ev.Size, key.ID())
 				} else {
 					err = sited.Alloc(ev.Obj, ev.Size, false)

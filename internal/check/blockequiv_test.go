@@ -41,8 +41,8 @@ func TestBlockEquivalenceAcrossModels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A Mapper, unlike the bare Predictor, is a core.SiteRouter,
-			// so sitearena routes per site in both replays.
+			// A Mapper, unlike the bare Predictor, names each site, so
+			// sitearena routes per site in both replays.
 			mapper := db.Predictor().NewMapper(tr.Table)
 			if err := CheckBlockEquivalence(tr, fs, mapper); err != nil {
 				t.Error(err)

@@ -52,9 +52,13 @@ func ParseTenantSpec(s string) (TenantSpec, error) {
 	return TenantSpec{ID: s, Model: name, SeedOffset: uint64(inst-1) * dupSeedStride}, nil
 }
 
+// maxPoolMembers caps the members one pool spec may name: 16 times the
+// 4-member shapes lpcluster and its golden use.
+const maxPoolMembers = 64
+
 // ParsePoolSpec expands a pool shape like "4xarena" or "2xarena+2xbsd"
 // into the ordered member-kind list. Every kind must be a core allocator
-// name.
+// name, and the shape may hold at most maxPoolMembers members.
 func ParsePoolSpec(s string) ([]string, error) {
 	var kinds []string
 	for _, part := range strings.Split(s, "+") {
@@ -62,13 +66,16 @@ func ParsePoolSpec(s string) ([]string, error) {
 		if i := strings.IndexByte(part, 'x'); i > 0 {
 			if cnt, err := strconv.Atoi(part[:i]); err == nil {
 				if cnt < 1 {
-					return nil, fmt.Errorf("cluster: bad member count in pool spec %q", s)
+					return nil, fmt.Errorf("cluster: bad member count in pool spec %q: %q", s, part)
 				}
 				n, kind = cnt, part[i+1:]
 			}
 		}
-		if _, err := core.NewAllocator(kind); err != nil {
+		if err := core.CheckAllocator(kind); err != nil {
 			return nil, fmt.Errorf("cluster: pool spec %q: %w", s, err)
+		}
+		if n > maxPoolMembers-len(kinds) {
+			return nil, fmt.Errorf("cluster: pool spec %q: %q takes the pool past %d members", s, part, maxPoolMembers)
 		}
 		for j := 0; j < n; j++ {
 			kinds = append(kinds, kind)
@@ -196,9 +203,9 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 	// The set-up is Schedule's one build, so it runs alone: the Train-input
 	// predictor of each distinct model, trained from a streaming source,
 	// then a warm pass that interns every tenant table's site chains into
-	// the shared predictor tables. After this, concurrent mappers only
-	// read the predictor side (see profile.Mapper), which is what makes
-	// the scenario cells race-free.
+	// the shared predictor tables. After this, each scenario's
+	// profile.Mapper keeps its memos to itself and only reads the shared
+	// tables, which is what makes the scenario cells race-free.
 	preds := map[string]*profile.Predictor{}
 	slots := make([]ScenarioResult, len(policies)*len(cfg.Pools))
 	build := func(int) (func(int) error, error) {

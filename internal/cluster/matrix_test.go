@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/synth"
 )
 
 func TestParseTenantSpec(t *testing.T) {
@@ -41,11 +43,52 @@ func TestParsePoolSpec(t *testing.T) {
 	if kinds, err = ParsePoolSpec("bsd"); err != nil || len(kinds) != 1 || kinds[0] != "bsd" {
 		t.Fatalf("bsd: %v, %v", kinds, err)
 	}
-	for _, bad := range []string{"", "0xarena", "4xnosuch", "nosuch"} {
+	// The member cap admits exactly maxPoolMembers members.
+	if kinds, err = ParsePoolSpec("32xarena+32xbsd"); err != nil || len(kinds) != maxPoolMembers {
+		t.Fatalf("32xarena+32xbsd: %d members, %v", len(kinds), err)
+	}
+	for _, bad := range []string{"", "0xarena", "4xnosuch", "nosuch",
+		"65xarena", "40xarena+40xbsd", "10000000xarena", "9223372036854775807xarena"} {
 		if _, err := ParsePoolSpec(bad); err == nil {
 			t.Errorf("ParsePoolSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParsePoolSpec: any spec either fails cleanly or names between 1
+// and maxPoolMembers members, each a core allocator.
+func FuzzParsePoolSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		kinds, err := ParsePoolSpec(spec)
+		if err != nil {
+			return
+		}
+		if len(kinds) < 1 || len(kinds) > maxPoolMembers {
+			t.Fatalf("%q expanded to %d members, want 1..%d", spec, len(kinds), maxPoolMembers)
+		}
+		for _, k := range kinds {
+			if !slices.Contains(core.AllocatorNames, k) {
+				t.Fatalf("%q yielded member kind %q, not a core allocator", spec, k)
+			}
+		}
+	})
+}
+
+// FuzzParseTenantSpec: any spec either fails cleanly or names a model
+// that exists, under the spec itself as the tenant ID.
+func FuzzParseTenantSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		ts, err := ParseTenantSpec(spec)
+		if err != nil {
+			return
+		}
+		if synth.ByName(ts.Model) == nil {
+			t.Fatalf("%q accepted with unknown model %q", spec, ts.Model)
+		}
+		if ts.ID != spec {
+			t.Fatalf("%q accepted with ID %q", spec, ts.ID)
+		}
+	})
 }
 
 // TestMatrixWorkerSweepDeterminism: the tournament report must be

@@ -113,7 +113,6 @@ func (c Config) Build(m *synth.Model) (*Artifacts, error) {
 
 // SimResult summarizes one allocator simulation over one trace.
 type SimResult struct {
-	Allocator   string
 	MaxHeap     int64
 	Counts      heapsim.OpCounts
 	TotalAllocs int64
@@ -535,24 +534,16 @@ func RunSimSource(src trace.Source, alloc heapsim.Allocator, pred *profile.Predi
 	return RunSimOracle(src, alloc, oracle, observers...)
 }
 
-// SiteRouter is the routing face RunSimOracle asks of an oracle that
-// drives a heapsim.SiteArena: the mapped site key and the admit verdict
-// for one allocation. profile.Mapper and profile.SiteMapper implement it,
-// so every cross-table binding profile.BindOracle produces routes per
-// site.
-type SiteRouter interface {
-	Site(raw callchain.ChainID, size int64) (profile.SiteKey, bool)
-}
-
 // RunSimOracle is RunSimSource generalized over the prediction policy: any
 // profile.Oracle — the paper's mapped site database, a zoo policy bound
 // via profile.BindOracle, or nil for no prediction — supplies the
 // per-allocation short/long hint and the threshold its accuracy is scored
 // against. The oracle must already speak the source's chain table.
 //
-// A heapsim.SiteArena driven by a SiteRouter oracle gets per-site
-// routing: each predicted-short allocation goes to the pool its mapped
-// site names, SiteKey.ID. Any other pairing passes the verdict to Alloc,
+// A heapsim.SiteArena driven by a *profile.Mapper — what
+// profile.BindOracle makes of every site policy — gets per-site routing:
+// each predicted-short allocation goes to the pool its mapped site
+// names, SiteKey.ID. Any other pairing passes the verdict to Alloc,
 // which puts a SiteArena's predicted-short objects on one shared
 // pseudo-site.
 func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Oracle, observers ...*obs.Collector) (SimResult, error) {
@@ -564,8 +555,8 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 	}
 	ot := NewTracker(pickCollector(observers), alloc, nEvents, oracle)
 	sited, _ := alloc.(*heapsim.SiteArena)
-	router, _ := oracle.(SiteRouter)
-	if router == nil {
+	mapper, _ := oracle.(*profile.Mapper)
+	if mapper == nil {
 		sited = nil
 	}
 	res := SimResult{}
@@ -600,7 +591,7 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 				var err error
 				if sited != nil {
 					var key profile.SiteKey
-					if key, short = router.Site(chains[k], sizes[k]); short {
+					if key, short = mapper.Site(chains[k], sizes[k]); short {
 						err = sited.AllocAt(objs[k], sizes[k], key.ID())
 					} else {
 						err = sited.Alloc(objs[k], sizes[k], false)

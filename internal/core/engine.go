@@ -45,9 +45,6 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{cfg: cfg, arts: make(map[string]*engineArt)}
 }
 
-// Config returns the engine's experiment configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // modelByName resolves a model within the engine's configured set.
 func (e *Engine) modelByName(name string) *synth.Model {
 	for _, m := range e.cfg.Models {

@@ -27,10 +27,22 @@ var PredictorModes = []string{"none", "self", "true"}
 
 // NewAllocator builds a fresh simulator of the standard matrix by name.
 func NewAllocator(name string) (heapsim.Allocator, error) {
-	if !slices.Contains(AllocatorNames, name) {
-		return nil, fmt.Errorf("core: unknown allocator %q (want %s)", name, strings.Join(AllocatorNames, ", "))
+	if err := CheckAllocator(name); err != nil {
+		return nil, err
 	}
 	return heapsim.New(name, nil)
+}
+
+// CheckAllocator reports an error unless name is one of AllocatorNames,
+// without building a simulator.
+func CheckAllocator(name string) error { return checkName("allocator", name, AllocatorNames) }
+
+// checkName reports an error naming name unless it is one of known.
+func checkName(kind, name string, known []string) error {
+	if !slices.Contains(known, name) {
+		return fmt.Errorf("core: unknown %s %q (want %s)", kind, name, strings.Join(known, ", "))
+	}
+	return nil
 }
 
 // MustNewAllocator is NewAllocator for known-good names; it panics on a
@@ -59,23 +71,20 @@ func (j MatrixJob) String() string {
 
 // Validate checks every field against the known sets.
 func (j MatrixJob) Validate() error {
-	if synth.ByName(j.Model) == nil {
-		return fmt.Errorf("core: unknown model %q (want %s)", j.Model, strings.Join(ProgramOrder, ", "))
-	}
-	if _, err := NewAllocator(j.Allocator); err != nil {
+	if err := checkName("model", j.Model, ProgramOrder); err != nil {
 		return err
 	}
-	switch j.Predictor {
-	case "none", "self", "true":
-		return nil
+	if err := CheckAllocator(j.Allocator); err != nil {
+		return err
 	}
-	return fmt.Errorf("core: unknown predictor mode %q (want none, self, true)", j.Predictor)
+	return checkName("predictor mode", j.Predictor, PredictorModes)
 }
 
 // ParseMatrix expands a compact matrix spec into jobs. The spec is up to
 // three /-separated segments — models, allocators, predictor modes —
 // each a comma list or "all"; omitted segments default to all allocators
-// and true prediction. Examples:
+// and true prediction. A segment may not name an entry twice, so a spec
+// yields at most 75 jobs. Examples:
 //
 //	all                     every model × every allocator × true
 //	gawk,cfrac/arena        those two models on the arena allocator, true
@@ -85,27 +94,42 @@ func ParseMatrix(spec string) ([]MatrixJob, error) {
 	if len(parts) > 3 {
 		return nil, fmt.Errorf("core: matrix spec %q has more than models/allocators/predictors", spec)
 	}
-	pick := func(i int, all []string) []string {
+	pick := func(i int, kind string, all []string) ([]string, error) {
 		if i >= len(parts) || parts[i] == "" || parts[i] == "all" {
-			return all
+			return all, nil
 		}
-		return strings.Split(parts[i], ",")
+		names := strings.Split(parts[i], ",")
+		for k, n := range names {
+			// Every name before n is known and distinct, so the repeat
+			// scan reads at most len(all) of them.
+			if err := checkName(kind, n, all); err != nil {
+				return nil, err
+			}
+			if slices.Contains(names[:k], n) {
+				return nil, fmt.Errorf("core: matrix spec %q repeats %s %q", spec, kind, n)
+			}
+		}
+		return names, nil
 	}
-	models := pick(0, ProgramOrder)
-	allocs := pick(1, AllocatorNames)
+	models, err := pick(0, "model", ProgramOrder)
+	if err != nil {
+		return nil, err
+	}
+	allocs, err := pick(1, "allocator", AllocatorNames)
+	if err != nil {
+		return nil, err
+	}
 	preds := []string{"true"}
 	if len(parts) >= 3 {
-		preds = pick(2, PredictorModes)
+		if preds, err = pick(2, "predictor mode", PredictorModes); err != nil {
+			return nil, err
+		}
 	}
 	jobs := make([]MatrixJob, 0, len(models)*len(allocs)*len(preds))
 	for _, m := range models {
 		for _, a := range allocs {
 			for _, p := range preds {
-				j := MatrixJob{Model: m, Allocator: a, Predictor: p}
-				if err := j.Validate(); err != nil {
-					return nil, err
-				}
-				jobs = append(jobs, j)
+				jobs = append(jobs, MatrixJob{Model: m, Allocator: a, Predictor: p})
 			}
 		}
 	}

@@ -39,11 +39,38 @@ func TestParseMatrix(t *testing.T) {
 		t.Errorf("jobs = %v, want %v", jobs, want)
 	}
 
-	for _, bad := range []string{"nosuch", "gawk/nosuch", "gawk/arena/nosuch", "a/b/c/d"} {
+	for _, bad := range []string{"nosuch", "gawk/nosuch", "gawk/arena/nosuch", "a/b/c/d",
+		"gawk,gawk", "gawk/arena,arena", "gawk/arena/none,none"} {
 		if _, err := ParseMatrix(bad); err == nil {
 			t.Errorf("ParseMatrix(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseMatrix: any spec either fails cleanly or expands to at most
+// 75 distinct jobs, every one of which validates — never a panic or an
+// expansion that grows with repeated names.
+func FuzzParseMatrix(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		jobs, err := ParseMatrix(spec)
+		if err != nil {
+			return
+		}
+		max := len(ProgramOrder) * len(AllocatorNames) * len(PredictorModes)
+		if len(jobs) == 0 || len(jobs) > max {
+			t.Fatalf("%q expanded to %d jobs, want 1..%d", spec, len(jobs), max)
+		}
+		seen := make(map[MatrixJob]bool, len(jobs))
+		for _, j := range jobs {
+			if err := j.Validate(); err != nil {
+				t.Fatalf("%q yielded invalid job %s: %v", spec, j, err)
+			}
+			if seen[j] {
+				t.Fatalf("%q yielded job %s twice", spec, j)
+			}
+			seen[j] = true
+		}
+	})
 }
 
 func TestSortJobs(t *testing.T) {

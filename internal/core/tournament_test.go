@@ -140,7 +140,8 @@ func TestTournamentAccuracyAllocatorIndependent(t *testing.T) {
 
 // TestOraclePoliciesBindToSiteRouters: a tournament sitearena cell routes
 // per site only when its bound oracle can name the site, so every policy
-// trained on one table and bound to another must be a SiteRouter.
+// trained on one table and bound to another must bind to a
+// *profile.Mapper, the one oracle RunSimOracle routes by.
 func TestOraclePoliciesBindToSiteRouters(t *testing.T) {
 	a := buildArtifacts(t, "cfrac")
 	for _, p := range OraclePolicies() {
@@ -149,8 +150,8 @@ func TestOraclePoliciesBindToSiteRouters(t *testing.T) {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
 		bound := profile.BindOracle(o, a.TestTrace.Table)
-		if _, ok := bound.(SiteRouter); !ok {
-			t.Errorf("%s: binding %T has no Site method", p.Name, bound)
+		if _, ok := bound.(*profile.Mapper); !ok {
+			t.Errorf("%s: binding is %T, want *profile.Mapper", p.Name, bound)
 		}
 	}
 }

@@ -18,9 +18,11 @@ import (
 // a page is allocated when its first id arrives and recycled to a free
 // list when its last object dies, so long runs with churning ids touch a
 // bounded working set of pages. Ids beyond the spine cap (2^25, far past
-// any generated trace) spill into an ordinary map, keeping the index
-// correct for adversarial inputs — fuzzed traces reach this path, replay
-// never does.
+// any generated trace's own ids) spill into an ordinary map, keeping the
+// index correct for any id. Fuzzed traces reach that path, and so does
+// every cluster replay: tenant i >= 1 tags its ids with i<<48
+// (cluster.tenantShardBits), so every member allocator keeps those
+// tenants' live objects in the map.
 type objIndex[T any] struct {
 	spine    []*objPage[T]
 	pool     []*objPage[T] // empty pages awaiting reuse

@@ -4,11 +4,13 @@ import "repro/internal/callchain"
 
 // Oracle is the per-allocation prediction interface the replay loops
 // consult: a short/long verdict for a raw birth chain and request size,
-// plus the lifetime threshold the verdict is relative to. All three
-// predictor paths implement it — Predictor (own-table lookup), Mapper
-// (cross-table lookup by function name), and CCEPredictor (encryption-key
-// lookup) — so prediction-quality tracking can score any of them against
-// actual lifetimes without knowing which variant is in play.
+// plus the lifetime threshold the verdict is relative to. Every lookup
+// policy — the paper's rule, the quantile rule, the windowed rule — is a
+// Predictor (a set of admitted sites keyed in its own table), a Mapper
+// binds any SiteOracle (a Predictor or the LearnedOracle) to another
+// execution's chains by function name, and CCEPredictor looks sites up by
+// encryption key. Prediction-quality tracking scores any of them against
+// actual lifetimes without knowing which is in play.
 type Oracle interface {
 	PredictShort(raw callchain.ChainID, size int64) bool
 	ShortThreshold() int64

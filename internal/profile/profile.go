@@ -217,13 +217,18 @@ func (db *DB) NumSites() int { return len(db.Sites) }
 
 // Predictor extracts the set of admitted short-lived predictor sites.
 func (db *DB) Predictor() *Predictor {
-	p := &Predictor{
-		Config: db.Config,
-		table:  db.Table,
-		keys:   make(map[SiteKey]struct{}),
-	}
-	for k, st := range db.Sites {
-		if st.admitted(db.Config.AdmitFraction) {
+	return predictorOf(db.Config, db.Table, db.Sites, func(_ SiteKey, st *SiteStats) bool {
+		return st.admitted(db.Config.AdmitFraction)
+	})
+}
+
+// predictorOf collects the sites admit accepts into a Predictor keyed in
+// tb: the one admitted-set loop behind every lookup policy (the paper's
+// rule, the quantile rule and the windowed rule).
+func predictorOf[S any](cfg Config, tb *callchain.Table, sites map[SiteKey]S, admit func(SiteKey, S) bool) *Predictor {
+	p := &Predictor{Config: cfg, table: tb, keys: make(map[SiteKey]struct{})}
+	for k, st := range sites {
+		if admit(k, st) {
 			p.keys[k] = struct{}{}
 		}
 	}
@@ -261,73 +266,90 @@ func (p *Predictor) PredictShort(raw callchain.ChainID, size int64) bool {
 	return predictVia(p, raw, size)
 }
 
-// Mapper translates chains from another execution's table into the
-// predictor's table by function name — the paper's cross-run site mapping.
-// The chain mapping and Site are its SiteMapper's; Mapper adds a decision
-// cache, so the per-allocation cost is one map probe, and the site-usage
-// accounting behind SitesMatched.
+// Mapper binds a SiteOracle to chains interned in another execution's
+// table — the paper's cross-run site mapping: transform the chain
+// structurally in the foreign table, then re-intern it by function name
+// into the oracle's table (callchain.Table.InternFrom). No oracle changes
+// once trained, so both steps are memoized: the site chain per raw chain,
+// and the mapped site and verdict per (raw chain, rounded size) pair,
+// packed into one 64-bit key, so the replay's per-allocation cost is one
+// map probe. Rounded sizes that do not fit 32 bits bypass that cache.
 type Mapper struct {
-	*SiteMapper
-	p     *Predictor
-	hits  map[SiteKey]int64 // predictor sites that matched
-	total int64
+	o        SiteOracle
+	cfg      Config
+	from     *callchain.Table
+	chains   map[callchain.ChainID]callchain.ChainID // raw from-chain -> site chain in o.Table()
+	verdicts map[uint64]mappedSite                   // raw chain<<32 | rounded size -> site and verdict
+	matched  map[SiteKey]struct{}                    // admitted sites that matched an allocation
+}
 
-	// decisions memoizes the final PredictShort outcome per (raw chain,
-	// rounded size) pair, packed into one 64-bit key, so the replay's
-	// per-alloc cost is a single map probe instead of chain mapping plus
-	// a 16-byte-key site lookup. A cached hit only bumps total: the
-	// first occurrence of each pair went through the slow path, which
-	// already recorded the site in hits, and only the number of distinct
-	// matched sites (SitesMatched) is observable. Rounded sizes that
-	// do not fit 32 bits bypass the cache.
-	decisions map[uint64]bool
+// mappedSite is one cached verdict: the site chain in the oracle's table
+// and whether the oracle admits the site.
+type mappedSite struct {
+	chain callchain.ChainID
+	short bool
+}
+
+// NewMapper prepares a mapper from chains interned in from onto o.
+func NewMapper(o SiteOracle, from *callchain.Table) *Mapper {
+	return &Mapper{
+		o:        o,
+		cfg:      o.ProfileConfig(),
+		from:     from,
+		chains:   make(map[callchain.ChainID]callchain.ChainID),
+		verdicts: make(map[uint64]mappedSite),
+		matched:  make(map[SiteKey]struct{}),
+	}
 }
 
 // NewMapper prepares a mapper from chains interned in from onto p.
-func (p *Predictor) NewMapper(from *callchain.Table) *Mapper {
-	return &Mapper{
-		SiteMapper: NewSiteMapper(p, from),
-		p:          p,
-		hits:       make(map[SiteKey]int64),
-		decisions:  make(map[uint64]bool),
+func (p *Predictor) NewMapper(from *callchain.Table) *Mapper { return NewMapper(p, from) }
+
+// siteChain maps a raw chain in the foreign table to the site chain
+// interned in the oracle's table.
+func (m *Mapper) siteChain(raw callchain.ChainID) callchain.ChainID {
+	if mapped, ok := m.chains[raw]; ok {
+		return mapped
 	}
+	mapped := m.o.Table().InternFrom(m.from, m.cfg.siteChain(m.from, raw))
+	m.chains[raw] = mapped
+	return mapped
 }
 
-// PredictShort reports the prediction for an allocation observed in the
-// foreign execution, and records site-usage accounting.
-func (m *Mapper) PredictShort(raw callchain.ChainID, size int64) bool {
-	rounded := m.p.Config.roundSize(size)
-	if uint64(rounded)>>32 == 0 {
-		ck := uint64(raw)<<32 | uint64(rounded)
-		if short, ok := m.decisions[ck]; ok {
-			m.total++
-			return short
+// Site returns the mapped site key (in the oracle's table) and the
+// oracle's verdict for one allocation observed in the foreign execution —
+// the stable identity a per-site allocator (Hanson-style) routes by.
+func (m *Mapper) Site(raw callchain.ChainID, size int64) (SiteKey, bool) {
+	rounded := m.cfg.roundSize(size)
+	ck, cacheable := uint64(raw)<<32|uint64(rounded), uint64(rounded)>>32 == 0
+	if cacheable {
+		if v, ok := m.verdicts[ck]; ok {
+			return SiteKey{Chain: v.chain, Size: rounded}, v.short
 		}
-		short := m.predictSlow(raw, rounded)
-		m.decisions[ck] = short
-		return short
 	}
-	return m.predictSlow(raw, rounded)
+	key := SiteKey{Chain: m.siteChain(raw), Size: rounded}
+	short := m.o.AdmitSite(key)
+	if short {
+		m.matched[key] = struct{}{}
+	}
+	if cacheable {
+		m.verdicts[ck] = mappedSite{chain: key.Chain, short: short}
+	}
+	return key, short
 }
 
-// predictSlow is the uncached decision: map the chain, probe the site
-// set, and record site-usage accounting.
-func (m *Mapper) predictSlow(raw callchain.ChainID, rounded int64) bool {
-	key := SiteKey{
-		Chain: m.siteChainFrom(raw),
-		Size:  rounded,
-	}
-	m.total++
-	if m.p.AdmitSite(key) {
-		m.hits[key]++
-		return true
-	}
-	return false
+// PredictShort implements Oracle for a foreign execution's chains.
+func (m *Mapper) PredictShort(raw callchain.ChainID, size int64) bool {
+	_, short := m.Site(raw, size)
+	return short
 }
 
-// SitesMatched reports how many distinct predictor sites matched at least
+// ShortThreshold implements Oracle.
+func (m *Mapper) ShortThreshold() int64 { return m.cfg.ShortThreshold }
+
+// SitesMatched reports how many distinct admitted sites matched at least
 // one allocation — the paper's "Sites Used" under true prediction.
-func (m *Mapper) SitesMatched() int { return len(m.hits) }
+func (m *Mapper) SitesMatched() int { return len(m.matched) }
 
 // Eval holds the prediction-effectiveness metrics of Tables 4, 5 and 6.
 type Eval struct {
@@ -384,7 +406,7 @@ func EvaluateObjects(tb *callchain.Table, objs []trace.Object, p *Predictor) Eva
 	seen := make(map[SiteKey]struct{})
 	for i := range objs {
 		o := &objs[i]
-		key := SiteKey{Chain: m.siteChainFrom(o.Chain), Size: p.Config.roundSize(o.Size)}
+		key := SiteKey{Chain: m.siteChain(o.Chain), Size: p.Config.roundSize(o.Size)}
 		if _, ok := seen[key]; !ok {
 			seen[key] = struct{}{}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/callchain"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
@@ -26,7 +27,7 @@ func strictTrainers() []OracleTrainer {
 			if err != nil {
 				return nil, err
 			}
-			return NewQuantileOracle(db, QuantileConfig{Q: 1.0}), nil
+			return db.QuantilePredictor(QuantileConfig{Q: 1.0}), nil
 		}},
 		{Name: "window", Train: func(tr *trace.Trace, cfg Config) (Oracle, error) {
 			return TrainWindowed(trace.NewSliceSource(tr), cfg, WindowedConfig{Window: 0, Q: 1.0})
@@ -133,7 +134,7 @@ func TestQuantileAdmissionsMonotoneInThreshold(t *testing.T) {
 				t.Fatal(err)
 			}
 			cur := make(map[SiteKey]bool)
-			o := NewQuantileOracle(db, QuantileConfig{Q: q})
+			o := db.QuantilePredictor(QuantileConfig{Q: q})
 			for key := range db.Sites {
 				cur[key] = o.AdmitSite(key)
 				if cur[key] {
@@ -159,9 +160,10 @@ func TestQuantileAdmissionsMonotoneInThreshold(t *testing.T) {
 }
 
 // TestWindowedUnboundedEqualsQuantile: with an unbounded window and Q=1
-// the online policy keeps exactly the batch statistics, so it must agree
-// with the batch quantile oracle at Q=1 (and hence the paper rule) on
-// every site — including unseen probes.
+// the windowed rule keeps exactly the batch statistics, so its predictor
+// must agree with the batch quantile predictor at Q=1 (and hence the
+// paper rule) on every site — including unseen probes — and admit the
+// same number of sites.
 func TestWindowedUnboundedEqualsQuantile(t *testing.T) {
 	tr := zooTrace(t)
 	cfg := Config{ShortThreshold: 1000}
@@ -169,7 +171,7 @@ func TestWindowedUnboundedEqualsQuantile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := NewQuantileOracle(db, QuantileConfig{Q: 1.0})
+	batch := db.QuantilePredictor(QuantileConfig{Q: 1.0})
 	win, err := TrainWindowed(trace.NewSliceSource(tr), cfg, WindowedConfig{Window: 0, Q: 1.0})
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +196,8 @@ func TestWindowedUnboundedEqualsQuantile(t *testing.T) {
 			t.Errorf("site %v/%d: batch=%v windowed=%v", p.chain, p.size, b, w)
 		}
 	}
-	if win.NumSites() != db.NumSites() {
-		t.Errorf("windowed saw %d sites, batch saw %d", win.NumSites(), db.NumSites())
+	if win.NumSites() != batch.NumSites() || batch.NumSites() == 0 {
+		t.Errorf("windowed admitted %d sites, batch admitted %d", win.NumSites(), batch.NumSites())
 	}
 }
 
@@ -269,26 +271,32 @@ func TestZooCrossTableMapping(t *testing.T) {
 	}
 }
 
-// TestBindOracleIdentity: binding to the oracle's own table is the
-// identity for site oracles; predictors always get a Mapper.
+// TestBindOracleIdentity: binding maps every site oracle through a
+// Mapper — the four zoo policies, whichever table they are bound to —
+// and leaves an oracle that does not key by site, CCEPredictor, as
+// itself.
 func TestBindOracleIdentity(t *testing.T) {
 	tr := zooTrace(t)
 	cfg := Config{ShortThreshold: 1000}
-	db, err := Train(tr, cfg)
+	other := zooTrace(t)
+	for _, zt := range ZooTrainers() {
+		o, err := zt.Train(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range []*callchain.Table{tr.Table, other.Table} {
+			if _, ok := BindOracle(o, tb).(*Mapper); !ok {
+				t.Errorf("%s: site oracle %T should bind to a Mapper", zt.Name, o)
+			}
+		}
+	}
+	objs, err := trace.Annotate(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := NewQuantileOracle(db, QuantileConfig{})
-	if got := BindOracle(q, tr.Table); got != Oracle(q) {
-		t.Error("same-table site oracle should bind to itself")
-	}
-	other := zooTrace(t)
-	if _, ok := BindOracle(q, other.Table).(*SiteMapper); !ok {
-		t.Error("cross-table site oracle should bind to a SiteMapper")
-	}
-	p := db.Predictor()
-	if _, ok := BindOracle(p, other.Table).(*Mapper); !ok {
-		t.Error("predictor should bind to a Mapper")
+	cce, _ := TrainCCE(tr.Table, objs, cfg, 7)
+	if got := BindOracle(cce, other.Table); got != Oracle(cce) {
+		t.Errorf("CCEPredictor bound to %T, want itself", got)
 	}
 }
 
@@ -381,14 +389,14 @@ func TestZooPinnedConfusionMatrices(t *testing.T) {
 	}
 }
 
-// TestMapperMatchesSiteMapper: the paper's Mapper is a SiteMapper over
-// its Predictor plus a decision cache, so for every (chain, size) of a
-// model's Test trace the two must report the same site key and the same
-// verdict — the cache may only ever repeat an uncached answer. Mapper
-// inherits Site from its embedded SiteMapper, so the Site half only pins
-// that NewMapper builds that SiteMapper over the same predictor and
-// table; the PredictShort half is what tests the decision cache.
-func TestMapperMatchesSiteMapper(t *testing.T) {
+// TestMapperCacheMatchesAdmitSite: the Mapper caches each (raw chain,
+// rounded size) verdict, which is exact only because no oracle changes
+// after training. For every allocation of perl's Test trace, with
+// complete and length-3 chains, both cached answers — PredictShort and
+// Site — must equal the oracle's own uncached AdmitSite on the key the
+// allocation maps to. It covers the paper's Predictor and the
+// LearnedOracle, the one policy that is not a set of admitted sites.
+func TestMapperCacheMatchesAdmitSite(t *testing.T) {
 	m := synth.ByName("perl")
 	gen := func(in synth.Input, seed uint64) *trace.Trace {
 		tr, err := m.Generate(synth.Config{Input: in, Seed: seed, Scale: 0.01})
@@ -403,31 +411,35 @@ func TestMapperMatchesSiteMapper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred := db.Predictor()
-		mapper, sm := pred.NewMapper(test.Table), NewSiteMapper(pred, test.Table)
-		short := 0
-		for i, ev := range test.Events {
-			if ev.Kind != trace.KindAlloc {
-				continue
+		cfg = db.Config
+		for _, o := range []SiteOracle{db.Predictor(), TrainLearned(db)} {
+			mapper := NewMapper(o, test.Table)
+			short := 0
+			for i, ev := range test.Events {
+				if ev.Kind != trace.KindAlloc {
+					continue
+				}
+				want := SiteKey{
+					Chain: o.Table().InternFrom(test.Table, cfg.siteChain(test.Table, ev.Chain)),
+					Size:  cfg.roundSize(ev.Size),
+				}
+				admit := o.AdmitSite(want)
+				if got := mapper.PredictShort(ev.Chain, ev.Size); got != admit {
+					t.Fatalf("%T, chain length %d, event %d: PredictShort = %v, AdmitSite(%+v) = %v",
+						o, cfg.ChainLength, i, got, want, admit)
+				}
+				if key, got := mapper.Site(ev.Chain, ev.Size); key != want || got != admit {
+					t.Fatalf("%T, chain length %d, event %d: Site = %+v,%v; want %+v,%v",
+						o, cfg.ChainLength, i, key, got, want, admit)
+				}
+				if admit {
+					short++
+				}
 			}
-			mk, mok := mapper.Site(ev.Chain, ev.Size)
-			sk, sok := sm.Site(ev.Chain, ev.Size)
-			if mk != sk || mok != sok {
-				t.Fatalf("chain length %d, event %d: Mapper.Site = %+v,%v; SiteMapper.Site = %+v,%v",
-					cfg.ChainLength, i, mk, mok, sk, sok)
+			if short == 0 || mapper.SitesMatched() == 0 {
+				t.Fatalf("%T, chain length %d: no allocation predicted short (%d sites matched); the comparison is vacuous",
+					o, cfg.ChainLength, mapper.SitesMatched())
 			}
-			mp, sp := mapper.PredictShort(ev.Chain, ev.Size), sm.PredictShort(ev.Chain, ev.Size)
-			if mp != sp {
-				t.Fatalf("chain length %d, event %d: Mapper.PredictShort = %v, SiteMapper.PredictShort = %v",
-					cfg.ChainLength, i, mp, sp)
-			}
-			if mp {
-				short++
-			}
-		}
-		if short == 0 || mapper.SitesMatched() == 0 {
-			t.Fatalf("chain length %d: no allocation predicted short (%d sites matched); the comparison is vacuous",
-				cfg.ChainLength, mapper.SitesMatched())
 		}
 	}
 }

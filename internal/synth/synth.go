@@ -249,36 +249,6 @@ func (d LifeDist) sample(r *xrand.RNG) int64 {
 	return int64(v)
 }
 
-// MeanFinite returns the expected lifetime treating immortal mass as 0 with
-// weight reported separately; used by live-volume calibration arithmetic.
-func (d LifeDist) MeanFinite() (mean float64, immortalFrac float64) {
-	switch d.Kind {
-	case LifeExp:
-		return d.Mean, 0
-	case LifeFixed:
-		return d.Value, 0
-	case LifeUniform:
-		return (d.Lo + d.Hi) / 2, 0
-	case LifePareto:
-		if d.Alpha <= 1 {
-			if d.Cap > 0 {
-				// Truncated mean of Pareto: rough numeric value.
-				return d.Xm * math.Log(d.Cap/d.Xm), 0
-			}
-			return math.Inf(1), 0
-		}
-		return d.Alpha * d.Xm / (d.Alpha - 1), 0
-	case LifeImmortal:
-		return 0, 1
-	case LifeMix:
-		ma, ia := d.A.MeanFinite()
-		mb, ib := d.B.MeanFinite()
-		return d.MixP*ma + (1-d.MixP)*mb, d.MixP*ia + (1-d.MixP)*ib
-	default:
-		panic(fmt.Sprintf("synth: bad LifeKind %d", d.Kind))
-	}
-}
-
 // SiteSpec describes one family of allocation sites: a raw call-chain, a
 // size distribution (each distinct size is its own site), lifetime
 // behaviour under the training and test inputs, relative volume under each

@@ -101,21 +101,6 @@ func TestLifeDistSampling(t *testing.T) {
 	}
 }
 
-func TestLifeDistMeanFinite(t *testing.T) {
-	m, im := ExpLife(500, 0).MeanFinite()
-	if m != 500 || im != 0 {
-		t.Errorf("exp: %v/%v", m, im)
-	}
-	m, im = Immortal().MeanFinite()
-	if m != 0 || im != 1 {
-		t.Errorf("immortal: %v/%v", m, im)
-	}
-	_, im = MixLife(0.25, Immortal(), ExpLife(100, 0)).MeanFinite()
-	if math.Abs(im-0.25) > 1e-9 {
-		t.Errorf("mixture immortal fraction: %v, want 0.25", im)
-	}
-}
-
 func TestGenerateValidTrace(t *testing.T) {
 	for _, m := range All() {
 		for _, in := range []Input{Train, Test} {
@@ -378,17 +363,5 @@ func TestSizeDistWeightedChoice(t *testing.T) {
 	}
 	if d.DistinctSizes() != 3 {
 		t.Fatalf("DistinctSizes = %d", d.DistinctSizes())
-	}
-}
-
-func TestLifeDistParetoMeanFinite(t *testing.T) {
-	m, im := ParetoLife(2.0, 100, 0).MeanFinite()
-	if im != 0 || math.Abs(m-200) > 1e-9 {
-		t.Fatalf("Pareto(2,100) mean = %v/%v, want 200/0", m, im)
-	}
-	// Alpha <= 1 with a cap uses the truncated approximation.
-	m, _ = ParetoLife(1.0, 100, 10000).MeanFinite()
-	if m <= 0 || math.IsInf(m, 0) {
-		t.Fatalf("truncated Pareto mean = %v", m)
 	}
 }
