@@ -136,20 +136,19 @@ func main() {
 		fmt.Fprintf(out, "fallbacks:      %d\n", res.Counts.ArenaFallbacks)
 	}
 
-	params := lifetime.DefaultCostParams()
 	var cost lifetime.PerOpCost
 	switch *allocName {
 	case "bsd":
-		cost = lifetime.CostBSD(res.Counts, params)
+		cost = lifetime.CostBSD(res.Counts)
 	case "firstfit", "bestfit":
-		cost = lifetime.CostFirstFit(res.Counts, params)
+		cost = lifetime.CostFirstFit(res.Counts)
 	case "arena":
-		cost = lifetime.CostArenaLen4(res.Counts, params)
+		cost = lifetime.CostArenaLen4(res.Counts)
 		cpa := *callsPerAlloc
 		if cpa == 0 && res.TotalAllocs > 0 {
 			cpa = float64(meta.FunctionCalls) / float64(res.TotalAllocs)
 		}
-		cce := lifetime.CostArenaCCE(res.Counts, params, cpa)
+		cce := lifetime.CostArenaCCE(res.Counts, cpa)
 		fmt.Fprintf(out, "instr/op (cce): alloc %.1f, free %.1f, a+f %.1f\n",
 			cce.Alloc, cce.Free, cce.Total())
 	}

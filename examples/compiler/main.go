@@ -428,9 +428,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	params := lifetime.DefaultCostParams()
 	fmt.Printf("\nfirst-fit:  heap %4d KB, %5.1f instr per alloc+free\n",
-		ff.MaxHeap>>10, lifetime.CostFirstFit(ff.Counts, params).Total())
+		ff.MaxHeap>>10, lifetime.CostFirstFit(ff.Counts).Total())
 	fmt.Printf("arena:      heap %4d KB, %5.1f instr per alloc+free, %.1f%% of allocs in arenas\n",
-		ar.MaxHeap>>10, lifetime.CostArenaLen4(ar.Counts, params).Total(), ar.ArenaAllocPct)
+		ar.MaxHeap>>10, lifetime.CostArenaLen4(ar.Counts).Total(), ar.ArenaAllocPct)
 }

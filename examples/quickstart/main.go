@@ -59,9 +59,8 @@ func main() {
 	fmt.Printf("arena max heap:      %6d KB (%.1f%% of allocations bump-allocated)\n",
 		ar.MaxHeap>>10, ar.ArenaAllocPct)
 
-	params := lifetime.DefaultCostParams()
-	ffCost := lifetime.CostFirstFit(ff.Counts, params)
-	arCost := lifetime.CostArenaLen4(ar.Counts, params)
+	ffCost := lifetime.CostFirstFit(ff.Counts)
+	arCost := lifetime.CostArenaLen4(ar.Counts)
 	fmt.Printf("\nmodeled instructions per alloc+free:\n")
 	fmt.Printf("  first-fit:    %.0f\n", ffCost.Total())
 	fmt.Printf("  arena (len4): %.0f\n", arCost.Total())

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/heapsim"
 	"repro/internal/obs"
+	"repro/internal/profile"
 	"repro/internal/synth"
 	"repro/internal/trace"
 )
@@ -17,17 +18,22 @@ import (
 // of events per tenant.
 const testScale = 0.01
 
-// runner caches each model's streaming-trained predictors across tests,
-// as RunMatrix's set-up does; sources and mappers are still fresh per
-// replay.
-var runner = core.NewMatrixRunner(core.DefaultConfig(testScale))
+// preds caches each model's streaming-trained Train-input predictor
+// across tests, as RunMatrix's set-up does; sources and mappers are still
+// fresh per replay. No test here runs in parallel, so the map needs no
+// lock.
+var preds = map[string]*profile.Predictor{}
 
 // freshTenant builds a new single-use source + bound oracle for a model.
 func freshTenant(t testing.TB, id, model string) Tenant {
 	t.Helper()
-	pred, err := runner.Predictor(model, "true")
-	if err != nil {
-		t.Fatal(err)
+	pred, ok := preds[model]
+	if !ok {
+		var err error
+		if pred, err = core.DefaultConfig(testScale).TrainPredictor(synth.ByName(model), synth.Train); err != nil {
+			t.Fatal(err)
+		}
+		preds[model] = pred
 	}
 	src, err := synth.ByName(model).Source(core.DefaultConfig(testScale).GenConfig(synth.Test))
 	if err != nil {

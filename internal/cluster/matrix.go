@@ -201,21 +201,24 @@ func RunMatrix(cfg MatrixConfig) (*MatrixResult, error) {
 	}
 
 	// The set-up is Schedule's one build, so it runs alone: the Train-input
-	// predictor of each distinct model, trained from a streaming source,
-	// then a warm pass that interns every tenant table's site chains into
-	// the shared predictor tables. After this, each scenario's
-	// profile.Mapper keeps its memos to itself and only reads the shared
-	// tables, which is what makes the scenario cells race-free.
+	// predictor of each distinct model, trained once from a streaming
+	// source (Config.TrainPredictor), then a warm pass that interns every
+	// tenant table's site chains into the shared predictor tables. After
+	// this, each scenario's profile.Mapper keeps its memos to itself and
+	// only reads the shared tables, which is what makes the scenario
+	// cells race-free.
 	preds := map[string]*profile.Predictor{}
 	slots := make([]ScenarioResult, len(policies)*len(cfg.Pools))
 	build := func(int) (func(int) error, error) {
-		runner := core.NewMatrixRunner(cfg.Core)
 		for _, spec := range specs {
-			pred, err := runner.Predictor(spec.Model, "true")
-			if err != nil {
-				return nil, err
+			pred, ok := preds[spec.Model]
+			if !ok {
+				var err error
+				if pred, err = cfg.Core.TrainPredictor(synth.ByName(spec.Model), synth.Train); err != nil {
+					return nil, err
+				}
+				preds[spec.Model] = pred
 			}
-			preds[spec.Model] = pred
 			ten, err := buildTenant(cfg.Core, spec, pred)
 			if err != nil {
 				return nil, err

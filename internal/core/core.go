@@ -560,15 +560,16 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 		sited = nil
 	}
 	res := SimResult{}
-	// The replay runs on the block path: block-native sources (binary
-	// readers, synth generators, column views) hand over DefaultBlockLen
-	// events per NextBlock call, scalar sources go through the adapter,
-	// and the inner loop walks the columns with plain index arithmetic —
-	// no interface dispatch, no 40-byte struct copies per event. Event
-	// indices in errors stay global (base counts completed blocks), and
-	// the tracker still steps per event, so phase marks, timeline
-	// cadence, and prediction scoring land on exactly the same events as
-	// the event-at-a-time reference replay in internal/check.
+	// The replay runs on the block path: block-native sources (synth
+	// generators, slices, column views) hand over DefaultBlockLen events
+	// per NextBlock call, scalar sources (the readers included) go
+	// through the adapter, and the inner loop walks the columns with
+	// plain index arithmetic — no interface dispatch, no 40-byte struct
+	// copies per event. Event indices in errors stay global (base counts
+	// completed blocks), and the tracker still steps per event, so phase
+	// marks, timeline cadence, and prediction scoring land on exactly the
+	// same events as the event-at-a-time reference replay in
+	// internal/check.
 	bs := trace.AsBlockSource(src)
 	blk := trace.NewEventBlock(trace.DefaultBlockLen)
 	for base := 0; ; base += blk.N {
@@ -845,7 +846,6 @@ type Table9Row struct {
 // Table9 simulates BSD, first-fit, and the arena allocator on the Test
 // input and prices them with the instruction cost model.
 func (c Config) Table9(a *Artifacts) (Table9Row, error) {
-	params := costmodel.DefaultParams()
 	bsdRes, err := RunSim(a.TestTrace, heapsim.NewBSD(), nil)
 	if err != nil {
 		return Table9Row{}, err
@@ -860,10 +860,10 @@ func (c Config) Table9(a *Artifacts) (Table9Row, error) {
 	}
 	return Table9Row{
 		Program:  a.Model.Name,
-		BSD:      costmodel.BSD(bsdRes.Counts, params),
-		FirstFit: costmodel.FirstFit(ffRes.Counts, params),
-		Len4:     costmodel.ArenaLen4(arRes.Counts, params),
-		CCE:      costmodel.ArenaCCE(arRes.Counts, params, a.Model.CallsPerAlloc),
+		BSD:      costmodel.BSD(bsdRes.Counts),
+		FirstFit: costmodel.FirstFit(ffRes.Counts),
+		Len4:     costmodel.ArenaLen4(arRes.Counts),
+		CCE:      costmodel.ArenaCCE(arRes.Counts, a.Model.CallsPerAlloc),
 	}, nil
 }
 

@@ -187,22 +187,26 @@ func (r *MatrixRunner) model(name string) (*modelEntry, error) {
 	return e, e.err
 }
 
-func (e *modelEntry) build(cfg Config, m *synth.Model) {
-	train := func(in synth.Input) (*profile.Predictor, error) {
-		src, err := m.Source(cfg.GenConfig(in))
-		if err != nil {
-			return nil, err
-		}
-		db, err := profile.TrainSource(src, cfg.Profile)
-		if err != nil {
-			return nil, err
-		}
-		return db.Predictor(), nil
+// TrainPredictor trains the model's predictor on one input from a
+// streaming source, never materializing the trace: the matrix's true
+// (Train) and self (Test) predictors, and the cluster's per-model one.
+func (c Config) TrainPredictor(m *synth.Model, in synth.Input) (*profile.Predictor, error) {
+	src, err := m.Source(c.GenConfig(in))
+	if err != nil {
+		return nil, err
 	}
-	if e.truePred, e.err = train(synth.Train); e.err != nil {
+	db, err := profile.TrainSource(src, c.Profile)
+	if err != nil {
+		return nil, err
+	}
+	return db.Predictor(), nil
+}
+
+func (e *modelEntry) build(cfg Config, m *synth.Model) {
+	if e.truePred, e.err = cfg.TrainPredictor(m, synth.Train); e.err != nil {
 		return
 	}
-	if e.selfPred, e.err = train(synth.Test); e.err != nil {
+	if e.selfPred, e.err = cfg.TrainPredictor(m, synth.Test); e.err != nil {
 		return
 	}
 	if e.testEvents, e.err = m.CountEvents(cfg.GenConfig(synth.Test)); e.err != nil {
@@ -227,17 +231,9 @@ func (e *modelEntry) build(cfg Config, m *synth.Model) {
 	}
 }
 
-// Predictor returns the streaming-trained predictor a job in the given
+// predictor returns the streaming-trained predictor a job in the given
 // mode replays against: the Train-input one for "true", the Test-input
-// one for "self", and nil for "none". The model trains on first use.
-func (r *MatrixRunner) Predictor(model, mode string) (*profile.Predictor, error) {
-	e, err := r.model(model)
-	if err != nil {
-		return nil, err
-	}
-	return e.predictor(mode)
-}
-
+// one for "self", and nil for "none".
 func (e *modelEntry) predictor(mode string) (*profile.Predictor, error) {
 	switch mode {
 	case "none":

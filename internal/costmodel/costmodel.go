@@ -15,56 +15,33 @@ package costmodel
 
 import "repro/internal/heapsim"
 
-// Params are the per-operation instruction estimates.
-type Params struct {
+// The per-operation instruction estimates.
+const (
 	// Lifetime prediction (paper §5.1).
-	PredictLen4    int64   // full length-4 site check: 18 (10 chain + 8 lookup)
-	PredictCCEBase int64   // CCE site check when the key is maintained per call: 8
-	CCEPerCall     float64 // per-function-call key maintenance: 3
+	predictLen4    = 18 // full length-4 site check: 10 chain + 8 lookup
+	predictCCEBase = 8  // CCE site check when the key is maintained per call
+	ccePerCall     = 3  // per-function-call key maintenance
 
 	// Arena operations.
-	ArenaBump     int64 // bump-pointer allocation: space check + add + count
-	ArenaFree     int64 // address-range check + count decrement
-	ArenaScanStep int64 // per-arena examined while hunting a zero count
-	ArenaReset    int64 // resetting a reusable arena
+	arenaBump     = 8 // bump-pointer allocation: space check + add + count
+	arenaFree     = 9 // address-range check + count decrement
+	arenaScanStep = 3 // per-arena examined while hunting a zero count
+	arenaReset    = 6 // resetting a reusable arena
 
 	// First-fit (Knuth) operations.
-	FFAllocBase int64 // header setup, list entry
-	FFProbe     int64 // per free block examined
-	FFSplit     int64 // splitting a block
-	FFExtend    int64 // sbrk path
-	FFFreeBase  int64 // boundary-tag free
-	FFCoalesce  int64 // per neighbor merge
+	ffAllocBase = 30 // header setup, list entry
+	ffProbe     = 6  // per free block examined
+	ffSplit     = 6  // splitting a block
+	ffExtend    = 60 // sbrk path
+	ffFreeBase  = 52 // boundary-tag free
+	ffCoalesce  = 8  // per neighbor merge
 
 	// BSD (power-of-two) operations.
-	BSDAllocBase int64 // list pop + bookkeeping
-	BSDPerBucket int64 // bucket-computation shift loop, per index step
-	BSDCarve     int64 // slab carve when a list is empty
-	BSDFree      int64 // push on bucket list (paper: 17)
-}
-
-// DefaultParams returns the paper-anchored estimates.
-func DefaultParams() Params {
-	return Params{
-		PredictLen4:    18,
-		PredictCCEBase: 8,
-		CCEPerCall:     3,
-		ArenaBump:      8,
-		ArenaFree:      9,
-		ArenaScanStep:  3,
-		ArenaReset:     6,
-		FFAllocBase:    30,
-		FFProbe:        6,
-		FFSplit:        6,
-		FFExtend:       60,
-		FFFreeBase:     52,
-		FFCoalesce:     8,
-		BSDAllocBase:   42,
-		BSDPerBucket:   2,
-		BSDCarve:       40,
-		BSDFree:        17,
-	}
-}
+	bsdAllocBase = 42 // list pop + bookkeeping
+	bsdPerBucket = 2  // bucket-computation shift loop, per index step
+	bsdCarve     = 40 // slab carve when a list is empty
+	bsdFree      = 17 // push on bucket list (paper: 17)
+)
 
 // PerOp is an instructions-per-operation summary: one Table 9 cell group.
 type PerOp struct {
@@ -83,55 +60,55 @@ func safeDiv(num, den int64) float64 {
 }
 
 // BSD prices a BSD-malloc run from its operation counts.
-func BSD(c heapsim.OpCounts, p Params) PerOp {
-	alloc := float64(p.BSDAllocBase) +
-		float64(p.BSDPerBucket)*safeDiv(c.BSDBucketSum, c.Allocs) +
-		float64(p.BSDCarve)*safeDiv(c.BSDCarves, c.Allocs)
-	return PerOp{Alloc: alloc, Free: float64(p.BSDFree)}
+func BSD(c heapsim.OpCounts) PerOp {
+	alloc := bsdAllocBase +
+		bsdPerBucket*safeDiv(c.BSDBucketSum, c.Allocs) +
+		bsdCarve*safeDiv(c.BSDCarves, c.Allocs)
+	return PerOp{Alloc: alloc, Free: bsdFree}
 }
 
 // FirstFit prices a first-fit run from its operation counts.
-func FirstFit(c heapsim.OpCounts, p Params) PerOp {
-	alloc := float64(p.FFAllocBase) +
-		float64(p.FFProbe)*safeDiv(c.FFProbes, c.FFAllocs) +
-		float64(p.FFSplit)*safeDiv(c.FFSplits, c.FFAllocs) +
-		float64(p.FFExtend)*safeDiv(c.FFExtends, c.FFAllocs)
-	free := float64(p.FFFreeBase) +
-		float64(p.FFCoalesce)*safeDiv(c.FFCoalesces, c.FFFrees)
+func FirstFit(c heapsim.OpCounts) PerOp {
+	alloc := ffAllocBase +
+		ffProbe*safeDiv(c.FFProbes, c.FFAllocs) +
+		ffSplit*safeDiv(c.FFSplits, c.FFAllocs) +
+		ffExtend*safeDiv(c.FFExtends, c.FFAllocs)
+	free := ffFreeBase +
+		ffCoalesce*safeDiv(c.FFCoalesces, c.FFFrees)
 	return PerOp{Alloc: alloc, Free: free}
 }
 
 // arena prices the shared (non-prediction) part of an arena run: bump
 // allocations, scans, resets, and the first-fit costs of the general heap,
 // averaged over all operations.
-func arena(c heapsim.OpCounts, p Params) PerOp {
+func arena(c heapsim.OpCounts) PerOp {
 	if c.Allocs == 0 {
 		return PerOp{}
 	}
 	// Work done by arena-path allocations.
-	arenaWork := c.ArenaAllocs*p.ArenaBump +
-		c.ArenaScanSteps*p.ArenaScanStep +
-		c.ArenaResets*p.ArenaReset
+	arenaWork := c.ArenaAllocs*arenaBump +
+		c.ArenaScanSteps*arenaScanStep +
+		c.ArenaResets*arenaReset
 	// Work done by general-heap allocations (the first-fit path).
-	ffAlloc := c.FFAllocs*p.FFAllocBase +
-		c.FFProbes*p.FFProbe +
-		c.FFSplits*p.FFSplit +
-		c.FFExtends*p.FFExtend
+	ffAlloc := c.FFAllocs*ffAllocBase +
+		c.FFProbes*ffProbe +
+		c.FFSplits*ffSplit +
+		c.FFExtends*ffExtend
 	alloc := float64(arenaWork+ffAlloc) / float64(c.Allocs)
 
 	free := 0.0
 	if c.Frees > 0 {
-		ffFree := c.FFFrees*p.FFFreeBase + c.FFCoalesces*p.FFCoalesce
-		free = float64(c.ArenaFrees*p.ArenaFree+ffFree) / float64(c.Frees)
+		ffFree := c.FFFrees*ffFreeBase + c.FFCoalesces*ffCoalesce
+		free = float64(c.ArenaFrees*arenaFree+ffFree) / float64(c.Frees)
 	}
 	return PerOp{Alloc: alloc, Free: free}
 }
 
 // ArenaLen4 prices an arena-allocator run whose prediction uses the
 // length-4 call-chain computed at each allocation.
-func ArenaLen4(c heapsim.OpCounts, p Params) PerOp {
-	po := arena(c, p)
-	po.Alloc += float64(p.PredictLen4)
+func ArenaLen4(c heapsim.OpCounts) PerOp {
+	po := arena(c)
+	po.Alloc += predictLen4
 	return po
 }
 
@@ -139,8 +116,8 @@ func ArenaLen4(c heapsim.OpCounts, p Params) PerOp {
 // encryption: the per-call key maintenance (3 instructions x function
 // calls) is charged per allocation, as the paper does ("factoring the
 // per-call call-chain encryption as a per-allocation cost").
-func ArenaCCE(c heapsim.OpCounts, p Params, callsPerAlloc float64) PerOp {
-	po := arena(c, p)
-	po.Alloc += float64(p.PredictCCEBase) + p.CCEPerCall*callsPerAlloc
+func ArenaCCE(c heapsim.OpCounts, callsPerAlloc float64) PerOp {
+	po := arena(c)
+	po.Alloc += predictCCEBase + ccePerCall*callsPerAlloc
 	return po
 }

@@ -93,30 +93,11 @@ func (p *CCEPredictor) PredictShort(raw callchain.ChainID, size int64) bool {
 // additionally need identical id assignments in both binaries, which the
 // paper assumes since the ids are compiled in).
 func EvaluateCCE(objs []trace.Object, p *CCEPredictor) Eval {
-	var ev Eval
-	seen := make(map[cceKey]struct{})
-	for i := range objs {
-		o := &objs[i]
+	ev := score(objs, p.Config.ShortThreshold, func(o *trace.Object) (cceKey, bool) {
 		k := cceKey{key: p.table.EncryptionKey(o.Chain), size: p.Config.roundSize(o.Size)}
-		seen[k] = struct{}{}
-		ev.TotalObjects++
-		ev.TotalBytes += o.Size
-		ev.TotalRefs += o.Refs
-		short := o.Lifetime < p.Config.ShortThreshold
-		if short {
-			ev.ActualShortBytes += o.Size
-		}
-		if _, ok := p.keys[k]; ok {
-			ev.PredictedBytes += o.Size
-			ev.PredictedRefs += o.Refs
-			if short {
-				ev.PredictedShortBytes += o.Size
-			} else {
-				ev.ErrorBytes += o.Size
-			}
-		}
-	}
-	ev.TotalSites = len(seen)
+		_, ok := p.keys[k]
+		return k, ok
+	})
 	ev.SitesUsed = p.NumSites()
 	return ev
 }

@@ -400,24 +400,35 @@ func Evaluate(tr *trace.Trace, p *Predictor) (Eval, error) {
 }
 
 // EvaluateObjects evaluates pre-annotated objects whose chains live in tb.
+// Each object is keyed once, by the Mapper that also gives its verdict.
 func EvaluateObjects(tb *callchain.Table, objs []trace.Object, p *Predictor) Eval {
 	m := p.NewMapper(tb)
+	ev := score(objs, p.Config.ShortThreshold, func(o *trace.Object) (SiteKey, bool) {
+		return m.Site(o.Chain, o.Size)
+	})
+	ev.SitesUsed = m.SitesMatched()
+	return ev
+}
+
+// score is the one scoring loop behind EvaluateObjects and EvaluateCCE:
+// site returns each object's key and whether it is predicted short, and
+// an object is actually short when it died before threshold. TotalSites
+// counts the distinct keys; SitesUsed is left to the caller.
+func score[K comparable](objs []trace.Object, threshold int64, site func(*trace.Object) (K, bool)) Eval {
 	var ev Eval
-	seen := make(map[SiteKey]struct{})
+	seen := make(map[K]struct{})
 	for i := range objs {
 		o := &objs[i]
-		key := SiteKey{Chain: m.siteChain(o.Chain), Size: p.Config.roundSize(o.Size)}
-		if _, ok := seen[key]; !ok {
-			seen[key] = struct{}{}
-		}
+		key, predicted := site(o)
+		seen[key] = struct{}{}
 		ev.TotalObjects++
 		ev.TotalBytes += o.Size
 		ev.TotalRefs += o.Refs
-		short := o.Lifetime < p.Config.ShortThreshold
+		short := o.Lifetime < threshold
 		if short {
 			ev.ActualShortBytes += o.Size
 		}
-		if m.PredictShort(o.Chain, o.Size) {
+		if predicted {
 			ev.PredictedBytes += o.Size
 			ev.PredictedRefs += o.Refs
 			if short {
@@ -428,7 +439,6 @@ func EvaluateObjects(tb *callchain.Table, objs []trace.Object, p *Predictor) Eva
 		}
 	}
 	ev.TotalSites = len(seen)
-	ev.SitesUsed = m.SitesMatched()
 	return ev
 }
 

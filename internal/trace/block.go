@@ -12,8 +12,9 @@ import (
 // fixed-capacity struct-of-arrays batch, a consumer iterates the columns
 // with plain index arithmetic, and the per-event boundary cost drops to a
 // slice load. Every Source still works (AsBlockSource wraps it), so the
-// two shapes coexist; the binary Reader, the synth generators,
-// SliceSource and ColumnsSource produce blocks natively.
+// two shapes coexist; the synth generators, SliceSource and
+// ColumnsSource produce blocks natively, and the readers batch through
+// AsBlockSource's adapter.
 
 // DefaultBlockLen is the event capacity consumers allocate by default: big
 // enough to amortize per-block overhead to noise, small enough that a
@@ -97,10 +98,11 @@ func (b *EventBlock) Event(i int) Event {
 //     filling a block returns the filled events with a nil error first and
 //     the held error on the next call, so consumers observe exactly the
 //     event-then-error order the scalar stream would deliver.
-//   - Meta and Table behave as on Source: the table is complete before
-//     the first block (TextReader-style growing tables reach consumers
-//     only through the scalar interface), trailer metadata is final once
-//     NextBlock has returned io.EOF.
+//   - Meta and Table behave as on Source: a native producer's table is
+//     complete before the first block; a scalar Source whose table grows
+//     as it streams (TextReader) keeps growing behind the adapter, so its
+//     consumers read the table after io.EOF, as Collect does. Trailer
+//     metadata is final once NextBlock has returned io.EOF.
 //
 // Like Sources, BlockSources are single-consumer.
 type BlockSource interface {
@@ -110,10 +112,11 @@ type BlockSource interface {
 }
 
 // AsBlockSource returns src's batched face: src itself when it already
-// implements BlockSource (Reader, SliceSource, ColumnsSource, the synth
+// implements BlockSource (SliceSource, ColumnsSource, the synth
 // generators), otherwise a wrapper that fills blocks by repeated Next
-// calls. Either way the event sequence, errors, metadata, and table are
-// those of src.
+// calls — the one batching loop for the binary Reader, TextReader and
+// any other scalar Source. Either way the event sequence, errors,
+// metadata, table and event count are those of src.
 func AsBlockSource(src Source) BlockSource {
 	if bs, ok := src.(BlockSource); ok {
 		return bs

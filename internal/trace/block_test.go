@@ -88,6 +88,9 @@ func TestBlockAdapterErrorOnBoundary(t *testing.T) {
 	}
 }
 
+// TestReaderNextBlock batches a Reader through AsBlockSource's adapter
+// (Collect drains through it): every event and the trailer arrive, and
+// the drained stream keeps answering io.EOF.
 func TestReaderNextBlock(t *testing.T) {
 	tr := randomTrace(12, 2000)
 	var buf bytes.Buffer
@@ -119,7 +122,7 @@ func TestReaderNextBlock(t *testing.T) {
 		t.Fatalf("trailer meta = %+v, want 4242/99", m)
 	}
 	blk := NewEventBlock(0)
-	if err := r.NextBlock(blk); err != io.EOF {
+	if err := AsBlockSource(r).NextBlock(blk); err != io.EOF {
 		t.Fatalf("NextBlock after EOF = %v, want io.EOF", err)
 	}
 }
@@ -173,11 +176,11 @@ func TestAsBlockSourcePreservesCounted(t *testing.T) {
 	}
 }
 
-// TestReaderNextBlockTruncatedMidBlock pins the error path of the batched
-// decoder on a stream cut off in the middle of the event section: every
-// fully-decoded event is delivered first, then the truncation surfaces
-// as exactly io.ErrUnexpectedEOF — not io.EOF, which would let a consumer
-// mistake a torn stream for a complete one.
+// TestReaderNextBlockTruncatedMidBlock pins the error path of a Reader
+// batched through AsBlockSource on a stream cut off in the middle of the
+// event section: every fully-decoded event is delivered first, then the
+// truncation surfaces as exactly io.ErrUnexpectedEOF — not io.EOF, which
+// would let a consumer mistake a torn stream for a complete one.
 func TestReaderNextBlockTruncatedMidBlock(t *testing.T) {
 	tr := randomTrace(21, 600)
 	var buf bytes.Buffer
@@ -194,10 +197,11 @@ func TestReaderNextBlockTruncatedMidBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := buf.Len() * 3 / 4 // inside the event section, past the header
-	r, err := NewReader(bytes.NewReader(buf.Bytes()[:cut]))
+	rd, err := NewReader(bytes.NewReader(buf.Bytes()[:cut]))
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := AsBlockSource(rd)
 	blk := NewEventBlock(64)
 	events := 0
 	var final error

@@ -40,7 +40,8 @@ func (cw countingWriter) str(s string) error {
 	return err
 }
 
-// WriteBinary serializes a trace in the compact binary format.
+// WriteBinary serializes a trace in the compact LPTRACE1 format. It
+// refuses the events the streaming Writer refuses.
 func WriteBinary(w io.Writer, tr *Trace) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := countingWriter{bw}
@@ -65,23 +66,12 @@ func WriteBinary(w io.Writer, tr *Trace) error {
 	if err := cw.uvarint(uint64(len(tr.Events))); err != nil {
 		return err
 	}
+	// LPTRACE1 encodes events exactly as LPTRACE2 does, so the streaming
+	// Writer's encoder (and its checks) serves both formats.
+	ew := &Writer{bw: bw, cw: cw}
 	for _, ev := range tr.Events {
-		if err := bw.WriteByte(byte(ev.Kind)); err != nil {
+		if err := ew.Write(ev); err != nil {
 			return err
-		}
-		if err := cw.uvarint(uint64(ev.Obj)); err != nil {
-			return err
-		}
-		if ev.Kind == KindAlloc {
-			if err := cw.uvarint(uint64(ev.Size)); err != nil {
-				return err
-			}
-			if err := cw.uvarint(uint64(ev.Chain)); err != nil {
-				return err
-			}
-			if err := cw.uvarint(uint64(ev.Refs)); err != nil {
-				return err
-			}
 		}
 	}
 	return bw.Flush()
@@ -124,24 +114,24 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 }
 
 // WriteText writes a human-readable rendering of the trace, one event per
-// line, for debugging and the lpgen -text mode:
+// line, for debugging and the lpgen -text mode. It is TextWriter over the
+// trace's events: a leading program/input line, then
 //
 //	alloc <obj> size=<n> refs=<n> chain=main>parse>xmalloc
 //	free <obj>
+//
+// and a trailing line with the workload totals.
 func WriteText(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# program=%s input=%s calls=%d nonheaprefs=%d\n",
-		tr.Program, tr.Input, tr.FunctionCalls, tr.NonHeapRefs)
+	tw, err := NewTextWriter(w, Meta{Program: tr.Program, Input: tr.Input}, tr.Table)
+	if err != nil {
+		return err
+	}
 	for _, ev := range tr.Events {
-		switch ev.Kind {
-		case KindAlloc:
-			fmt.Fprintf(bw, "alloc %d size=%d refs=%d chain=%s\n",
-				ev.Obj, ev.Size, ev.Refs, tr.Table.String(ev.Chain))
-		case KindFree:
-			fmt.Fprintf(bw, "free %d\n", ev.Obj)
+		if err := tw.Write(ev); err != nil {
+			return err
 		}
 	}
-	return bw.Flush()
+	return tw.Close(tr.FunctionCalls, tr.NonHeapRefs)
 }
 
 // ReadText parses the text rendering produced by WriteText or

@@ -115,8 +115,9 @@ func TestValidateOK(t *testing.T) {
 // TestReadersRejectHostileFields feeds both readers field values no trace
 // can contain — a size or refs count that only decodes as negative, and
 // non-integer metadata — and checks each is rejected with an error that
-// names the event or line, while zero sizes stay legal. The writers
-// refuse the same events, so nothing they emit is unreadable.
+// names the event or line, while zero sizes stay legal. The writers,
+// streaming and batch, refuse the same events and an unknown kind, so
+// nothing they emit is unreadable.
 func TestReadersRejectHostileFields(t *testing.T) {
 	// binaryAlloc is an LPTRACE2 stream with one function "f", one chain
 	// [f], one good alloc, then one alloc with the given size and refs.
@@ -166,10 +167,11 @@ func TestReadersRejectHostileFields(t *testing.T) {
 
 	tb := callchain.NewTable()
 	chain := tb.InternNames("f")
-	for _, ev := range []Event{
+	hostile := []Event{
 		{Kind: KindAlloc, Obj: 1, Size: -8, Chain: chain},
 		{Kind: KindAlloc, Obj: 1, Size: 8, Chain: chain, Refs: -3},
-	} {
+	}
+	for _, ev := range hostile {
 		w, err := NewWriter(io.Discard, Meta{}, tb)
 		if err != nil {
 			t.Fatal(err)
@@ -183,6 +185,15 @@ func TestReadersRejectHostileFields(t *testing.T) {
 		}
 		if err := tw.Write(ev); err == nil {
 			t.Errorf("TextWriter accepted %+v", ev)
+		}
+	}
+	for _, ev := range append(hostile, Event{Kind: Kind(9), Obj: 1}) {
+		tr := &Trace{Table: tb, Events: []Event{ev}}
+		if err := WriteBinary(io.Discard, tr); err == nil {
+			t.Errorf("WriteBinary accepted %+v", ev)
+		}
+		if err := WriteText(io.Discard, tr); err == nil {
+			t.Errorf("WriteText accepted %+v", ev)
 		}
 	}
 }

@@ -91,16 +91,16 @@ func assertNonNegative(t *testing.T, tr *Trace) {
 }
 
 // FuzzReadBinaryBlocks is the differential target for the batched
-// decoder: on arbitrary bytes, replaying a Reader through NextBlock must
-// be indistinguishable from replaying it through Next — same constructor
-// verdict, same events in the same order, same terminal error text, and
-// the same trailer metadata. A small block capacity forces many block
-// boundaries, the place where the hold-the-error-back contract can go
-// wrong.
+// Reader: on arbitrary bytes, replaying a Reader through AsBlockSource's
+// adapter must be indistinguishable from replaying it through Next —
+// same constructor verdict, same events in the same order, same terminal
+// error text, and the same trailer metadata. A small block capacity
+// forces many block boundaries, the place where the hold-the-error-back
+// contract can go wrong.
 func FuzzReadBinaryBlocks(f *testing.F) {
 	// A trace longer than the fuzz block capacity, streamed in LPTRACE2,
 	// plus the usual corruptions; and the same events in LPTRACE1, which
-	// NextBlock must also batch correctly.
+	// the adapter must also batch correctly.
 	tr := randomTrace(13, 600)
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, Meta{Program: tr.Program, Input: tr.Input}, tr.Table)
@@ -152,9 +152,10 @@ func FuzzReadBinaryBlocks(f *testing.F) {
 		}
 		var bev []Event
 		var bfin error
+		bs := AsBlockSource(br)
 		blk := NewEventBlock(64)
 		for {
-			err := br.NextBlock(blk)
+			err := bs.NextBlock(blk)
 			if err != nil {
 				bfin = err
 				break

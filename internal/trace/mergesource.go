@@ -4,20 +4,18 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
-
-	"repro/internal/callchain"
 )
 
-// This file is the streaming byte-clock merge. Two layers:
+// This file is the streaming byte-clock merge engine. Interleaver
+// consumes each shard through the block interface and yields (shard,
+// event) pairs in shared byte-clock order, leaving ids, chains, and
+// tables untouched. It has two callers:
 //
-//   - Interleaver is the k-way merge engine: it consumes each shard
-//     through the block interface and yields (shard, event) pairs in
-//     shared byte-clock order, leaving ids, chains, and tables untouched.
-//     The cluster simulator drives it directly — each tenant keeps its
-//     own table and oracle, so no re-interning must happen.
-//   - MergeSource layers the rewriting on top: object-id rebasing and
-//     chain re-interning into one fresh table. Merge is Collect over it;
-//     the differential test and FuzzMergeSources pin it to a test-only
+//   - the cluster simulator drives it directly — each tenant keeps its
+//     own table and oracle, so no re-interning must happen;
+//   - Merge drains it into one coherent trace, rebasing object ids and
+//     re-interning chains into one fresh table as events arrive. The
+//     differential test and FuzzMergeSources pin Merge to a test-only
 //     reference merge.
 
 // Interleaver merges k event streams onto one shared virtual byte clock.
@@ -28,10 +26,10 @@ import (
 // permutation of the shard slice; the cluster keys by tenant id).
 //
 // Shards are consumed through AsBlockSource with one buffered block per
-// shard, so block-native producers (synth generators, binary readers,
-// column views) pay no per-event interface dispatch. Events, ids, and
-// chains pass through unmodified; callers that need a single coherent
-// trace want MergeSources instead.
+// shard, so block-native producers (synth generators, slices, column
+// views) pay no per-event interface dispatch. Events, ids, and chains
+// pass through unmodified; callers that need a single coherent trace
+// want Merge instead.
 type Interleaver struct {
 	cursors []*mergeCursor
 	h       cursorHeap
@@ -175,134 +173,4 @@ func (h *cursorHeap) Pop() interface{} {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return v
-}
-
-// MergeSource streams the byte-clock merge of several shards as a single
-// coherent trace: object ids rebased by the caller-supplied offsets,
-// chains lazily re-interned by function name into a fresh table in
-// merged-encounter order. With offsets from RebaseOffsets, collecting the
-// stream is exactly Merge over the same shards.
-//
-// Like TextReader, MergeSource's table grows as the stream is consumed
-// (a chain is interned the first time any shard's alloc references it),
-// so it deliberately implements only the scalar Source interface: the
-// BlockSource contract promises a complete table before the first block,
-// which a streaming merge cannot honor.
-type MergeSource struct {
-	it      *Interleaver
-	shards  []Source
-	bases   []ObjectID
-	memos   []map[callchain.ChainID]callchain.ChainID // per shard: shard chain -> merged chain
-	tb      *callchain.Table
-	program string
-	input   string
-}
-
-// MergeSources returns a streaming merge of shards — the Source
-// counterpart of Merge. bases[i] is added to every object id from shard
-// i; callers must pick offsets that keep the rebased id ranges disjoint
-// (RebaseOffsets derives Merge's choice from per-shard maximum ids).
-// Program and Input follow Merge's header convention: first non-empty
-// value wins, conflicting non-empty values are an error.
-func MergeSources(shards []Source, bases []ObjectID) (*MergeSource, error) {
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("trace: MergeSources needs at least one shard")
-	}
-	if len(bases) != len(shards) {
-		return nil, fmt.Errorf("trace: MergeSources: %d shards but %d bases", len(shards), len(bases))
-	}
-	programs := make([]string, len(shards))
-	inputs := make([]string, len(shards))
-	for i, s := range shards {
-		m := s.Meta()
-		programs[i], inputs[i] = m.Program, m.Input
-	}
-	program, input, err := mergeHeaders(programs, inputs)
-	if err != nil {
-		return nil, err
-	}
-	ms := &MergeSource{
-		it:      NewInterleaver(shards),
-		shards:  shards,
-		bases:   append([]ObjectID(nil), bases...),
-		memos:   make([]map[callchain.ChainID]callchain.ChainID, len(shards)),
-		tb:      callchain.NewTable(),
-		program: program,
-		input:   input,
-	}
-	for i := range ms.memos {
-		ms.memos[i] = make(map[callchain.ChainID]callchain.ChainID)
-	}
-	return ms, nil
-}
-
-// RebaseOffsets computes the object-id offsets Merge uses: shard i's ids
-// shift past every earlier shard's id range, i.e. by the sum of
-// (maxAllocID + 1) over shards before it. maxIDs[i] is the maximum
-// object id among shard i's alloc events (zero for an empty shard). A
-// streaming caller that knows each shard's id range up front (synth
-// generators number ids densely from zero, so maxIDs[i] = allocs-1)
-// passes it here; otherwise any offsets with disjoint ranges work.
-func RebaseOffsets(maxIDs []ObjectID) []ObjectID {
-	bases := make([]ObjectID, len(maxIDs))
-	var base ObjectID
-	for i, m := range maxIDs {
-		bases[i] = base
-		base += m + 1
-	}
-	return bases
-}
-
-// Meta returns the merged header. Program and Input are valid from the
-// start; FunctionCalls and NonHeapRefs are sums over the shards and only
-// final after Next has returned io.EOF (trailer metadata, as on any
-// streaming Source).
-func (ms *MergeSource) Meta() Meta {
-	m := Meta{Program: ms.program, Input: ms.input}
-	for _, s := range ms.shards {
-		sm := s.Meta()
-		m.FunctionCalls += sm.FunctionCalls
-		m.NonHeapRefs += sm.NonHeapRefs
-	}
-	return m
-}
-
-// Table returns the merged chain table. It grows as events stream (see
-// the type comment).
-func (ms *MergeSource) Table() *callchain.Table { return ms.tb }
-
-// EventCount implements Counted when every shard knows its count.
-func (ms *MergeSource) EventCount() (int, bool) {
-	total := 0
-	for _, s := range ms.shards {
-		c, ok := s.(Counted)
-		if !ok {
-			return 0, false
-		}
-		n, known := c.EventCount()
-		if !known {
-			return 0, false
-		}
-		total += n
-	}
-	return total, true
-}
-
-// Next implements Source: the next merged event with its id rebased and
-// its chain re-interned into the merged table.
-func (ms *MergeSource) Next() (Event, error) {
-	shard, ev, err := ms.it.Next()
-	if err != nil {
-		return Event{}, err
-	}
-	ev.Obj += ms.bases[shard]
-	if ev.Kind == KindAlloc {
-		mapped, ok := ms.memos[shard][ev.Chain]
-		if !ok {
-			mapped = ms.tb.InternFrom(ms.shards[shard].Table(), ev.Chain)
-			ms.memos[shard][ev.Chain] = mapped
-		}
-		ev.Chain = mapped
-	}
-	return ev, nil
 }

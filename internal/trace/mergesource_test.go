@@ -10,8 +10,9 @@ import (
 	"repro/internal/callchain"
 )
 
-// traceBytes serializes a trace to its LPTRACE2 encoding — the strictest
-// available equality: header, table, and every event must match.
+// traceBytes serializes a trace to its LPTRACE1 encoding (WriteBinary) —
+// the strictest available equality: header, table, and every event must
+// match.
 func traceBytes(t testing.TB, tr *Trace) []byte {
 	t.Helper()
 	var b bytes.Buffer
@@ -129,8 +130,8 @@ func (h *refHeap) Pop() interface{} {
 	return v
 }
 
-// diffMerge asserts Merge — Collect over MergeSources — produces a trace
-// byte-identical to referenceMerge over the same shards.
+// diffMerge asserts Merge — one loop over the Interleaver — produces a
+// trace byte-identical to referenceMerge over the same shards.
 func diffMerge(t *testing.T, traces []*Trace) {
 	t.Helper()
 	want, err := referenceMerge(traces)
@@ -143,11 +144,14 @@ func diffMerge(t *testing.T, traces []*Trace) {
 	}
 	wb, gb := traceBytes(t, want), traceBytes(t, got)
 	if !bytes.Equal(wb, gb) {
-		t.Fatalf("streaming merge differs from the reference merge:\nreference: %d bytes, %d events\nstream:    %d bytes, %d events",
+		t.Fatalf("Merge differs from the reference merge:\nreference: %d bytes, %d events\nMerge:     %d bytes, %d events",
 			len(wb), len(want.Events), len(gb), len(got.Events))
 	}
 }
 
+// TestMergeSourcesMatchesMerge diffs Merge against referenceMerge over
+// shard sets with empty shards, sparse ids, non-LIFO frees and several
+// chains per shard, in both shard orders.
 func TestMergeSourcesMatchesMerge(t *testing.T) {
 	a := shardTrace(t, "p", []int64{100, 7, 100, 33}, "big")
 	b := shardTrace(t, "p", []int64{10, 10, 10, 10, 10, 10, 10, 10}, "small")
@@ -183,23 +187,9 @@ func TestMergeSourcesMatchesMerge(t *testing.T) {
 	}
 }
 
-func TestMergeSourcesCounted(t *testing.T) {
-	a := shardTrace(t, "p", []int64{8, 8}, "f")
-	b := shardTrace(t, "p", []int64{8, 8, 8}, "g")
-	ms, err := MergeSources([]Source{NewSliceSource(a), NewSliceSource(b)},
-		RebaseOffsets(maxAllocIDs([]*Trace{a, b})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, ok := ms.EventCount()
-	if !ok || n != len(a.Events)+len(b.Events) {
-		t.Fatalf("EventCount = %d,%v; want %d,true", n, ok, len(a.Events)+len(b.Events))
-	}
-}
-
 // TestMergeHeaderConvention pins the Program/Input rules: first non-empty
 // value wins, empty shards are compatible with anything, conflicting
-// non-empty values are an error — on both Merge and MergeSources.
+// non-empty values are an error.
 func TestMergeHeaderConvention(t *testing.T) {
 	mk := func(program, input string) *Trace {
 		tr := shardTrace(t, program, []int64{8}, "f")
@@ -227,23 +217,6 @@ func TestMergeHeaderConvention(t *testing.T) {
 	// Same non-empty values are fine.
 	if _, err := Merge([]*Trace{mk("cfrac", "train"), mk("cfrac", "train")}); err != nil {
 		t.Fatalf("Merge rejected matching headers: %v", err)
-	}
-
-	// MergeSources shares the rule, rejecting at construction.
-	bad := []*Trace{mk("cfrac", "train"), mk("espresso", "train")}
-	if _, err := MergeSources([]Source{NewSliceSource(bad[0]), NewSliceSource(bad[1])},
-		RebaseOffsets(maxAllocIDs(bad))); err == nil {
-		t.Fatal("MergeSources accepted conflicting programs")
-	}
-}
-
-func TestMergeSourcesValidation(t *testing.T) {
-	a := shardTrace(t, "p", []int64{8}, "f")
-	if _, err := MergeSources(nil, nil); err == nil {
-		t.Fatal("MergeSources accepted zero shards")
-	}
-	if _, err := MergeSources([]Source{NewSliceSource(a)}, nil); err == nil {
-		t.Fatal("MergeSources accepted mismatched bases")
 	}
 }
 
@@ -320,7 +293,8 @@ func TestInterleaverBadKind(t *testing.T) {
 }
 
 // FuzzMergeSources builds small legal shard traces from the fuzz input
-// and checks the streaming merge against referenceMerge byte for byte. The interpreter keeps every generated trace well-formed (dense
+// and checks Merge, the Interleaver loop, against referenceMerge byte for
+// byte. The interpreter keeps every generated trace well-formed (dense
 // unique alloc ids per shard, frees only of live objects) so any
 // divergence is a merge bug, not input garbage.
 func FuzzMergeSources(f *testing.F) {

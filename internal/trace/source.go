@@ -104,12 +104,12 @@ const collectCap = 1 << 20
 const collectChunk = 1 << 16
 
 // Collect drains a Source into a materialized Trace — the inverse of
-// NewSliceSource. Generate, Merge, ReadBinary and ReadText are all Collect
-// over their streaming sources. It drains through AsBlockSource, so
+// NewSliceSource. Generate, ReadBinary and ReadText are all Collect over
+// their streaming sources. It drains through AsBlockSource, so
 // block-native producers pay no per-event interface call. The Trace
 // shares the source's table; table and metadata are read after io.EOF,
-// so sources whose table grows as they stream (TextReader, MergeSource)
-// and trailer-carrying sources yield complete values.
+// so sources whose table grows as they stream (TextReader) and
+// trailer-carrying sources yield complete values.
 func Collect(src Source) (*Trace, error) {
 	var hint int
 	if c, ok := src.(Counted); ok {
@@ -179,10 +179,10 @@ func AnnotateStream(src Source, emit func(Object) error) error {
 	live := make(map[ObjectID]Object, 4096)
 	var bytes int64
 	// The scan runs on the block path: sources that speak blocks natively
-	// (binary readers, synth generators, column views) are consumed with
-	// one NextBlock call per DefaultBlockLen events; everything else goes
-	// through the scalar adapter. Event indices in errors stay global —
-	// base counts events in completed blocks.
+	// (synth generators, slices, column views) are consumed with one
+	// NextBlock call per DefaultBlockLen events; everything else, the
+	// readers included, goes through the scalar adapter. Event indices in
+	// errors stay global — base counts events in completed blocks.
 	bs := AsBlockSource(src)
 	blk := NewEventBlock(DefaultBlockLen)
 	for base := 0; ; base += blk.N {

@@ -120,10 +120,10 @@ func readTable(cr countingReader) (*callchain.Table, error) {
 // Reader is a Source decoding a binary trace incrementally: the header
 // (metadata plus the function and chain tables) is parsed eagerly by
 // NewReader, then each Next call decodes exactly one event, so memory
-// held is the table plus one buffered block, independent of trace
-// length. Reader auto-detects the LPTRACE1 and LPTRACE2 formats; for
-// LPTRACE1 it also implements Counted, since that header carries the
-// event count.
+// held is the table plus the read buffer, independent of trace length.
+// Block consumers batch it through AsBlockSource's adapter. Reader
+// auto-detects the LPTRACE1 and LPTRACE2 formats; for LPTRACE1 it also
+// implements Counted, since that header carries the event count.
 type Reader struct {
 	cr   countingReader
 	meta Meta
@@ -132,7 +132,6 @@ type Reader struct {
 	n    uint64 // total events, LPTRACE1 only
 	i    uint64 // events decoded so far
 	done bool
-	perr error // pending terminal error held back by NextBlock
 }
 
 // NewReader parses a binary trace header from r and returns a Source
@@ -272,39 +271,12 @@ func (r *Reader) Next() (Event, error) {
 	return ev, nil
 }
 
-// NextBlock implements BlockSource natively: it decodes events straight
-// into the caller's block, amortizing the Source interface dispatch over
-// a whole block. The block is caller-recycled — steady-state replay from
-// a Reader allocates nothing per block. A terminal error (including
-// io.EOF) that arrives after at least one event has been decoded is held
-// back and returned by the following call, so block consumers observe
-// the exact event-then-error ordering that scalar Next callers see.
-func (r *Reader) NextBlock(b *EventBlock) error {
-	b.Reset()
-	if r.perr != nil {
-		err := r.perr
-		r.perr = nil
-		return err
-	}
-	for !b.Full() {
-		ev, err := r.Next()
-		if err != nil {
-			if b.N == 0 {
-				return err
-			}
-			r.perr = err
-			return nil
-		}
-		b.Append(ev)
-	}
-	return nil
-}
-
 // Writer encodes a trace incrementally in the LPTRACE2 format: NewWriter
 // emits the header, Write emits one event at a time, Close emits the
 // sentinel and the metadata trailer. Nothing is retained between calls
 // beyond the output buffer, so writing is constant-memory in trace
-// length.
+// length. Both binary formats encode events alike, so Write is also
+// WriteBinary's LPTRACE1 event encoder.
 type Writer struct {
 	bw     *bufio.Writer
 	cw     countingWriter
@@ -387,10 +359,10 @@ func (w *Writer) Close(funcCalls, nonHeapRefs int64) error {
 	return w.bw.Flush()
 }
 
-// TextWriter is the streaming counterpart of WriteText: a leading
-// metadata line, one event per line, and a trailing metadata line for
-// the workload totals (ReadText and TextReader accept metadata lines
-// anywhere, so both renderings parse identically).
+// TextWriter renders the text format as a stream: a leading metadata
+// line, one event per line, and a trailing metadata line for the
+// workload totals (ReadText and TextReader accept metadata lines
+// anywhere). WriteText is TextWriter over a materialized trace.
 type TextWriter struct {
 	bw     *bufio.Writer
 	tb     *callchain.Table

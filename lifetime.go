@@ -106,8 +106,6 @@ type (
 	SiteArenaAllocator = heapsim.SiteArena
 	// OpCounts are allocator operation counters for the cost model.
 	OpCounts = heapsim.OpCounts
-	// CostParams are per-operation instruction estimates (Table 9).
-	CostParams = costmodel.Params
 	// PerOpCost is an instructions-per-alloc/free summary.
 	PerOpCost = costmodel.PerOp
 
@@ -298,22 +296,20 @@ func WriteObsJSON(w io.Writer, s *ObsSnapshot) error { return obs.WriteJSON(w, s
 // ReadObsJSON reads a snapshot written by WriteObsJSON.
 func ReadObsJSON(r io.Reader) (*ObsSnapshot, error) { return obs.ReadJSON(r) }
 
-// DefaultCostParams returns the paper-anchored instruction estimates.
-func DefaultCostParams() CostParams { return costmodel.DefaultParams() }
-
-// CostBSD prices a BSD run's operation counts.
-func CostBSD(c OpCounts, p CostParams) PerOpCost { return costmodel.BSD(c, p) }
+// CostBSD prices a BSD run's operation counts with the paper-anchored
+// instruction estimates (Table 9).
+func CostBSD(c OpCounts) PerOpCost { return costmodel.BSD(c) }
 
 // CostFirstFit prices a first-fit run's operation counts.
-func CostFirstFit(c OpCounts, p CostParams) PerOpCost { return costmodel.FirstFit(c, p) }
+func CostFirstFit(c OpCounts) PerOpCost { return costmodel.FirstFit(c) }
 
 // CostArenaLen4 prices an arena run using length-4 call-chain prediction.
-func CostArenaLen4(c OpCounts, p CostParams) PerOpCost { return costmodel.ArenaLen4(c, p) }
+func CostArenaLen4(c OpCounts) PerOpCost { return costmodel.ArenaLen4(c) }
 
 // CostArenaCCE prices an arena run using call-chain encryption, amortizing
 // the per-call key maintenance over allocations.
-func CostArenaCCE(c OpCounts, p CostParams, callsPerAlloc float64) PerOpCost {
-	return costmodel.ArenaCCE(c, p, callsPerAlloc)
+func CostArenaCCE(c OpCounts, callsPerAlloc float64) PerOpCost {
+	return costmodel.ArenaCCE(c, callsPerAlloc)
 }
 
 // WriteTrace writes a trace in the compact binary format.

@@ -170,9 +170,8 @@ func TestPublicCostModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := lifetime.DefaultCostParams()
-	len4 := lifetime.CostArenaLen4(res.Counts, params)
-	cce := lifetime.CostArenaCCE(res.Counts, params, m.CallsPerAlloc)
+	len4 := lifetime.CostArenaLen4(res.Counts)
+	cce := lifetime.CostArenaCCE(res.Counts, m.CallsPerAlloc)
 	if len4.Alloc <= 18 {
 		t.Fatalf("len4 alloc cost %.1f must exceed the 18-instruction check", len4.Alloc)
 	}
