@@ -123,7 +123,8 @@ func readTrace(path string) (*trace.Trace, error) {
 // selected allocators in one lockstep Diff, auditing every allocator on
 // the stride, using the model's own trained predictor for the lifetime
 // hints and its top training sizes for CUSTOMALLOC — the same wiring the
-// experiments use.
+// experiments use. The predictor's Mapper names each site, so sitearena
+// routes per site, as in Table A8 and the tournament.
 func auditModels(modelSpec, allocSpec string, scale float64, stride int) error {
 	var ms []*synth.Model
 	if modelSpec == "all" {

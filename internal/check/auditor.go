@@ -38,7 +38,8 @@ type Options struct {
 	// Predict supplies the predictedShort hint to every replay, the
 	// block/scalar equivalence included, and the lifetime threshold its
 	// pred.* accuracy families are scored against; nil predicts nothing.
-	// It must speak the replayed trace's chain table.
+	// It must speak the replayed trace's chain table. A *profile.Mapper
+	// also routes a SiteArena per site, as the production replay does.
 	Predict profile.Oracle
 }
 
@@ -302,18 +303,28 @@ func auditLayout(name string, alloc heapsim.Allocator, w heapsim.Walker, led *Le
 	return nil
 }
 
-// applyEvent feeds one event to an allocator with the prediction hint.
-func applyEvent(alloc heapsim.Allocator, ev trace.Event, pred profile.Oracle) error {
+// applyEvent feeds one event to an allocator with the oracle's verdict and
+// returns that verdict (false for a free). A SiteArena driven by a
+// *profile.Mapper routes per site, the rule core.RunSimOracle applies:
+// a predicted-short allocation goes to the pool its mapped site names,
+// SiteKey.ID, and any other allocation to Alloc.
+func applyEvent(alloc heapsim.Allocator, ev trace.Event, pred profile.Oracle) (bool, error) {
 	switch ev.Kind {
 	case trace.KindAlloc:
-		short := false
-		if pred != nil {
-			short = pred.PredictShort(ev.Chain, ev.Size)
+		sited, isSited := alloc.(*heapsim.SiteArena)
+		mapper, isMapped := pred.(*profile.Mapper)
+		if isSited && isMapped {
+			key, short := mapper.Site(ev.Chain, ev.Size)
+			if short {
+				return true, sited.AllocAt(ev.Obj, ev.Size, key.ID())
+			}
+			return false, sited.Alloc(ev.Obj, ev.Size, false)
 		}
-		return alloc.Alloc(ev.Obj, ev.Size, short)
+		short := pred != nil && pred.PredictShort(ev.Chain, ev.Size)
+		return short, alloc.Alloc(ev.Obj, ev.Size, short)
 	case trace.KindFree:
-		return alloc.Free(ev.Obj)
+		return false, alloc.Free(ev.Obj)
 	default:
-		return fmt.Errorf("bad event kind %d", ev.Kind)
+		return false, fmt.Errorf("bad kind %d", ev.Kind)
 	}
 }

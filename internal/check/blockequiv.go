@@ -69,43 +69,21 @@ func CheckBlockEquivalence(tr *trace.Trace, fs []Factory, oracle profile.Oracle)
 
 // referenceReplay is core.RunSimOracle written as the plain
 // one-event-at-a-time loop over the materialized trace: the oracle the
-// block path is differentially tested against. It scores predictions
-// through the same core.Tracker and routes a SiteArena per site exactly
-// as the block loop does.
+// block path is differentially tested against. Each event goes through
+// applyEvent, which routes a SiteArena per site exactly as the block loop
+// does, and the verdict it returns is scored through the same
+// core.Tracker.
 func referenceReplay(tr *trace.Trace, alloc heapsim.Allocator, oracle profile.Oracle, col *obs.Collector) (core.SimResult, error) {
 	ot := core.NewTracker(col, alloc, len(tr.Events), oracle)
-	sited, _ := alloc.(*heapsim.SiteArena)
-	mapper, _ := oracle.(*profile.Mapper)
 	res := core.SimResult{}
 	for i, ev := range tr.Events {
-		short := false
-		switch ev.Kind {
-		case trace.KindAlloc:
-			var err error
-			if sited != nil && mapper != nil {
-				var key profile.SiteKey
-				if key, short = mapper.Site(ev.Chain, ev.Size); short {
-					err = sited.AllocAt(ev.Obj, ev.Size, key.ID())
-				} else {
-					err = sited.Alloc(ev.Obj, ev.Size, false)
-				}
-			} else {
-				if oracle != nil {
-					short = oracle.PredictShort(ev.Chain, ev.Size)
-				}
-				err = alloc.Alloc(ev.Obj, ev.Size, short)
-			}
-			if err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
+		short, err := applyEvent(alloc, ev, oracle)
+		if err != nil {
+			return res, fmt.Errorf("core: event %d: %w", i, err)
+		}
+		if ev.Kind == trace.KindAlloc {
 			res.TotalAllocs++
 			res.TotalBytes += ev.Size
-		case trace.KindFree:
-			if err := alloc.Free(ev.Obj); err != nil {
-				return res, fmt.Errorf("core: event %d: %w", i, err)
-			}
-		default:
-			return res, fmt.Errorf("core: event %d: bad kind %d", i, ev.Kind)
 		}
 		ot.Step(ev, short)
 	}

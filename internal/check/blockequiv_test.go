@@ -48,13 +48,28 @@ func TestBlockEquivalenceAcrossModels(t *testing.T) {
 				t.Error(err)
 			}
 			// The sitearena comparison covers per-site routing only if
-			// the replay really spreads over more than one site pool.
-			sa := heapsim.NewSiteArena()
-			if _, err := referenceReplay(tr, sa, mapper, nil); err != nil {
+			// the replay really spreads over more than one site pool. The
+			// lockstep Diff, which the models audit runs, must route per
+			// site too.
+			replayed := heapsim.NewSiteArena()
+			if _, err := referenceReplay(tr, replayed, mapper, nil); err != nil {
 				t.Fatal(err)
 			}
-			if onePool := int64(sa.ArenasPerSite) * sa.ArenaSize; sa.ArenaArea() <= onePool {
-				t.Errorf("sitearena used one site pool (%d bytes): per-site routing went unexercised", sa.ArenaArea())
+			var diffed *heapsim.SiteArena
+			sited := []Factory{{Name: "sitearena", New: func() heapsim.Allocator {
+				diffed = heapsim.NewSiteArena()
+				return diffed
+			}}}
+			if err := Diff(trace.NewSliceSource(tr), sited, Options{Predict: mapper}); err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range []struct {
+				name string
+				sa   *heapsim.SiteArena
+			}{{"referenceReplay", replayed}, {"Diff", diffed}} {
+				if onePool := int64(run.sa.ArenasPerSite) * run.sa.ArenaSize; run.sa.ArenaArea() <= onePool {
+					t.Errorf("%s: sitearena used one site pool (%d bytes): per-site routing went unexercised", run.name, run.sa.ArenaArea())
+				}
 			}
 		})
 	}

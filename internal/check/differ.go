@@ -96,7 +96,7 @@ func Diff(src trace.Source, fs []Factory, opt Options) error {
 			return fmt.Errorf("event %d: %w", i, err)
 		}
 		for _, p := range parts {
-			if err := applyEvent(p.alloc, ev, opt.Predict); err != nil {
+			if _, err := applyEvent(p.alloc, ev, opt.Predict); err != nil {
 				return fmt.Errorf("event %d: %s diverged: rejected legal event: %w", i, p.name, err)
 			}
 		}

@@ -50,12 +50,12 @@ func CheckRelabelInvariance(tr *trace.Trace) error {
 		if err := led.Apply(ev); err != nil {
 			return fmt.Errorf("event %d: %w", i, err)
 		}
-		if err := applyEvent(a, ev, nil); err != nil {
+		if _, err := applyEvent(a, ev, nil); err != nil {
 			return fmt.Errorf("event %d: %w", i, err)
 		}
 	}
 	for i, ev := range Relabel(tr).Events {
-		if err := applyEvent(b, ev, nil); err != nil {
+		if _, err := applyEvent(b, ev, nil); err != nil {
 			return fmt.Errorf("relabeled event %d: %w", i, err)
 		}
 	}
@@ -89,7 +89,7 @@ func CheckArenaMonotone(tr *trace.Trace, pred profile.Oracle, counts []int) erro
 	for _, n := range counts {
 		ar := heapsim.NewArenaGeometry(n, 4<<10)
 		for i, ev := range tr.Events {
-			if err := applyEvent(ar, ev, pred); err != nil {
+			if _, err := applyEvent(ar, ev, pred); err != nil {
 				return fmt.Errorf("arenas=%d: event %d: %w", n, i, err)
 			}
 		}

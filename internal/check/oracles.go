@@ -21,18 +21,25 @@ import (
 // split into short and long populations.
 var zooCheckConfig = profile.Config{ShortThreshold: 1 << 10}
 
-// ZooPredicts trains every registered zoo policy on the trace itself and
-// returns each policy's oracle (self-prediction, own-table chains), keyed
-// by policy name. Training errors abort: an oracle that cannot train on a
+// ZooPredicts trains one site database on the trace itself and derives
+// every registered zoo policy from it (self-prediction), returning each
+// policy's oracle bound to the trace's own table, keyed by policy name.
+// Binding makes every site policy a *profile.Mapper, the oracle the
+// tournament replays with, so a SiteArena routes per site here as it
+// does there. Training errors abort: an oracle that cannot train on a
 // legal trace is itself a violation.
 func ZooPredicts(tr *trace.Trace) (map[string]profile.Oracle, error) {
+	db, err := profile.Train(tr, zooCheckConfig)
+	if err != nil {
+		return nil, fmt.Errorf("check: training site database: %w", err)
+	}
 	out := make(map[string]profile.Oracle)
 	for _, zt := range profile.ZooTrainers() {
-		o, err := zt.Train(tr, zooCheckConfig)
+		o, err := zt.Train(db, tr)
 		if err != nil {
 			return nil, fmt.Errorf("check: training %s oracle: %w", zt.Name, err)
 		}
-		out[zt.Name] = o
+		out[zt.Name] = profile.BindOracle(o, tr.Table)
 	}
 	return out, nil
 }

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/heapsim"
+	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
 // TestZooPredictsTrainsEveryPolicy: the gate must produce a callable
 // verdict hook for every registered policy, total over every alloc event
-// in the trace.
+// in the trace, and bound to a Mapper as the tournament binds it, so a
+// SiteArena under the gate routes per site.
 func TestZooPredictsTrainsEveryPolicy(t *testing.T) {
 	tr := GenTrace(3, GenConfig{Events: 200})
 	preds, err := ZooPredicts(tr)
@@ -23,6 +25,9 @@ func TestZooPredictsTrainsEveryPolicy(t *testing.T) {
 		}
 	}
 	for name, p := range preds {
+		if _, ok := p.(*profile.Mapper); !ok {
+			t.Errorf("%s: gate oracle is %T, want *profile.Mapper", name, p)
+		}
 		n := 0
 		for _, ev := range tr.Events {
 			if ev.Kind == trace.KindAlloc {

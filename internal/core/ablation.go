@@ -28,8 +28,7 @@ func (c Config) ThresholdSweep(a *Artifacts, thresholdsKB []int64) []ThresholdRo
 	for _, kb := range thresholdsKB {
 		cfg := c.Profile
 		cfg.ShortThreshold = kb << 10
-		db := profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, cfg)
-		ev := profile.EvaluateObjects(a.TrainTrace.Table, a.TrainObjs, db.Predictor())
+		ev := profile.EvaluateObjects(a.TrainTrace.Table, a.TrainObjs, a.trainDB(cfg).Predictor())
 		out = append(out, ThresholdRow{
 			ThresholdKB: kb,
 			PredPct:     ev.PredictedShortPct(),
@@ -55,8 +54,7 @@ func (c Config) AdmitSweep(a *Artifacts, fractions []float64) []AdmitRow {
 	for _, f := range fractions {
 		cfg := c.Profile
 		cfg.AdmitFraction = f
-		db := profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, cfg)
-		p := db.Predictor()
+		p := a.trainDB(cfg).Predictor()
 		self := profile.EvaluateObjects(a.TrainTrace.Table, a.TrainObjs, p)
 		tru := profile.EvaluateObjects(a.TestTrace.Table, a.TestObjs, p)
 		out = append(out, AdmitRow{
@@ -154,8 +152,7 @@ type CCERow struct {
 // CCEQuality measures how much prediction the XOR-key scheme loses to
 // collisions and order-insensitivity.
 func (c Config) CCEQuality(a *Artifacts) CCERow {
-	exactDB := profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, c.Profile)
-	exact := exactDB.Predictor()
+	exact := a.TrainPredictor
 	exactEv := profile.EvaluateObjects(a.TrainTrace.Table, a.TrainObjs, exact)
 
 	cce, collisions := profile.TrainCCE(a.TrainTrace.Table, a.TrainObjs, c.Profile, c.SeedBase)

@@ -111,6 +111,18 @@ func (c Config) Build(m *synth.Model) (*Artifacts, error) {
 	return a, nil
 }
 
+// trainDB returns the Train input's site database under cfg: TrainDB
+// itself for the configuration Build trained it under, a fresh training
+// for any other. Cells share TrainDB concurrently; nothing writes to it
+// after Build, and every derivation only reads it and the pre-warmed
+// chain tables.
+func (a *Artifacts) trainDB(cfg profile.Config) *profile.DB {
+	if cfg == a.TrainDB.Config {
+		return a.TrainDB
+	}
+	return profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, cfg)
+}
+
 // SimResult summarizes one allocator simulation over one trace.
 type SimResult struct {
 	MaxHeap     int64
@@ -721,8 +733,7 @@ type Table5Row struct {
 func (c Config) Table5(a *Artifacts) Table5Row {
 	cfg := c.Profile
 	cfg.SizeOnly = true
-	db := profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, cfg)
-	ev := profile.EvaluateObjects(a.TrainTrace.Table, a.TrainObjs, db.Predictor())
+	ev := profile.EvaluateObjects(a.TrainTrace.Table, a.TrainObjs, a.trainDB(cfg).Predictor())
 	return Table5Row{
 		Program:        a.Model.Name,
 		ActualShortPct: ev.ActualShortPct(),
@@ -751,8 +762,7 @@ func (c Config) Table6(a *Artifacts) Table6Row {
 		} else {
 			cfg.ChainLength = 0 // complete chain
 		}
-		db := profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, cfg)
-		ev := profile.EvaluateObjects(a.TrainTrace.Table, a.TrainObjs, db.Predictor())
+		ev := profile.EvaluateObjects(a.TrainTrace.Table, a.TrainObjs, a.trainDB(cfg).Predictor())
 		row.PredPct[i] = ev.PredictedShortPct()
 		row.NewRef[i] = ev.NewRefPct()
 	}

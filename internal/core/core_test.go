@@ -32,6 +32,16 @@ func TestBuildArtifacts(t *testing.T) {
 	if a.TrainPredictor.NumSites() == 0 {
 		t.Fatal("no predictor sites trained")
 	}
+	// Every consumer of the build's configuration shares TrainDB; any
+	// other configuration trains its own database.
+	if db := a.trainDB(a.TrainDB.Config); db != a.TrainDB {
+		t.Error("trainDB retrained the build's configuration")
+	}
+	other := a.TrainDB.Config
+	other.ChainLength = 3
+	if db := a.trainDB(other); db == a.TrainDB || db.Config != other {
+		t.Errorf("trainDB(ChainLength 3) returned a database under %+v", db.Config)
+	}
 }
 
 func TestRunSimFirstFitAccounting(t *testing.T) {

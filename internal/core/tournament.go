@@ -35,8 +35,10 @@ type OraclePolicy struct {
 }
 
 // OraclePolicies returns the tournament's policy registry: every zoo
-// trainer, each training on the model's Train input (the paper's honest
-// configuration — never the measured input itself).
+// trainer, each derived from the model's Train-input site database (the
+// paper's honest configuration — never the measured input itself). Under
+// the build's configuration that database is TrainDB, so no policy
+// trains it again.
 func OraclePolicies() []OraclePolicy {
 	zs := profile.ZooTrainers()
 	out := make([]OraclePolicy, len(zs))
@@ -45,7 +47,7 @@ func OraclePolicies() []OraclePolicy {
 		out[i] = OraclePolicy{
 			Name: z.Name,
 			Train: func(a *Artifacts, cfg profile.Config) (profile.Oracle, error) {
-				return z.Train(a.TrainTrace, cfg)
+				return z.Train(a.trainDB(cfg), a.TrainTrace)
 			},
 		}
 	}

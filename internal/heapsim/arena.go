@@ -147,7 +147,6 @@ func (a *Arena) bump(id trace.ObjectID, size int64) {
 	st.count++
 	a.ops.Allocs++
 	a.ops.ArenaAllocs++
-	a.ops.ArenaObjects++
 	a.ops.ArenaBytes += size
 	if a.obs != nil {
 		a.obs.allocSize.Observe(size)

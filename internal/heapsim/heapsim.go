@@ -94,7 +94,6 @@ type OpCounts struct {
 	ArenaDemotions int64 // sites whose prediction was revoked online
 	ArenaBytes     int64 // payload bytes placed in arenas
 	GeneralBytes   int64 // payload bytes placed in the general heap
-	ArenaObjects   int64 // == ArenaAllocs (kept for clarity in reports)
 }
 
 // Observable is implemented by simulators that can stream metrics and

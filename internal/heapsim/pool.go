@@ -167,7 +167,6 @@ func (p *Pool) Counts() OpCounts {
 		t.ArenaDemotions += c.ArenaDemotions
 		t.ArenaBytes += c.ArenaBytes
 		t.GeneralBytes += c.GeneralBytes
-		t.ArenaObjects += c.ArenaObjects
 	}
 	return t
 }

@@ -207,7 +207,6 @@ func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
 	cur.count++
 	s.ops.Allocs++
 	s.ops.ArenaAllocs++
-	s.ops.ArenaObjects++
 	s.ops.ArenaBytes += size
 	if s.obs != nil {
 		s.obs.allocSize.Observe(size)
@@ -217,8 +216,8 @@ func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
 
 // Alloc implements Allocator: without a site key, predicted allocations
 // are keyed on a single shared pseudo-site (degenerating toward the
-// shared design). core.RunSimOracle calls AllocAt instead whenever its
-// oracle can name the site.
+// shared design). core.RunSimOracle and the conformance harness call
+// AllocAt instead whenever their oracle can name the site.
 func (s *SiteArena) Alloc(id trace.ObjectID, size int64, predictedShort bool) error {
 	if predictedShort {
 		return s.AllocAt(id, size, 0)

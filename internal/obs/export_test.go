@@ -110,41 +110,3 @@ func TestWriteJSONStampsSchema(t *testing.T) {
 		t.Errorf("schema = %d, want %d", got.Schema, SnapshotSchema)
 	}
 }
-
-func TestWriteTimelineCSVEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTimelineCSV(&buf, &Snapshot{}); err != nil {
-		t.Fatalf("WriteTimelineCSV(empty timeline): %v", err)
-	}
-	want := strings.Join(timelineHeader, ",") + "\n"
-	if buf.String() != want {
-		t.Errorf("empty timeline CSV = %q, want header-only %q", buf.String(), want)
-	}
-	if err := WriteTimelineCSV(&buf, nil); err == nil {
-		t.Error("WriteTimelineCSV(nil) succeeded")
-	}
-}
-
-func TestTimelineCSVRoundTrip(t *testing.T) {
-	s := buildSnapshot()
-	var buf bytes.Buffer
-	if err := WriteTimelineCSV(&buf, s); err != nil {
-		t.Fatalf("WriteTimelineCSV: %v", err)
-	}
-	got, err := ReadTimelineCSV(&buf)
-	if err != nil {
-		t.Fatalf("ReadTimelineCSV: %v", err)
-	}
-	if !reflect.DeepEqual(got, s.Timeline) {
-		t.Errorf("timeline round trip:\n got %+v\nwant %+v", got, s.Timeline)
-	}
-}
-
-func TestTimelineCSVBadHeader(t *testing.T) {
-	if _, err := ReadTimelineCSV(strings.NewReader("a,b\n1,2\n")); err == nil {
-		t.Error("bad header accepted")
-	}
-	if _, err := ReadTimelineCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-}

@@ -189,21 +189,3 @@ func TestFlattenHeatmap(t *testing.T) {
 		}
 	}
 }
-
-func TestTimelineCSVHeapChannel(t *testing.T) {
-	s := scanSnapshot()
-	var buf bytes.Buffer
-	if err := WriteTimelineCSV(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(strings.SplitN(buf.String(), "\n", 2)[0], "heap_live_payload") {
-		t.Fatalf("timeline CSV header missing heap columns: %q", buf.String())
-	}
-	back, err := ReadTimelineCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, s.Timeline) {
-		t.Errorf("timeline CSV round trip:\nwant %+v\ngot  %+v", s.Timeline, back)
-	}
-}

@@ -80,21 +80,3 @@ func TestSetPredSites(t *testing.T) {
 		t.Errorf("PredSites after JSON = %+v, want %+v", back.PredSites, want)
 	}
 }
-
-func TestTimelinePredChannelCSV(t *testing.T) {
-	s := &Snapshot{Timeline: []Sample{
-		{Clock: 10, PredDecidedObjects: 1, PredCorrectObjects: 1, PredDecidedBytes: 8, PredCorrectBytes: 8},
-		{Clock: 20, PredDecidedObjects: 3, PredCorrectObjects: 2, PredDecidedBytes: 24, PredCorrectBytes: 16},
-	}}
-	var buf bytes.Buffer
-	if err := WriteTimelineCSV(&buf, s); err != nil {
-		t.Fatalf("WriteTimelineCSV: %v", err)
-	}
-	got, err := ReadTimelineCSV(&buf)
-	if err != nil {
-		t.Fatalf("ReadTimelineCSV: %v", err)
-	}
-	if !reflect.DeepEqual(got, s.Timeline) {
-		t.Errorf("pred channel CSV round trip:\n got %+v\nwant %+v", got, s.Timeline)
-	}
-}

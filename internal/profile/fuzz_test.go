@@ -113,8 +113,8 @@ func FuzzTrainOracles(f *testing.F) {
 			probes = append(probes, key{keys[0].chain, keys[0].size + 1})
 		}
 		for _, zt := range ZooTrainers() {
-			o1, err1 := zt.Train(tr, cfg)
-			o2, err2 := zt.Train(tr, cfg)
+			o1, err1 := trainZoo(zt, tr, cfg)
+			o2, err2 := trainZoo(zt, tr, cfg)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("%s: double-train error verdicts differ: %v vs %v", zt.Name, err1, err2)
 			}

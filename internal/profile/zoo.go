@@ -159,13 +159,15 @@ func TrainWindowed(src trace.Source, cfg Config, wc WindowedConfig) (*Predictor,
 	}), nil
 }
 
-// OracleTrainer names one zoo policy and trains it from a trace under a
-// site-keying configuration. The returned Oracle keys raw chains in the
-// training trace's own table; use BindOracle to point it at another
-// execution.
+// OracleTrainer names one zoo policy and derives it from a trained site
+// database: db must have been trained on tr, under the configuration the
+// policy keys its sites by. The lookup and learned policies read db
+// alone; the windowed one streams tr again in death order. The returned
+// Oracle keys raw chains in the training trace's own table; use
+// BindOracle to point it at another execution.
 type OracleTrainer struct {
 	Name  string
-	Train func(tr *trace.Trace, cfg Config) (Oracle, error)
+	Train func(db *DB, tr *trace.Trace) (Oracle, error)
 }
 
 // ZooTrainers returns the registered prediction policies in tournament
@@ -174,28 +176,16 @@ type OracleTrainer struct {
 // tournament will run it.
 func ZooTrainers() []OracleTrainer {
 	return []OracleTrainer{
-		{Name: "paper", Train: func(tr *trace.Trace, cfg Config) (Oracle, error) {
-			db, err := Train(tr, cfg)
-			if err != nil {
-				return nil, err
-			}
+		{Name: "paper", Train: func(db *DB, _ *trace.Trace) (Oracle, error) {
 			return db.Predictor(), nil
 		}},
-		{Name: "quantile", Train: func(tr *trace.Trace, cfg Config) (Oracle, error) {
-			db, err := Train(tr, cfg)
-			if err != nil {
-				return nil, err
-			}
+		{Name: "quantile", Train: func(db *DB, _ *trace.Trace) (Oracle, error) {
 			return db.QuantilePredictor(QuantileConfig{Q: 0.95, SlackPerByte: 8}), nil
 		}},
-		{Name: "window", Train: func(tr *trace.Trace, cfg Config) (Oracle, error) {
-			return TrainWindowed(trace.NewSliceSource(tr), cfg, WindowedConfig{Window: 128, Q: 0.95})
+		{Name: "window", Train: func(db *DB, tr *trace.Trace) (Oracle, error) {
+			return TrainWindowed(trace.NewSliceSource(tr), db.Config, WindowedConfig{Window: 128, Q: 0.95})
 		}},
-		{Name: "learned", Train: func(tr *trace.Trace, cfg Config) (Oracle, error) {
-			db, err := Train(tr, cfg)
-			if err != nil {
-				return nil, err
-			}
+		{Name: "learned", Train: func(db *DB, _ *trace.Trace) (Oracle, error) {
 			return TrainLearned(db), nil
 		}},
 	}

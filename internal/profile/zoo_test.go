@@ -15,31 +15,29 @@ import (
 // The paper trainer itself is the reference.
 func strictTrainers() []OracleTrainer {
 	return []OracleTrainer{
-		{Name: "paper", Train: func(tr *trace.Trace, cfg Config) (Oracle, error) {
-			db, err := Train(tr, cfg)
-			if err != nil {
-				return nil, err
-			}
+		{Name: "paper", Train: func(db *DB, _ *trace.Trace) (Oracle, error) {
 			return db.Predictor(), nil
 		}},
-		{Name: "quantile", Train: func(tr *trace.Trace, cfg Config) (Oracle, error) {
-			db, err := Train(tr, cfg)
-			if err != nil {
-				return nil, err
-			}
+		{Name: "quantile", Train: func(db *DB, _ *trace.Trace) (Oracle, error) {
 			return db.QuantilePredictor(QuantileConfig{Q: 1.0}), nil
 		}},
-		{Name: "window", Train: func(tr *trace.Trace, cfg Config) (Oracle, error) {
-			return TrainWindowed(trace.NewSliceSource(tr), cfg, WindowedConfig{Window: 0, Q: 1.0})
+		{Name: "window", Train: func(db *DB, tr *trace.Trace) (Oracle, error) {
+			return TrainWindowed(trace.NewSliceSource(tr), db.Config, WindowedConfig{Window: 0, Q: 1.0})
 		}},
-		{Name: "learned", Train: func(tr *trace.Trace, cfg Config) (Oracle, error) {
-			db, err := Train(tr, cfg)
-			if err != nil {
-				return nil, err
-			}
+		{Name: "learned", Train: func(db *DB, _ *trace.Trace) (Oracle, error) {
 			return TrainLearned(db), nil
 		}},
 	}
+}
+
+// trainZoo trains one site database on tr under cfg and derives zt's
+// policy from it, as the tournament and the conformance gate do.
+func trainZoo(zt OracleTrainer, tr *trace.Trace, cfg Config) (Oracle, error) {
+	db, err := Train(tr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return zt.Train(db, tr)
 }
 
 // TestZooSingleSiteAgreesWithPaperRule: on single-site traces every zoo
@@ -83,7 +81,7 @@ func TestZooSingleSiteAgreesWithPaperRule(t *testing.T) {
 			for _, tr := range reg.trainers {
 				t.Run(fmt.Sprintf("%s/%s/%s", tc.name, reg.name, tr.Name), func(t *testing.T) {
 					tt := mkTrace(t, tc.specs)
-					o, err := tr.Train(tt, cfg)
+					o, err := trainZoo(tr, tt, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -253,7 +251,7 @@ func TestZooCrossTableMapping(t *testing.T) {
 	cold := test.Table.InternNames("main", "cold", "m")
 	for _, tr := range strictTrainers() {
 		t.Run(tr.Name, func(t *testing.T) {
-			o, err := tr.Train(train, cfg)
+			o, err := trainZoo(tr, train, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +278,7 @@ func TestBindOracleIdentity(t *testing.T) {
 	cfg := Config{ShortThreshold: 1000}
 	other := zooTrace(t)
 	for _, zt := range ZooTrainers() {
-		o, err := zt.Train(tr, cfg)
+		o, err := trainZoo(zt, tr, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +359,7 @@ func TestZooPinnedConfusionMatrices(t *testing.T) {
 	}
 	for _, tr := range ZooTrainers() {
 		t.Run(tr.Name, func(t *testing.T) {
-			o, err := tr.Train(train, cfg)
+			o, err := trainZoo(tr, train, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

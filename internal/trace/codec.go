@@ -68,7 +68,7 @@ func WriteBinary(w io.Writer, tr *Trace) error {
 	}
 	// LPTRACE1 encodes events exactly as LPTRACE2 does, so the streaming
 	// Writer's encoder (and its checks) serves both formats.
-	ew := &Writer{bw: bw, cw: cw}
+	ew := &Writer{bw: bw, cw: cw, chains: tr.Table.NumChains()}
 	for _, ev := range tr.Events {
 		if err := ew.Write(ev); err != nil {
 			return err

@@ -170,6 +170,7 @@ func TestReadersRejectHostileFields(t *testing.T) {
 	hostile := []Event{
 		{Kind: KindAlloc, Obj: 1, Size: -8, Chain: chain},
 		{Kind: KindAlloc, Obj: 1, Size: 8, Chain: chain, Refs: -3},
+		{Kind: KindAlloc, Obj: 1, Size: 8, Chain: 7},
 	}
 	for _, ev := range hostile {
 		w, err := NewWriter(io.Discard, Meta{}, tb)

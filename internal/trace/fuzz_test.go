@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/callchain"
 )
 
 // FuzzReadBinary checks the binary reader — both the LPTRACE1 and the
@@ -227,6 +229,93 @@ func FuzzReadText(f *testing.F) {
 		}
 		if _, err := ReadText(&out); err != nil {
 			t.Fatalf("re-serialized trace fails to parse: %v", err)
+		}
+	})
+}
+
+// FuzzWriters drives both streaming writers with events built from the
+// fuzz bytes, four per event: any kind byte, an object id, a signed size,
+// and one byte split into a chain id (past the three-chain table from 3
+// up) and a signed reference count. Each writer must either refuse the
+// stream or produce one its streaming reader decodes back to the same
+// events and metadata; both must refuse the same streams, and neither may
+// panic. A decoded free carries only its object id, and text chains are
+// interned afresh, so they compare by rendered name.
+func FuzzWriters(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb := callchain.NewTable()
+		tb.InternNames("main", "a")
+		tb.InternNames("main", "b", "c")
+		var evs []Event
+		for ; len(data) >= 4; data = data[4:] {
+			evs = append(evs, Event{
+				Kind:  Kind(data[0]),
+				Obj:   ObjectID(data[1]),
+				Size:  int64(int8(data[2])) * 8,
+				Chain: callchain.ChainID(data[3] & 7),
+				Refs:  int64(int8(data[3])) >> 3,
+			})
+		}
+		meta := Meta{Program: "p", Input: "i", FunctionCalls: 5, NonHeapRefs: 6}
+		write := func(w interface {
+			Write(Event) error
+			Close(int64, int64) error
+		}) error {
+			for _, ev := range evs {
+				if err := w.Write(ev); err != nil {
+					return err
+				}
+			}
+			return w.Close(meta.FunctionCalls, meta.NonHeapRefs)
+		}
+		var bin, txt bytes.Buffer
+		bw, err := NewWriter(&bin, meta, tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tw, err := NewTextWriter(&txt, meta, tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		berr, terr := write(bw), write(tw)
+		if (berr == nil) != (terr == nil) {
+			t.Fatalf("writers disagree: Writer %v, TextWriter %v", berr, terr)
+		}
+		if berr != nil {
+			return // refused cleanly by both
+		}
+		rd, err := NewReader(&bin)
+		if err != nil {
+			t.Fatalf("Writer's header does not decode: %v", err)
+		}
+		for _, c := range []struct {
+			name string
+			src  Source
+		}{{"Writer", rd}, {"TextWriter", NewTextReader(&txt)}} {
+			got, err := Collect(c.src)
+			if err != nil {
+				t.Fatalf("%s's stream does not decode: %v", c.name, err)
+			}
+			m := Meta{Program: got.Program, Input: got.Input, FunctionCalls: got.FunctionCalls, NonHeapRefs: got.NonHeapRefs}
+			if m != meta {
+				t.Fatalf("%s: metadata %+v, wrote %+v", c.name, m, meta)
+			}
+			if len(got.Events) != len(evs) {
+				t.Fatalf("%s: %d events decoded, %d written", c.name, len(got.Events), len(evs))
+			}
+			for i, want := range evs {
+				ev := got.Events[i]
+				if want.Kind == KindFree {
+					want = Event{Kind: KindFree, Obj: want.Obj}
+				}
+				if got.Table.String(ev.Chain) != tb.String(want.Chain) {
+					t.Fatalf("%s: event %d chain %q, wrote %q", c.name, i, got.Table.String(ev.Chain), tb.String(want.Chain))
+				}
+				ev.Chain, want.Chain = 0, 0
+				if ev != want {
+					t.Fatalf("%s: event %d decoded as %+v, wrote %+v", c.name, i, ev, want)
+				}
+			}
 		}
 	})
 }

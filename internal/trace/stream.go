@@ -280,6 +280,7 @@ func (r *Reader) Next() (Event, error) {
 type Writer struct {
 	bw     *bufio.Writer
 	cw     countingWriter
+	chains int // chain count of the header's table
 	closed bool
 }
 
@@ -287,7 +288,8 @@ type Writer struct {
 // function and chain tables from tb — and returns a Writer for the event
 // stream. The table must already contain every chain the events will
 // reference (the synth generators intern all sites before emitting, and
-// re-encoded streams carry their table up front).
+// re-encoded streams carry their table up front); Write refuses any
+// other chain id, as the reader would.
 func NewWriter(w io.Writer, meta Meta, tb *callchain.Table) (*Writer, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	cw := countingWriter{bw}
@@ -303,7 +305,27 @@ func NewWriter(w io.Writer, meta Meta, tb *callchain.Table) (*Writer, error) {
 	if err := writeTable(cw, tb); err != nil {
 		return nil, err
 	}
-	return &Writer{bw: bw, cw: cw}, nil
+	return &Writer{bw: bw, cw: cw, chains: tb.NumChains()}, nil
+}
+
+// checkWrite rejects an event its reader would refuse: an unknown kind,
+// a negative size or reference count, or a chain id past the nChains
+// chains of the writer's table.
+func checkWrite(ev Event, nChains int) error {
+	switch ev.Kind {
+	case KindAlloc:
+		if err := checkAlloc(ev); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		if uint64(ev.Chain) >= uint64(nChains) {
+			return fmt.Errorf("trace: unknown chain %d", ev.Chain)
+		}
+		return nil
+	case KindFree:
+		return nil
+	default:
+		return fmt.Errorf("trace: bad event kind %d", ev.Kind)
+	}
 }
 
 // Write encodes one event.
@@ -311,13 +333,8 @@ func (w *Writer) Write(ev Event) error {
 	if w.closed {
 		return fmt.Errorf("trace: write after Close")
 	}
-	if ev.Kind != KindAlloc && ev.Kind != KindFree {
-		return fmt.Errorf("trace: bad event kind %d", ev.Kind)
-	}
-	if ev.Kind == KindAlloc {
-		if err := checkAlloc(ev); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
+	if err := checkWrite(ev, w.chains); err != nil {
+		return err
 	}
 	if err := w.bw.WriteByte(byte(ev.Kind)); err != nil {
 		return err
@@ -384,20 +401,16 @@ func (w *TextWriter) Write(ev Event) error {
 	if w.closed {
 		return fmt.Errorf("trace: write after Close")
 	}
-	switch ev.Kind {
-	case KindAlloc:
-		if err := checkAlloc(ev); err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		_, err := fmt.Fprintf(w.bw, "alloc %d size=%d refs=%d chain=%s\n",
-			ev.Obj, ev.Size, ev.Refs, w.tb.String(ev.Chain))
+	if err := checkWrite(ev, w.tb.NumChains()); err != nil {
 		return err
-	case KindFree:
+	}
+	if ev.Kind == KindFree {
 		_, err := fmt.Fprintf(w.bw, "free %d\n", ev.Obj)
 		return err
-	default:
-		return fmt.Errorf("trace: bad event kind %d", ev.Kind)
 	}
+	_, err := fmt.Fprintf(w.bw, "alloc %d size=%d refs=%d chain=%s\n",
+		ev.Obj, ev.Size, ev.Refs, w.tb.String(ev.Chain))
+	return err
 }
 
 // Close writes the trailing metadata line and flushes.
