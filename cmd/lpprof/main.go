@@ -26,17 +26,27 @@ const name = "lpprof"
 func main() {
 	tracePath := flag.String("trace", "", "input trace file (binary format; - for stdin)")
 	out := flag.String("o", "-", "output JSON file, - for stdout")
-	threshold := flag.Int64("threshold", 32<<10, "short-lived threshold in bytes")
-	rounding := flag.Int64("rounding", 4, "size rounding for site keys")
+	threshold := flag.Int64("threshold", 32<<10, "short-lived threshold in bytes (> 0)")
+	rounding := flag.Int64("rounding", 4, "size rounding for site keys (>= 1; 1 = none)")
 	chainLength := flag.Int("chain-length", 0, "sub-chain length (0 = complete chain with recursion elimination)")
 	sizeOnly := flag.Bool("size-only", false, "key sites by size alone (Table 5 predictor)")
-	admit := flag.Float64("admit", 1.0, "fraction of a site's objects that must be short-lived")
+	admit := flag.Float64("admit", 1.0, "fraction of a site's objects that must be short-lived, in (0, 1]")
 	cliutil.Parse(name,
 		"train a lifetime predictor from an allocation trace",
 		"lpprof -trace gawk.trc -o gawk-sites.json")
 
 	if *tracePath == "" {
 		cliutil.UsageError(name, "missing -trace")
+	}
+	switch {
+	case !(*admit > 0 && *admit <= 1):
+		cliutil.UsageError(name, "-admit %v is outside (0, 1]", *admit)
+	case *threshold <= 0:
+		cliutil.UsageError(name, "-threshold %d is not positive", *threshold)
+	case *rounding < 1:
+		cliutil.UsageError(name, "-rounding %d is below 1", *rounding)
+	case *chainLength < 0:
+		cliutil.UsageError(name, "-chain-length %d is negative", *chainLength)
 	}
 	var r io.Reader = os.Stdin
 	if *tracePath != "-" {

@@ -15,7 +15,7 @@
 package callchain
 
 import (
-	"fmt"
+	"encoding/binary"
 	"strings"
 
 	"repro/internal/xrand"
@@ -77,27 +77,23 @@ func (t *Table) NumFuncs() int { return len(t.funcNames) }
 // the empty chain.
 func (t *Table) NumChains() int { return len(t.chains) }
 
-func chainKey(fs []FuncID) string {
-	var b strings.Builder
-	for i, f := range fs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", f)
-	}
-	return b.String()
-}
-
 // Intern interns a chain of function ids (outermost first) and returns its
-// ChainID. The input slice is copied.
+// ChainID. The input slice is copied. The chain's key packs 4 little-endian
+// bytes per function id (the empty chain's key is ""), built in a stack
+// buffer for chains of up to 16 functions, so interning a known chain
+// allocates nothing and only reads the table.
 func (t *Table) Intern(fs []FuncID) ChainID {
-	key := chainKey(fs)
-	if id, ok := t.chainIndex[key]; ok {
+	var buf [64]byte
+	key := buf[:0]
+	for _, f := range fs {
+		key = binary.LittleEndian.AppendUint32(key, uint32(f))
+	}
+	if id, ok := t.chainIndex[string(key)]; ok {
 		return id
 	}
 	id := ChainID(len(t.chains))
 	t.chains = append(t.chains, append([]FuncID(nil), fs...))
-	t.chainIndex[key] = id
+	t.chainIndex[string(key)] = id
 	return id
 }
 

@@ -1,6 +1,7 @@
 package callchain
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -297,6 +298,90 @@ func BenchmarkIntern(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fs[7] = FuncID(i % 8)
 		tb.Intern(fs)
+	}
+}
+
+// TestInternHitAllocatesNothing: interning a chain the table already
+// holds, directly or as a sub-chain, builds its packed key on the stack
+// and only reads the table, so it makes no allocation.
+func TestInternHitAllocatesNothing(t *testing.T) {
+	tb := NewTable()
+	c := tb.InternNames("main", "run", "interp", "eval", "apply", "cons", "gc", "xmalloc")
+	fs := append([]FuncID(nil), tb.Funcs(c)...)
+	sub := tb.SubChain(c, 4)
+	n := tb.NumChains()
+	if a := testing.AllocsPerRun(100, func() {
+		if tb.Intern(fs) != c {
+			t.Fatal("Intern of an interned chain returned another id")
+		}
+	}); a != 0 {
+		t.Errorf("Intern of an interned chain: %v allocs/op, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if tb.SubChain(c, 4) != sub {
+			t.Fatal("SubChain of an interned sub-chain returned another id")
+		}
+	}); a != 0 {
+		t.Errorf("SubChain of an interned sub-chain: %v allocs/op, want 0", a)
+	}
+	if tb.NumChains() != n {
+		t.Errorf("lookups grew the table from %d to %d chains", n, tb.NumChains())
+	}
+}
+
+// TestWarmedTableLookupsConcurrent pins the contract concurrent replays
+// and experiment cells rely on when they share a pre-warmed table: once
+// the table holds every chain a lookup can derive (the chains, their
+// sub-chains, their recursion-eliminated forms and the chains mapped in
+// from another table), repeating those lookups only reads it, so
+// goroutines may share it. Run it under -race.
+func TestWarmedTableLookupsConcurrent(t *testing.T) {
+	tb, other := NewTable(), NewTable()
+	var chains, foreign []ChainID
+	for _, names := range [][]string{
+		{"main", "parse", "expr", "expr", "term", "xmalloc"},
+		{"main", "eval", "apply", "eval", "apply", "cons", "gc", "xmalloc"},
+		{"main", "a", "b", "a", "b", "xmalloc"},
+		{"xmalloc"},
+		{},
+	} {
+		chains = append(chains, tb.InternNames(names...))
+	}
+	for _, names := range [][]string{
+		{"main", "eval", "apply", "xmalloc"},
+		{"main", "fresh", "fresh", "xmalloc"},
+		{"init", "main", "parse"},
+	} {
+		foreign = append(foreign, other.InternNames(names...))
+	}
+	lookups := func() {
+		for _, c := range chains {
+			tb.Intern(tb.Funcs(c))
+			for n := 1; n <= 7; n++ {
+				tb.SubChain(c, n)
+			}
+			tb.EliminateRecursion(c)
+		}
+		for _, c := range foreign {
+			tb.InternFrom(other, c)
+		}
+	}
+	lookups()
+	nChains, nFuncs := tb.NumChains(), tb.NumFuncs()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				lookups()
+			}
+		}()
+	}
+	wg.Wait()
+	if tb.NumChains() != nChains || tb.NumFuncs() != nFuncs {
+		t.Fatalf("warmed lookups grew the table: %d -> %d chains, %d -> %d funcs",
+			nChains, tb.NumChains(), nFuncs, tb.NumFuncs())
 	}
 }
 

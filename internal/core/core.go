@@ -112,13 +112,20 @@ func (c Config) Build(m *synth.Model) (*Artifacts, error) {
 }
 
 // trainDB returns the Train input's site database under cfg: TrainDB
-// itself for the configuration Build trained it under, a fresh training
-// for any other. Cells share TrainDB concurrently; nothing writes to it
-// after Build, and every derivation only reads it and the pre-warmed
-// chain tables.
+// itself for the configuration Build trained it under, TrainDB's sites
+// under another admission fraction (training never reads it, only
+// admission does; 0 means the default, 1), and a fresh training for any
+// other. Cells share TrainDB and its sites concurrently; nothing writes
+// to them after Build, and every derivation only reads them and the
+// pre-warmed chain tables.
 func (a *Artifacts) trainDB(cfg profile.Config) *profile.DB {
 	if cfg == a.TrainDB.Config {
 		return a.TrainDB
+	}
+	db := *a.TrainDB
+	db.Config.AdmitFraction = cfg.AdmitFraction
+	if cfg == db.Config && cfg.AdmitFraction != 0 {
+		return &db
 	}
 	return profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, cfg)
 }

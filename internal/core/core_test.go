@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/heapsim"
+	"repro/internal/profile"
 	"repro/internal/synth"
 )
 
@@ -32,15 +33,32 @@ func TestBuildArtifacts(t *testing.T) {
 	if a.TrainPredictor.NumSites() == 0 {
 		t.Fatal("no predictor sites trained")
 	}
-	// Every consumer of the build's configuration shares TrainDB; any
-	// other configuration trains its own database.
+	// Every consumer of the build's configuration shares TrainDB, and one
+	// that differs only in its admission fraction shares TrainDB's sites;
+	// any other configuration trains its own database.
 	if db := a.trainDB(a.TrainDB.Config); db != a.TrainDB {
 		t.Error("trainDB retrained the build's configuration")
 	}
+	admit := a.TrainDB.Config
+	admit.AdmitFraction = 0.95
+	sharesSites := func(db *profile.DB) bool {
+		for k, st := range a.TrainDB.Sites {
+			return db.Sites[k] == st
+		}
+		return false
+	}
+	db := a.trainDB(admit)
+	if db == a.TrainDB || db.Config != admit || !sharesSites(db) {
+		t.Errorf("trainDB(AdmitFraction 0.95) did not share TrainDB's sites: got a database under %+v", db.Config)
+	}
+	fresh := profile.TrainObjects(a.TrainTrace.Table, a.TrainObjs, admit).Predictor().NumSites()
+	if got := db.Predictor().NumSites(); got != fresh {
+		t.Errorf("trainDB(AdmitFraction 0.95) admits %d sites, a fresh training %d", got, fresh)
+	}
 	other := a.TrainDB.Config
 	other.ChainLength = 3
-	if db := a.trainDB(other); db == a.TrainDB || db.Config != other {
-		t.Errorf("trainDB(ChainLength 3) returned a database under %+v", db.Config)
+	if db := a.trainDB(other); db == a.TrainDB || db.Config != other || sharesSites(db) {
+		t.Errorf("trainDB(ChainLength 3) did not train afresh: got a database under %+v", db.Config)
 	}
 }
 

@@ -309,6 +309,44 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
+// TestProfileRejectsBadFlags requires lpprof to refuse each out-of-range
+// profile flag as a usage error (exit 2) before it trains, so no output
+// file appears, while an in-range run still exits 0.
+func TestProfileRejectsBadFlags(t *testing.T) {
+	bin := bins(t)
+	dir := t.TempDir()
+	trc := filepath.Join(dir, "train.trc")
+	if _, stderr, code := run(t, bin, "lpgen",
+		"-program", "gawk", "-input", "train", "-scale", "0.01", "-o", trc); code != 0 {
+		t.Fatalf("lpgen exited %d: %s", code, stderr)
+	}
+	for _, tc := range []struct {
+		flag, value string
+		want        int
+	}{
+		{"-admit", "-1", 2},
+		{"-admit", "0", 2},
+		{"-admit", "1.5", 2},
+		{"-admit", "NaN", 2},
+		{"-threshold", "-5", 2},
+		{"-threshold", "0", 2},
+		{"-rounding", "-8", 2},
+		{"-rounding", "0", 2},
+		{"-chain-length", "-3", 2},
+		{"-admit", "1", 0},
+	} {
+		out := filepath.Join(dir, "sites"+tc.flag+tc.value+".json")
+		_, stderr, code := run(t, bin, "lpprof", "-trace", trc, tc.flag, tc.value, "-o", out)
+		if code != tc.want {
+			t.Errorf("lpprof %s %s exited %d, want %d: %s", tc.flag, tc.value, code, tc.want, stderr)
+		}
+		_, err := os.Stat(out)
+		if wrote := err == nil; wrote != (tc.want == 0) {
+			t.Errorf("lpprof %s %s: output file written = %v, want %v", tc.flag, tc.value, wrote, tc.want == 0)
+		}
+	}
+}
+
 // TestBenchDeterminism runs lpbench twice with identical arguments and
 // requires byte-identical output — the property that makes a committed
 // BENCH_seed.json a usable cross-machine baseline.

@@ -93,11 +93,14 @@ func (p *CCEPredictor) PredictShort(raw callchain.ChainID, size int64) bool {
 // additionally need identical id assignments in both binaries, which the
 // paper assumes since the ids are compiled in).
 func EvaluateCCE(objs []trace.Object, p *CCEPredictor) Eval {
-	ev := score(objs, p.Config.ShortThreshold, func(o *trace.Object) (cceKey, bool) {
+	seen := make(map[cceKey]struct{})
+	ev := score(objs, p.Config.ShortThreshold, func(o *trace.Object) bool {
 		k := cceKey{key: p.table.EncryptionKey(o.Chain), size: p.Config.roundSize(o.Size)}
+		seen[k] = struct{}{}
 		_, ok := p.keys[k]
-		return k, ok
+		return ok
 	})
+	ev.TotalSites = len(seen)
 	ev.SitesUsed = p.NumSites()
 	return ev
 }

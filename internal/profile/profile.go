@@ -101,6 +101,48 @@ func (c Config) siteChain(tb *callchain.Table, raw callchain.ChainID) callchain.
 	return tb.EliminateRecursion(raw)
 }
 
+// chainMemo memoizes one derived chain per raw chain: the site chain a
+// training call keys its objects by, or the chain a Mapper maps a foreign
+// chain to. It is indexed by raw ChainID and stores the result plus one,
+// so 0 marks an unseen chain, and it grows on demand because a streaming
+// source interns chains mid-stream. Each training call and each Mapper
+// owns its memo, so no shared table, database or predictor gains state.
+type chainMemo []callchain.ChainID
+
+// get returns the memoized chain for raw, if there is one.
+func (m chainMemo) get(raw callchain.ChainID) (callchain.ChainID, bool) {
+	if int(raw) < len(m) && m[raw] != 0 {
+		return m[raw] - 1, true
+	}
+	return 0, false
+}
+
+// put memoizes derived as raw's chain.
+func (m *chainMemo) put(raw, derived callchain.ChainID) {
+	if n := int(raw) + 1; n > len(*m) {
+		*m = append(*m, make(chainMemo, n-len(*m))...)
+	}
+	(*m)[raw] = derived + 1
+}
+
+// siteKeyer keys objects into sites under one configuration, deriving each
+// raw chain's site chain once.
+type siteKeyer struct {
+	cfg    Config
+	tb     *callchain.Table
+	chains chainMemo
+}
+
+// key returns the site of an allocation with the given raw chain and size.
+func (k *siteKeyer) key(raw callchain.ChainID, size int64) SiteKey {
+	chain, ok := k.chains.get(raw)
+	if !ok {
+		chain = k.cfg.siteChain(k.tb, raw)
+		k.chains.put(raw, chain)
+	}
+	return SiteKey{Chain: chain, Size: k.cfg.roundSize(size)}
+}
+
 // SiteKey identifies an allocation site under some Config. The chain id is
 // relative to the table the DB or Predictor was built with.
 type SiteKey struct {
@@ -165,8 +207,9 @@ func Train(tr *trace.Trace, cfg Config) (*DB, error) {
 func TrainSource(src trace.Source, cfg Config) (*DB, error) {
 	cfg = cfg.withDefaults()
 	db := &DB{Config: cfg, Table: src.Table(), Sites: make(map[SiteKey]*SiteStats)}
+	k := &siteKeyer{cfg: cfg, tb: db.Table}
 	if err := trace.AnnotateStream(src, func(o trace.Object) error {
-		db.addObject(&o)
+		db.addObject(k, &o)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -179,17 +222,15 @@ func TrainSource(src trace.Source, cfg Config) (*DB, error) {
 func TrainObjects(tb *callchain.Table, objs []trace.Object, cfg Config) *DB {
 	cfg = cfg.withDefaults()
 	db := &DB{Config: cfg, Table: tb, Sites: make(map[SiteKey]*SiteStats)}
+	k := &siteKeyer{cfg: cfg, tb: tb}
 	for i := range objs {
-		db.addObject(&objs[i])
+		db.addObject(k, &objs[i])
 	}
 	return db
 }
 
-func (db *DB) addObject(o *trace.Object) {
-	key := SiteKey{
-		Chain: db.Config.siteChain(db.Table, o.Chain),
-		Size:  db.Config.roundSize(o.Size),
-	}
+func (db *DB) addObject(k *siteKeyer, o *trace.Object) {
+	key := k.key(o.Chain, o.Size)
 	st := db.Sites[key]
 	if st == nil {
 		h, err := quantile.NewHistogram(histCells)
@@ -274,13 +315,15 @@ func (p *Predictor) PredictShort(raw callchain.ChainID, size int64) bool {
 // and the mapped site and verdict per (raw chain, rounded size) pair,
 // packed into one 64-bit key, so the replay's per-allocation cost is one
 // map probe. Rounded sizes that do not fit 32 bits bypass that cache.
+// Every site keyed on a cache miss lands in one site set, with its
+// verdict, so the distinct sites a run touched are counted at the end.
 type Mapper struct {
 	o        SiteOracle
 	cfg      Config
 	from     *callchain.Table
-	chains   map[callchain.ChainID]callchain.ChainID // raw from-chain -> site chain in o.Table()
-	verdicts map[uint64]mappedSite                   // raw chain<<32 | rounded size -> site and verdict
-	matched  map[SiteKey]struct{}                    // admitted sites that matched an allocation
+	chains   chainMemo             // raw from-chain -> site chain in o.Table()
+	verdicts map[uint64]mappedSite // raw chain<<32 | rounded size -> site and verdict
+	sites    map[SiteKey]bool      // every site keyed -> whether o admits it
 }
 
 // mappedSite is one cached verdict: the site chain in the oracle's table
@@ -296,9 +339,8 @@ func NewMapper(o SiteOracle, from *callchain.Table) *Mapper {
 		o:        o,
 		cfg:      o.ProfileConfig(),
 		from:     from,
-		chains:   make(map[callchain.ChainID]callchain.ChainID),
 		verdicts: make(map[uint64]mappedSite),
-		matched:  make(map[SiteKey]struct{}),
+		sites:    make(map[SiteKey]bool),
 	}
 }
 
@@ -308,11 +350,11 @@ func (p *Predictor) NewMapper(from *callchain.Table) *Mapper { return NewMapper(
 // siteChain maps a raw chain in the foreign table to the site chain
 // interned in the oracle's table.
 func (m *Mapper) siteChain(raw callchain.ChainID) callchain.ChainID {
-	if mapped, ok := m.chains[raw]; ok {
+	if mapped, ok := m.chains.get(raw); ok {
 		return mapped
 	}
 	mapped := m.o.Table().InternFrom(m.from, m.cfg.siteChain(m.from, raw))
-	m.chains[raw] = mapped
+	m.chains.put(raw, mapped)
 	return mapped
 }
 
@@ -329,9 +371,7 @@ func (m *Mapper) Site(raw callchain.ChainID, size int64) (SiteKey, bool) {
 	}
 	key := SiteKey{Chain: m.siteChain(raw), Size: rounded}
 	short := m.o.AdmitSite(key)
-	if short {
-		m.matched[key] = struct{}{}
-	}
+	m.sites[key] = short
 	if cacheable {
 		m.verdicts[ck] = mappedSite{chain: key.Chain, short: short}
 	}
@@ -349,7 +389,15 @@ func (m *Mapper) ShortThreshold() int64 { return m.cfg.ShortThreshold }
 
 // SitesMatched reports how many distinct admitted sites matched at least
 // one allocation — the paper's "Sites Used" under true prediction.
-func (m *Mapper) SitesMatched() int { return len(m.matched) }
+func (m *Mapper) SitesMatched() int {
+	n := 0
+	for _, short := range m.sites {
+		if short {
+			n++
+		}
+	}
+	return n
+}
 
 // Eval holds the prediction-effectiveness metrics of Tables 4, 5 and 6.
 type Eval struct {
@@ -400,27 +448,27 @@ func Evaluate(tr *trace.Trace, p *Predictor) (Eval, error) {
 }
 
 // EvaluateObjects evaluates pre-annotated objects whose chains live in tb.
-// Each object is keyed once, by the Mapper that also gives its verdict.
+// Each object is keyed through the Mapper that also gives its verdict, and
+// the Mapper's site set yields both site counts.
 func EvaluateObjects(tb *callchain.Table, objs []trace.Object, p *Predictor) Eval {
 	m := p.NewMapper(tb)
-	ev := score(objs, p.Config.ShortThreshold, func(o *trace.Object) (SiteKey, bool) {
-		return m.Site(o.Chain, o.Size)
+	ev := score(objs, p.Config.ShortThreshold, func(o *trace.Object) bool {
+		return m.PredictShort(o.Chain, o.Size)
 	})
+	ev.TotalSites = len(m.sites)
 	ev.SitesUsed = m.SitesMatched()
 	return ev
 }
 
 // score is the one scoring loop behind EvaluateObjects and EvaluateCCE:
-// site returns each object's key and whether it is predicted short, and
-// an object is actually short when it died before threshold. TotalSites
-// counts the distinct keys; SitesUsed is left to the caller.
-func score[K comparable](objs []trace.Object, threshold int64, site func(*trace.Object) (K, bool)) Eval {
+// predict reports whether an object is predicted short, and an object is
+// actually short when it died before threshold. The site counts are left
+// to the caller.
+func score(objs []trace.Object, threshold int64, predict func(*trace.Object) bool) Eval {
 	var ev Eval
-	seen := make(map[K]struct{})
 	for i := range objs {
 		o := &objs[i]
-		key, predicted := site(o)
-		seen[key] = struct{}{}
+		predicted := predict(o)
 		ev.TotalObjects++
 		ev.TotalBytes += o.Size
 		ev.TotalRefs += o.Refs
@@ -438,7 +486,6 @@ func score[K comparable](objs []trace.Object, threshold int64, site func(*trace.
 			}
 		}
 	}
-	ev.TotalSites = len(seen)
 	return ev
 }
 

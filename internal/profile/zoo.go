@@ -118,12 +118,10 @@ func TrainWindowed(src trace.Source, cfg Config, wc WindowedConfig) (*Predictor,
 		wc.Q = 1.0
 	}
 	tb := src.Table()
+	k := &siteKeyer{cfg: cfg, tb: tb}
 	windows := make(map[SiteKey]*siteWindow)
 	if err := trace.AnnotateStream(src, func(o trace.Object) error {
-		key := SiteKey{
-			Chain: cfg.siteChain(tb, o.Chain),
-			Size:  cfg.roundSize(o.Size),
-		}
+		key := k.key(o.Chain, o.Size)
 		sw := windows[key]
 		if sw == nil {
 			sw = &siteWindow{}

@@ -131,80 +131,6 @@ func (r *RNG) Pareto(alpha, xm float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// LogNormal returns exp(N(mu, sigma^2)).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Normal())
-}
-
-// Normal returns a standard normal variate via the polar Box-Muller method.
-func (r *RNG) Normal() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Geometric returns the number of failures before the first success in a
-// Bernoulli(p) process; its mean is (1-p)/p. It panics unless 0 < p <= 1.
-func (r *RNG) Geometric(p float64) int64 {
-	if p <= 0 || p > 1 {
-		panic("xrand: Geometric with p outside (0, 1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int64(math.Log(u) / math.Log(1-p))
-}
-
-// Zipf samples from a Zipf distribution over {0, ..., n-1} with exponent s,
-// using the precomputed table in z.
-type Zipf struct {
-	cdf []float64
-	rng *RNG
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s >= 0. Exponent
-// 0 degenerates to uniform. It panics if n <= 0.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("xrand: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, rng: rng}
-}
-
-// Next returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Weighted selects indices in proportion to fixed non-negative weights.
 type Weighted struct {
 	cum []float64
@@ -248,22 +174,4 @@ func (w *Weighted) Next() int {
 		}
 	}
 	return lo
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

@@ -162,105 +162,6 @@ func TestParetoMinimumAndTail(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := New(19)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("Normal mean: got %.4f, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("Normal variance: got %.4f, want ~1", variance)
-	}
-}
-
-func TestLogNormalMedian(t *testing.T) {
-	r := New(23)
-	const mu, n = 3.0, 100001
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = r.LogNormal(mu, 0.5)
-	}
-	// Median of lognormal is exp(mu); count how many fall below it.
-	below := 0
-	for _, v := range vals {
-		if v < math.Exp(mu) {
-			below++
-		}
-	}
-	frac := float64(below) / n
-	if math.Abs(frac-0.5) > 0.02 {
-		t.Fatalf("LogNormal median fraction: got %.4f, want ~0.5", frac)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(29)
-	const p, n = 0.2, 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	got := sum / n
-	want := (1 - p) / p
-	if math.Abs(got-want) > 0.05*want {
-		t.Fatalf("Geometric mean: got %.3f, want ~%.3f", got, want)
-	}
-}
-
-func TestGeometricEdgeCases(t *testing.T) {
-	r := New(31)
-	if v := r.Geometric(1); v != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", v)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
-		}
-	}()
-	r.Geometric(0)
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(37)
-	z := NewZipf(r, 100, 1.0)
-	counts := make([]int, 100)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Next()]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("Zipf not skewed: rank0=%d rank50=%d", counts[0], counts[50])
-	}
-	// Rank 0 should receive roughly 1/H(100) ~ 19% of the mass.
-	frac := float64(counts[0]) / n
-	if frac < 0.15 || frac > 0.25 {
-		t.Fatalf("Zipf rank-0 mass: got %.3f, want ~0.19", frac)
-	}
-}
-
-func TestZipfUniformWhenSZero(t *testing.T) {
-	r := New(41)
-	z := NewZipf(r, 10, 0)
-	counts := make([]int, 10)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Next()]++
-	}
-	for i, c := range counts {
-		if math.Abs(float64(c)-n/10) > 0.05*n/10 {
-			t.Errorf("Zipf(s=0) bucket %d: got %d, want ~%d", i, c, n/10)
-		}
-	}
-}
-
 func TestWeightedProportions(t *testing.T) {
 	r := New(43)
 	w := NewWeighted(r, []float64{1, 0, 3})
@@ -289,23 +190,6 @@ func TestWeightedPanics(t *testing.T) {
 			}()
 			NewWeighted(New(1), ws)
 		}()
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(47)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) invalid: %v", n, p)
-			}
-			seen[v] = true
-		}
 	}
 }
 
