@@ -106,8 +106,8 @@ func selectFactories(spec string) ([]check.Factory, error) {
 	return check.Factories(strings.Split(spec, ",")...)
 }
 
-// readTrace loads a repro file, accepting both the binary formats
-// (LPTRACE magic) and the text format the shrinker prints.
+// readTrace loads a repro file, accepting the binary format (LPTRACE
+// magic) and the text format the shrinker prints.
 func readTrace(path string) (*trace.Trace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

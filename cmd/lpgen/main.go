@@ -83,19 +83,23 @@ func main() {
 	}
 
 	acc := trace.NewStatsAccum()
+	blk := trace.NewEventBlock(trace.DefaultBlockLen)
 	for {
-		ev, err := src.Next()
+		err := src.NextBlock(blk)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			cliutil.Fatal(name, err)
 		}
-		if err := ew.Write(ev); err != nil {
-			cliutil.Fatal(name, err)
-		}
-		if err := acc.Add(ev); err != nil {
-			cliutil.Fatal(name, err)
+		for k := 0; k < blk.N; k++ {
+			ev := blk.Event(k)
+			if err := ew.Write(ev); err != nil {
+				cliutil.Fatal(name, err)
+			}
+			if err := acc.Add(ev); err != nil {
+				cliutil.Fatal(name, err)
+			}
 		}
 	}
 	meta := src.Meta() // trailer totals are final after io.EOF

@@ -83,30 +83,35 @@ func Diff(src trace.Source, fs []Factory, opt Options) error {
 		}
 		return nil
 	}
-	i := 0
-	for ; ; i++ {
-		ev, err := src.Next()
+	blk := trace.NewEventBlock(trace.DefaultBlockLen)
+	n := 0 // events replayed before the current block
+	for {
+		err := src.NextBlock(blk)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		if err := led.Apply(ev); err != nil {
-			return fmt.Errorf("event %d: %w", i, err)
-		}
-		for _, p := range parts {
-			if _, err := applyEvent(p.alloc, ev, opt.Predict); err != nil {
-				return fmt.Errorf("event %d: %s diverged: rejected legal event: %w", i, p.name, err)
+		for k := 0; k < blk.N; k++ {
+			i, ev := n+k, blk.Event(k)
+			if err := led.Apply(ev); err != nil {
+				return fmt.Errorf("event %d: %w", i, err)
+			}
+			for _, p := range parts {
+				if _, err := applyEvent(p.alloc, ev, opt.Predict); err != nil {
+					return fmt.Errorf("event %d: %s diverged: rejected legal event: %w", i, p.name, err)
+				}
+			}
+			if opt.Stride > 0 && (i+1)%opt.Stride == 0 {
+				if err := audit(i, fmt.Sprintf("after event %d", i)); err != nil {
+					return err
+				}
 			}
 		}
-		if opt.Stride > 0 && (i+1)%opt.Stride == 0 {
-			if err := audit(i, fmt.Sprintf("after event %d", i)); err != nil {
-				return err
-			}
-		}
+		n += blk.N
 	}
-	if err := audit(i, fmt.Sprintf("at end of trace (%d events)", i)); err != nil {
+	if err := audit(n, fmt.Sprintf("at end of trace (%d events)", n)); err != nil {
 		return err
 	}
 	// The audits prove each allocator agrees with the ledger; close the

@@ -24,38 +24,44 @@ import (
 func AuditPool(src trace.Source, name string, p *heapsim.Pool, opt Options) error {
 	led := NewLedger(defaultDeadSample)
 	next := 0
-	for i := 0; ; i++ {
-		ev, err := src.Next()
+	blk := trace.NewEventBlock(trace.DefaultBlockLen)
+	n := 0 // events replayed before the current block
+	for {
+		err := src.NextBlock(blk)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("%s: reading event %d: %w", name, i, err)
+			return fmt.Errorf("%s: reading event %d: %w", name, n, err)
 		}
-		if err := led.Apply(ev); err != nil {
-			return fmt.Errorf("%s: event %d: %w", name, i, err)
-		}
-		switch ev.Kind {
-		case trace.KindAlloc:
-			short := false
-			if opt.Predict != nil {
-				short = opt.Predict.PredictShort(ev.Chain, ev.Size)
-			}
-			member := next % p.Members()
-			next++
-			if err := p.AllocOn(member, ev.Obj, ev.Size, short); err != nil {
+		for k := 0; k < blk.N; k++ {
+			i, ev := n+k, blk.Event(k)
+			if err := led.Apply(ev); err != nil {
 				return fmt.Errorf("%s: event %d: %w", name, i, err)
 			}
-		case trace.KindFree:
-			if err := p.Free(ev.Obj); err != nil {
-				return fmt.Errorf("%s: event %d: %w", name, i, err)
+			switch ev.Kind {
+			case trace.KindAlloc:
+				short := false
+				if opt.Predict != nil {
+					short = opt.Predict.PredictShort(ev.Chain, ev.Size)
+				}
+				member := next % p.Members()
+				next++
+				if err := p.AllocOn(member, ev.Obj, ev.Size, short); err != nil {
+					return fmt.Errorf("%s: event %d: %w", name, i, err)
+				}
+			case trace.KindFree:
+				if err := p.Free(ev.Obj); err != nil {
+					return fmt.Errorf("%s: event %d: %w", name, i, err)
+				}
+			}
+			if opt.Stride > 0 && (i+1)%opt.Stride == 0 {
+				if err := AuditState(name, p, led); err != nil {
+					return fmt.Errorf("after event %d: %w", i, err)
+				}
 			}
 		}
-		if opt.Stride > 0 && (i+1)%opt.Stride == 0 {
-			if err := AuditState(name, p, led); err != nil {
-				return fmt.Errorf("after event %d: %w", i, err)
-			}
-		}
+		n += blk.N
 	}
 	if err := AuditState(name, p, led); err != nil {
 		return fmt.Errorf("at end of trace: %w", err)

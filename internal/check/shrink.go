@@ -142,16 +142,7 @@ func (v *Violation) WriteRepro(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "--- lptrace2 hex ---\n")
 	var bin bytes.Buffer
-	tw, err := trace.NewWriter(&bin, trace.Meta{Program: v.Trace.Program, Input: v.Trace.Input}, v.Trace.Table)
-	if err != nil {
-		return err
-	}
-	for _, ev := range v.Trace.Events {
-		if err := tw.Write(ev); err != nil {
-			return err
-		}
-	}
-	if err := tw.Close(v.Trace.FunctionCalls, v.Trace.NonHeapRefs); err != nil {
+	if err := trace.WriteBinary(&bin, v.Trace); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "%s\n", hex.EncodeToString(bin.Bytes()))

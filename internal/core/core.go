@@ -579,20 +579,16 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 		sited = nil
 	}
 	res := SimResult{}
-	// The replay runs on the block path: block-native sources (synth
-	// generators, slices, column views) hand over DefaultBlockLen events
-	// per NextBlock call, scalar sources (the readers included) go
-	// through the adapter, and the inner loop walks the columns with
-	// plain index arithmetic — no interface dispatch, no 40-byte struct
-	// copies per event. Event indices in errors stay global (base counts
-	// completed blocks), and the tracker still steps per event, so phase
-	// marks, timeline cadence, and prediction scoring land on exactly the
-	// same events as the event-at-a-time reference replay in
-	// internal/check.
-	bs := trace.AsBlockSource(src)
+	// The source hands over up to DefaultBlockLen events per NextBlock
+	// call, and the inner loop walks the columns with plain index
+	// arithmetic — no interface dispatch, no 40-byte struct copies per
+	// event. Event indices in errors stay global (base counts completed
+	// blocks), and the tracker still steps per event, so phase marks,
+	// timeline cadence, and prediction scoring land on exactly the same
+	// events as the event-at-a-time reference replay in internal/check.
 	blk := trace.NewEventBlock(trace.DefaultBlockLen)
 	for base := 0; ; base += blk.N {
-		err := bs.NextBlock(blk)
+		err := src.NextBlock(blk)
 		if err == io.EOF {
 			break
 		}

@@ -35,37 +35,31 @@ func fuzzSeedTrace() *trace.Trace {
 	return tr
 }
 
-// fuzzSeedBytes returns the seed trace in both binary framings plus the
-// usual corruptions, shared by the fuzz seeds and the corpus generator.
+// fuzzSeedBytes returns the seed trace in the binary format plus the
+// usual corruptions and an alloc naming a chain the table lacks, shared
+// by the fuzz seeds and the committed corpus.
 func fuzzSeedBytes() [][]byte {
 	tr := fuzzSeedTrace()
-	var b1 bytes.Buffer
-	if err := trace.WriteBinary(&b1, tr); err != nil {
+	var b bytes.Buffer
+	if err := trace.WriteBinary(&b, tr); err != nil {
 		panic(err)
 	}
-	var b2 bytes.Buffer
-	w, err := trace.NewWriter(&b2, trace.Meta{Program: tr.Program, Input: tr.Input}, tr.Table)
-	if err != nil {
+	good := b.Bytes()
+	bad := append([]byte(nil), good...)
+	bad[len(bad)/2] ^= 0xFF
+	// The header alone (an empty trace less its sentinel and two zero
+	// trailer varints), then an alloc (obj 0, size 16) naming chain 9 of
+	// the table's 4, the sentinel and a zero trailer.
+	var h bytes.Buffer
+	if err := trace.WriteBinary(&h, &trace.Trace{Program: tr.Program, Input: tr.Input, Table: tr.Table}); err != nil {
 		panic(err)
 	}
-	for _, ev := range tr.Events {
-		if err := w.Write(ev); err != nil {
-			panic(err)
-		}
-	}
-	if err := w.Close(0, 0); err != nil {
-		panic(err)
-	}
-	good1, good2 := b1.Bytes(), b2.Bytes()
-	bad := append([]byte(nil), good2...)
-	if len(bad) > 40 {
-		bad[len(bad)/2] ^= 0xFF
-	}
+	unknown := append(h.Bytes()[:h.Len()-3], 1, 0, 16, 9, 0, 0, 0, 0)
 	return [][]byte{
-		good1,
-		good2,
-		good2[:len(good2)/2], // truncated mid-events
+		good,
+		good[:len(good)/2],   // truncated mid-events
 		bad,                  // corrupted event byte
+		unknown,              // alloc names a chain the table lacks
 		[]byte("LPTRACE2\n"), // header only
 	}
 }

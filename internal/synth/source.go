@@ -18,7 +18,7 @@ type segment struct {
 	active  []*expandedSpec
 }
 
-// Source generates a model's events on demand, one per Next call — the
+// Source generates a model's events on demand, a block at a time — the
 // trace.Source the whole pipeline consumes, and the only generator:
 // Generate is Collect over it. Generation state is O(live objects): the
 // pending-death heap plus the expanded site specs, never the event list.
@@ -143,7 +143,7 @@ func (m *Model) Source(cfg Config) (*Source, error) {
 
 // Meta returns the trace metadata. FunctionCalls and NonHeapRefs derive
 // from the realized allocation volume, so they are trailer data: zero
-// until Next has returned io.EOF.
+// until NextBlock has returned io.EOF.
 func (s *Source) Meta() trace.Meta { return s.meta }
 
 // Table returns the chain table, fully interned at construction.
@@ -165,8 +165,9 @@ func (s *Source) EventCount() (int, bool) {
 // the same Config, which is exact by determinism.
 func (s *Source) SetCount(n int) { s.count, s.countKnown = n, true }
 
-// Next returns the next generated event, io.EOF at the end of the run.
-func (s *Source) Next() (trace.Event, error) {
+// next takes one generation step: the next event, or io.EOF at the end
+// of the run.
+func (s *Source) next() (trace.Event, error) {
 	if s.done {
 		return trace.Event{}, io.EOF
 	}
@@ -231,26 +232,24 @@ func (s *Source) Next() (trace.Event, error) {
 	return trace.Event{}, io.EOF
 }
 
-// NextBlock implements trace.BlockSource natively: the generator fills
-// the caller's block directly, one generation step per slot, so block
-// consumers replay synth workloads without a per-event interface call.
-// Every RNG draw happens in the same order as scalar Next — NextBlock is
-// a loop over the same single generation step — so the event sequence is
-// byte-identical either way. io.EOF after a partially filled block is
-// held back for the following call, per the BlockSource contract.
+// NextBlock implements trace.Source: the generator fills the caller's
+// block directly, one generation step per slot. The steps run in the
+// same order whatever the block size, so the event sequence is
+// byte-identical for any consumer. io.EOF after a partially filled block
+// is held back for the following call, per the Source contract.
 func (s *Source) NextBlock(b *trace.EventBlock) error {
 	b.Reset()
 	if s.done {
 		return io.EOF
 	}
 	for !b.Full() {
-		ev, err := s.Next()
+		ev, err := s.next()
 		if err != nil {
 			if b.N == 0 {
 				return err
 			}
 			// s.done is already set, so the next NextBlock call
-			// returns the io.EOF (or error) held back here.
+			// returns the io.EOF held back here.
 			return nil
 		}
 		b.Append(ev)
@@ -270,7 +269,7 @@ func (m *Model) CountEvents(cfg Config) (int, error) {
 	}
 	n := 0
 	for {
-		if _, err := src.Next(); err == io.EOF {
+		if _, err := src.next(); err == io.EOF {
 			return n, nil
 		} else if err != nil {
 			return 0, err

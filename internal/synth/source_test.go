@@ -88,15 +88,16 @@ func TestSourceConfigErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	blk := trace.NewEventBlock(0)
 	for {
-		if _, err := src.Next(); err == io.EOF {
+		if err := src.NextBlock(blk); err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("post-EOF Next = %v", err)
+	if err := src.NextBlock(blk); err != io.EOF || blk.N != 0 {
+		t.Fatalf("post-EOF NextBlock = %d events, %v", blk.N, err)
 	}
 	if src.Meta().FunctionCalls == 0 {
 		t.Fatal("trailer metadata missing after EOF")
@@ -106,9 +107,9 @@ func TestSourceConfigErrors(t *testing.T) {
 // TestSourceBlocksMatchScalar pins the batched face of the generator on
 // its own: for every model and both inputs, draining a fresh Source via
 // NextBlock into a block whose odd capacity puts the end of the stream
-// mid-block yields exactly the event sequence and trailer of a plain Next
-// loop over another fresh Source. The RNG draw order is shared, so the two
-// faces cannot diverge without this failing.
+// mid-block yields exactly the event sequence and trailer of a plain loop
+// over the generation step, next, on another fresh Source. The RNG draw
+// order is shared, so the two cannot diverge without this failing.
 func TestSourceBlocksMatchScalar(t *testing.T) {
 	for _, m := range All() {
 		for _, in := range []Input{Train, Test} {
@@ -151,7 +152,7 @@ func TestSourceBlocksMatchScalar(t *testing.T) {
 }
 
 // drainScalar builds a fresh Source for cfg and drains it with a plain
-// Next loop, independent of Collect and of the block face.
+// loop over next, independent of Collect and of the block face.
 func drainScalar(t *testing.T, m *Model, cfg Config) (*Source, []trace.Event) {
 	t.Helper()
 	src, err := m.Source(cfg)
@@ -160,7 +161,7 @@ func drainScalar(t *testing.T, m *Model, cfg Config) (*Source, []trace.Event) {
 	}
 	var events []trace.Event
 	for {
-		ev, err := src.Next()
+		ev, err := src.next()
 		if err == io.EOF {
 			return src, events
 		}

@@ -6,15 +6,14 @@ import (
 	"repro/internal/callchain"
 )
 
-// The columnar event API. Source moves one Event per call, which costs an
-// interface dispatch, a 40-byte struct copy, and a branch per event at
-// every layer boundary. EventBlock amortizes that: a producer fills a
-// fixed-capacity struct-of-arrays batch, a consumer iterates the columns
-// with plain index arithmetic, and the per-event boundary cost drops to a
-// slice load. Every Source still works (AsBlockSource wraps it), so the
-// two shapes coexist; the synth generators, SliceSource and
-// ColumnsSource produce blocks natively, and the readers batch through
-// AsBlockSource's adapter.
+// The columnar event API. A per-event stream would cost an interface
+// dispatch, a 40-byte struct copy, and a branch per event at every layer
+// boundary. EventBlock amortizes that: a producer fills a fixed-capacity
+// struct-of-arrays batch, a consumer iterates the columns with plain
+// index arithmetic, and the per-event boundary cost drops to a slice
+// load. The synth generators, SliceSource and ColumnsSource fill blocks
+// natively; the binary and text readers decode one event at a time and
+// fill blocks through fillBlock.
 
 // DefaultBlockLen is the event capacity consumers allocate by default: big
 // enough to amortize per-block overhead to noise, small enough that a
@@ -87,72 +86,24 @@ func (b *EventBlock) Event(i int) Event {
 	}
 }
 
-// BlockSource is the batched twin of Source: NextBlock resets b and fills
-// it with up to Cap() events.
-//
-// The contract mirrors Source.Next, lifted to batches:
-//
-//   - NextBlock returns nil when it produced at least one event. io.EOF
-//     marks the clean end of the stream and always arrives with b.N == 0.
-//   - A producer that hits an error (or the clean end) after partially
-//     filling a block returns the filled events with a nil error first and
-//     the held error on the next call, so consumers observe exactly the
-//     event-then-error order the scalar stream would deliver.
-//   - Meta and Table behave as on Source: a native producer's table is
-//     complete before the first block; a scalar Source whose table grows
-//     as it streams (TextReader) keeps growing behind the adapter, so its
-//     consumers read the table after io.EOF, as Collect does. Trailer
-//     metadata is final once NextBlock has returned io.EOF.
-//
-// Like Sources, BlockSources are single-consumer.
-type BlockSource interface {
-	Meta() Meta
-	Table() *callchain.Table
-	NextBlock(b *EventBlock) error
-}
-
-// AsBlockSource returns src's batched face: src itself when it already
-// implements BlockSource (SliceSource, ColumnsSource, the synth
-// generators), otherwise a wrapper that fills blocks by repeated Next
-// calls — the one batching loop for the binary Reader, TextReader and
-// any other scalar Source. Either way the event sequence, errors,
-// metadata, table and event count are those of src.
-func AsBlockSource(src Source) BlockSource {
-	if bs, ok := src.(BlockSource); ok {
-		return bs
-	}
-	return &blockAdapter{src: src}
-}
-
-// blockAdapter lifts a scalar Source to BlockSource.
-type blockAdapter struct {
-	src Source
-	err error // pending terminal error, delivered once the batched events drain
-}
-
-func (a *blockAdapter) Meta() Meta              { return a.src.Meta() }
-func (a *blockAdapter) Table() *callchain.Table { return a.src.Table() }
-func (a *blockAdapter) EventCount() (int, bool) {
-	if c, ok := a.src.(Counted); ok {
-		return c.EventCount()
-	}
-	return 0, false
-}
-
-func (a *blockAdapter) NextBlock(b *EventBlock) error {
+// fillBlock resets b and fills it by repeated next calls — the one
+// batching loop for the per-event decoders (Reader, TextReader). The
+// error that ends the stream, io.EOF included, is kept in *end: when it
+// arrives after a partly filled block the events go out first with a nil
+// error, and every later call returns it, so a dead stream stays dead
+// however the decoder would fare on the bytes past its error.
+func fillBlock(b *EventBlock, end *error, next func() (Event, error)) error {
 	b.Reset()
-	if a.err != nil {
-		err := a.err
-		a.err = nil
-		return err
+	if *end != nil {
+		return *end
 	}
 	for !b.Full() {
-		ev, err := a.src.Next()
+		ev, err := next()
 		if err != nil {
+			*end = err
 			if b.N == 0 {
 				return err
 			}
-			a.err = err
 			return nil
 		}
 		b.Append(ev)
@@ -160,8 +111,8 @@ func (a *blockAdapter) NextBlock(b *EventBlock) error {
 	return nil
 }
 
-// NextBlock implements BlockSource for SliceSource by copying the next
-// window of events into the caller's columns.
+// NextBlock implements Source by copying the next window of events into
+// the caller's columns.
 func (s *SliceSource) NextBlock(b *EventBlock) error {
 	b.Reset()
 	if s.i >= len(s.tr.Events) {
@@ -223,9 +174,9 @@ func NewColumns(events []Event) *Columns {
 func (c *Columns) Len() int { return len(c.Kinds) }
 
 // ColumnsSource yields a transposed trace as zero-copy block views. It
-// implements both Source and BlockSource (and Counted), so it can stand in
-// for a SliceSource anywhere; NextBlock repoints the caller's block at the
-// next window of the columns instead of copying.
+// implements Source (and Counted), so it can stand in for a SliceSource
+// anywhere; NextBlock repoints the caller's block at the next window of
+// the columns instead of copying.
 type ColumnsSource struct {
 	meta Meta
 	tb   *callchain.Table
@@ -263,23 +214,7 @@ func (s *ColumnsSource) EventCount() (int, bool) { return s.cols.Len(), true }
 // Reset rewinds the source to the first event for another replay.
 func (s *ColumnsSource) Reset() { s.i = 0 }
 
-// Next implements Source.
-func (s *ColumnsSource) Next() (Event, error) {
-	if s.i >= s.cols.Len() {
-		return Event{}, io.EOF
-	}
-	i := s.i
-	s.i++
-	return Event{
-		Kind:  s.cols.Kinds[i],
-		Obj:   s.cols.Objs[i],
-		Size:  s.cols.Sizes[i],
-		Chain: s.cols.Chains[i],
-		Refs:  s.cols.Refs[i],
-	}, nil
-}
-
-// NextBlock implements BlockSource by repointing b's columns at the next
+// NextBlock implements Source by repointing b's columns at the next
 // window — no copying. The view is valid until the next call, per the
 // EventBlock contract.
 func (s *ColumnsSource) NextBlock(b *EventBlock) error {

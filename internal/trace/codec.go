@@ -7,20 +7,6 @@ import (
 	"io"
 )
 
-// The binary trace format, all integers unsigned varints unless noted:
-//
-//	magic        "LPTRACE1\n"
-//	program      string (varint length + bytes)
-//	input        string
-//	funcCalls    varint
-//	nonHeapRefs  varint
-//	numFuncs     varint, then each function name as a string
-//	numChains    varint, then each chain as varint length + varint func ids
-//	             (chain 0, the empty chain, is implicit and not written)
-//	numEvents    varint, then each event:
-//	             kind byte; alloc: obj, size, chain, refs; free: obj
-const binaryMagic = "LPTRACE1\n"
-
 type countingWriter struct {
 	w *bufio.Writer
 }
@@ -40,41 +26,19 @@ func (cw countingWriter) str(s string) error {
 	return err
 }
 
-// WriteBinary serializes a trace in the compact LPTRACE1 format. It
-// refuses the events the streaming Writer refuses.
+// WriteBinary serializes a trace in the LPTRACE2 format. It is Writer
+// over the trace's events, so it refuses the events Writer refuses.
 func WriteBinary(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := countingWriter{bw}
-	if _, err := bw.WriteString(binaryMagic); err != nil {
+	bw, err := NewWriter(w, Meta{Program: tr.Program, Input: tr.Input}, tr.Table)
+	if err != nil {
 		return err
 	}
-	if err := cw.str(tr.Program); err != nil {
-		return err
-	}
-	if err := cw.str(tr.Input); err != nil {
-		return err
-	}
-	if err := cw.uvarint(uint64(tr.FunctionCalls)); err != nil {
-		return err
-	}
-	if err := cw.uvarint(uint64(tr.NonHeapRefs)); err != nil {
-		return err
-	}
-	if err := writeTable(cw, tr.Table); err != nil {
-		return err
-	}
-	if err := cw.uvarint(uint64(len(tr.Events))); err != nil {
-		return err
-	}
-	// LPTRACE1 encodes events exactly as LPTRACE2 does, so the streaming
-	// Writer's encoder (and its checks) serves both formats.
-	ew := &Writer{bw: bw, cw: cw, chains: tr.Table.NumChains()}
 	for _, ev := range tr.Events {
-		if err := ew.Write(ev); err != nil {
+		if err := bw.Write(ev); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return bw.Close(tr.FunctionCalls, tr.NonHeapRefs)
 }
 
 type countingReader struct {
@@ -100,11 +64,9 @@ func (cr countingReader) str() (string, error) {
 	return string(buf), nil
 }
 
-// ReadBinary parses a trace previously written by WriteBinary (or by the
-// streaming Writer — both magics are accepted). The trace gets a fresh
-// callchain.Table; chain ids are preserved exactly. It is Collect over
-// NewReader: the capacity hint is clamped, so a forged event count can
-// no longer force a proportional allocation up front.
+// ReadBinary parses a trace written by WriteBinary or the streaming
+// Writer. The trace gets a fresh callchain.Table; chain ids are
+// preserved exactly. It is Collect over NewReader.
 func ReadBinary(r io.Reader) (*Trace, error) {
 	src, err := NewReader(r)
 	if err != nil {

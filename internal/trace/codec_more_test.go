@@ -32,14 +32,12 @@ func TestReadBinaryTruncations(t *testing.T) {
 
 func TestReadBinaryBadReferences(t *testing.T) {
 	// Hand-build a header whose chain references a function beyond the
-	// table: magic, empty program/input, calls=0, refs=0, 1 func "a",
-	// 1 chain of length 1 referencing func id 7.
+	// table: magic, empty program/input, 1 func "a", 1 chain of length 1
+	// referencing func id 7.
 	var buf bytes.Buffer
-	buf.WriteString("LPTRACE1\n")
+	buf.WriteString("LPTRACE2\n")
 	buf.WriteByte(0) // program ""
 	buf.WriteByte(0) // input ""
-	buf.WriteByte(0) // funcCalls
-	buf.WriteByte(0) // nonHeapRefs
 	buf.WriteByte(1) // numFuncs
 	buf.WriteByte(1) // len "a"
 	buf.WriteByte('a')
@@ -53,18 +51,18 @@ func TestReadBinaryBadReferences(t *testing.T) {
 
 func TestReadBinaryBadEventChain(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString("LPTRACE1\n")
+	buf.WriteString("LPTRACE2\n")
 	buf.WriteByte(0)               // program
 	buf.WriteByte(0)               // input
-	buf.WriteByte(0)               // calls
-	buf.WriteByte(0)               // refs
 	buf.WriteByte(0)               // numFuncs
 	buf.WriteByte(0)               // numChains
-	buf.WriteByte(1)               // numEvents
 	buf.WriteByte(byte(KindAlloc)) // kind
 	buf.WriteByte(0)               // obj
 	buf.WriteByte(8)               // size
 	buf.WriteByte(9)               // chain id 9: unknown
+	buf.WriteByte(0)               // refs
+	buf.WriteByte(0)               // sentinel
+	buf.WriteByte(0)               // calls
 	buf.WriteByte(0)               // refs
 	if _, err := ReadBinary(&buf); err == nil || !strings.Contains(err.Error(), "unknown chain") {
 		t.Fatalf("bad chain reference not rejected: %v", err)

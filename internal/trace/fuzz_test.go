@@ -2,18 +2,19 @@ package trace
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/callchain"
 )
 
-// FuzzReadBinary checks the binary reader — both the LPTRACE1 and the
-// streaming LPTRACE2 decoder — never panics or over-allocates, and that
-// anything it accepts re-serializes to a parseable trace. Run the corpus
-// as a unit test, or explore with `go test -fuzz=FuzzReadBinary
-// ./internal/trace`.
+// FuzzReadBinary checks the binary reader never panics or over-allocates,
+// and that anything it accepts re-serializes to a parseable trace. Run
+// the corpus as a unit test, or explore with `go test
+// -fuzz=FuzzReadBinary ./internal/trace`.
 func FuzzReadBinary(f *testing.F) {
-	// Seed with a real serialized trace and a few corruptions.
+	// Seed with a real serialized trace: whole, truncated mid-events and
+	// mid-trailer, and with a corrupted header byte and event byte.
 	tr := randomTrace(7, 50)
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, tr); err != nil {
@@ -22,47 +23,24 @@ func FuzzReadBinary(f *testing.F) {
 	good := buf.Bytes()
 	f.Add(good)
 	f.Add(good[:len(good)/2])
-	bad := append([]byte(nil), good...)
-	if len(bad) > 20 {
-		bad[15] ^= 0xFF
+	f.Add(good[:len(good)-1]) // trailer cut off
+	for _, at := range []int{15, len(good) / 2} {
+		bad := append([]byte(nil), good...)
+		bad[at] ^= 0xFF
+		f.Add(bad)
 	}
-	f.Add(bad)
-	f.Add([]byte("LPTRACE1\n"))
-	f.Add([]byte{})
-
-	// The same trace streamed out in the sentinel-terminated LPTRACE2
-	// format, whole and truncated: mid-events, mid-trailer, and with a
-	// corrupted kind byte.
-	var buf2 bytes.Buffer
-	w, err := NewWriter(&buf2, Meta{Program: tr.Program, Input: tr.Input}, tr.Table)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, ev := range tr.Events {
-		if err := w.Write(ev); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Close(tr.FunctionCalls, tr.NonHeapRefs); err != nil {
-		f.Fatal(err)
-	}
-	good2 := buf2.Bytes()
-	f.Add(good2)
-	f.Add(good2[:len(good2)/2])
-	f.Add(good2[:len(good2)-1]) // trailer cut off
-	bad2 := append([]byte(nil), good2...)
-	if len(bad2) > 40 {
-		bad2[len(bad2)/2] ^= 0xFF
-	}
-	f.Add(bad2)
+	f.Add(good[:20]) // truncated inside the header
 	f.Add([]byte("LPTRACE2\n"))
-
-	// Adversarial lengths: headers that claim enormous event, function,
-	// and chain counts with no bytes behind them. The reader must reject
-	// these without allocating proportionally to the claim.
-	f.Add([]byte("LPTRACE1\n\x00\x00\x00\x00\x00\x00\x80\x80\x80\x80\x80\x80\x80\x40"))
-	f.Add([]byte("LPTRACE1\n\x00\x00\x00\x00\x80\x80\x80\x80\x80\x80\x80\x40"))
+	f.Add([]byte("LPTRACE2\n\x00\x00\x00\x00\x00\x00\x00")) // the empty trace
+	f.Add([]byte{})
+	// Adversarial lengths: headers that claim a huge function count, a
+	// huge chain count, a function name past the 1 MiB cap, and a chain
+	// past 2^16 functions, with no bytes behind the claim. The reader
+	// must reject these without allocating proportionally to the claim.
+	f.Add([]byte("LPTRACE2\n\x00\x00\x80\x80\x80\x80\x80\x80\x80\x40"))
 	f.Add([]byte("LPTRACE2\n\x00\x00\x00\x80\x80\x80\x80\x80\x80\x80\x40"))
+	f.Add([]byte("LPTRACE2\n\x00\x00\x01\x81\x80\x40"))
+	f.Add([]byte("LPTRACE2\n\x00\x00\x00\x01\x81\x80\x04"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadBinary(bytes.NewReader(data))
@@ -92,101 +70,117 @@ func assertNonNegative(t *testing.T, tr *Trace) {
 	}
 }
 
-// FuzzReadBinaryBlocks is the differential target for the batched
-// Reader: on arbitrary bytes, replaying a Reader through AsBlockSource's
-// adapter must be indistinguishable from replaying it through Next —
-// same constructor verdict, same events in the same order, same terminal
-// error text, and the same trailer metadata. A small block capacity
-// forces many block boundaries, the place where the hold-the-error-back
-// contract can go wrong.
-func FuzzReadBinaryBlocks(f *testing.F) {
-	// A trace longer than the fuzz block capacity, streamed in LPTRACE2,
-	// plus the usual corruptions; and the same events in LPTRACE1, which
-	// the adapter must also batch correctly.
-	tr := randomTrace(13, 600)
+// writeWithKinds encodes tr with the streaming Writer and returns the
+// bytes and the offset of each event's kind byte.
+func writeWithKinds(t testing.TB, tr *Trace) ([]byte, []int) {
+	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, Meta{Program: tr.Program, Input: tr.Input}, tr.Table)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	for _, ev := range tr.Events {
+	kindAt := make([]int, len(tr.Events))
+	for i, ev := range tr.Events {
+		kindAt[i] = buf.Len() + w.bw.Buffered()
 		if err := w.Write(ev); err != nil {
-			f.Fatal(err)
+			t.Fatal(err)
 		}
 	}
 	if err := w.Close(tr.FunctionCalls, tr.NonHeapRefs); err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	good := buf.Bytes()
+	return buf.Bytes(), kindAt
+}
+
+// drain reads src to its terminal error in blocks of n slots, checking
+// the Source contract on the way: a nil error comes with events, an
+// error with none.
+func drain(t *testing.T, src Source, n int) ([]Event, error) {
+	t.Helper()
+	blk := NewEventBlock(n)
+	var evs []Event
+	for {
+		err := src.NextBlock(blk)
+		if err != nil {
+			if blk.N != 0 {
+				t.Fatalf("NextBlock returned %v with %d events", err, blk.N)
+			}
+			return evs, err
+		}
+		if blk.N == 0 {
+			t.Fatal("NextBlock returned nil with an empty block")
+		}
+		for k := 0; k < blk.N; k++ {
+			evs = append(evs, blk.Event(k))
+		}
+	}
+}
+
+// sameDrains drains a in 1-slot blocks and b in 64-slot blocks — two
+// sources over the same bytes — and requires the same events, chain
+// names, terminal error text and metadata. A 1-slot block puts a block
+// boundary after every event, the place where holding an error back
+// can go wrong.
+func sameDrains(t *testing.T, a, b Source) {
+	t.Helper()
+	ea, erra := drain(t, a, 1)
+	eb, errb := drain(t, b, 64)
+	if erra.Error() != errb.Error() {
+		t.Fatalf("terminal errors differ: 1-slot %q, 64-slot %q", erra, errb)
+	}
+	if len(ea) != len(eb) {
+		t.Fatalf("event counts differ: 1-slot %d, 64-slot %d", len(ea), len(eb))
+	}
+	for i := range ea {
+		if ea[i] != eb[i] {
+			t.Fatalf("event %d differs: 1-slot %+v, 64-slot %+v", i, ea[i], eb[i])
+		}
+		if na, nb := a.Table().String(ea[i].Chain), b.Table().String(eb[i].Chain); na != nb {
+			t.Fatalf("event %d chain differs: 1-slot %q, 64-slot %q", i, na, nb)
+		}
+	}
+	if a.Meta() != b.Meta() {
+		t.Fatalf("metadata differs: 1-slot %+v, 64-slot %+v", a.Meta(), b.Meta())
+	}
+}
+
+// FuzzReadBinaryBlocks is the block-size differential for the binary
+// Reader: on arbitrary bytes, a drain in 1-slot blocks and a drain in
+// 64-slot blocks must be indistinguishable — same constructor verdict,
+// same events in the same order, same terminal error text, and the same
+// trailer metadata.
+func FuzzReadBinaryBlocks(f *testing.F) {
+	// A trace longer than the 64-slot block, plus the usual corruptions
+	// and a bad kind byte at event 100, inside the second 64-slot block.
+	tr := randomTrace(13, 600)
+	good, kindAt := writeWithKinds(f, tr)
 	f.Add(good)
 	f.Add(good[:len(good)/2]) // truncated mid-events
 	f.Add(good[:len(good)-1]) // trailer cut off
 	bad := append([]byte(nil), good...)
-	if len(bad) > 40 {
-		bad[len(bad)/2] ^= 0xFF
-	}
+	bad[len(bad)/2] ^= 0xFF
 	f.Add(bad)
-	var buf1 bytes.Buffer
-	if err := WriteBinary(&buf1, tr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf1.Bytes())
+	badKind := append([]byte(nil), good...)
+	badKind[kindAt[100]] = 7
+	f.Add(badKind)
 	f.Add([]byte("LPTRACE2\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, serr := NewReader(bytes.NewReader(data))
-		br, berr := NewReader(bytes.NewReader(data))
-		if (serr == nil) != (berr == nil) {
-			t.Fatalf("constructor verdicts differ: %v vs %v", serr, berr)
+		a, aerr := NewReader(bytes.NewReader(data))
+		b, berr := NewReader(bytes.NewReader(data))
+		if (aerr == nil) != (berr == nil) {
+			t.Fatalf("constructor verdicts differ: %v vs %v", aerr, berr)
 		}
-		if serr != nil {
+		if aerr != nil {
 			return // rejected cleanly, identically
 		}
-		var sev []Event
-		var sfin error
-		for {
-			ev, err := sr.Next()
-			if err != nil {
-				sfin = err
-				break
-			}
-			sev = append(sev, ev)
-		}
-		var bev []Event
-		var bfin error
-		bs := AsBlockSource(br)
-		blk := NewEventBlock(64)
-		for {
-			err := bs.NextBlock(blk)
-			if err != nil {
-				bfin = err
-				break
-			}
-			if blk.N == 0 {
-				t.Fatal("NextBlock returned nil with an empty block")
-			}
-			for k := 0; k < blk.N; k++ {
-				bev = append(bev, blk.Event(k))
-			}
-		}
-		if sfin.Error() != bfin.Error() {
-			t.Fatalf("terminal errors differ: scalar %q, block %q", sfin, bfin)
-		}
-		if len(sev) != len(bev) {
-			t.Fatalf("event counts differ: scalar %d, block %d", len(sev), len(bev))
-		}
-		for i := range sev {
-			if sev[i] != bev[i] {
-				t.Fatalf("event %d differs: scalar %+v, block %+v", i, sev[i], bev[i])
-			}
-		}
-		if sr.Meta() != br.Meta() {
-			t.Fatalf("trailer metadata differs: scalar %+v, block %+v", sr.Meta(), br.Meta())
-		}
+		sameDrains(t, a, b)
 	})
 }
 
-// FuzzReadText does the same for the text codec.
+// FuzzReadText does the same for the text codec: the TextReader drains
+// alike in 1-slot and 64-slot blocks, and any trace ReadText accepts
+// re-serializes to a parseable one.
 func FuzzReadText(f *testing.F) {
 	tr := randomTrace(9, 30)
 	var buf bytes.Buffer
@@ -218,6 +212,9 @@ func FuzzReadText(f *testing.F) {
 	f.Add(streamed[:len(streamed)/2])
 
 	f.Fuzz(func(t *testing.T, data string) {
+		// The table grows as the reader streams, so sameDrains also
+		// compares the rendered chain names.
+		sameDrains(t, NewTextReader(strings.NewReader(data)), NewTextReader(strings.NewReader(data)))
 		got, err := ReadText(bytes.NewReader([]byte(data)))
 		if err != nil {
 			return

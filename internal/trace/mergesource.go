@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the streaming byte-clock merge engine. Interleaver
-// consumes each shard through the block interface and yields (shard,
+// consumes each shard a block at a time and yields (shard,
 // event) pairs in shared byte-clock order, leaving ids, chains, and
 // tables untouched. It has two callers:
 //
@@ -25,9 +25,8 @@ import (
 // keys (NewKeyedInterleaver, so the merge order is invariant under
 // permutation of the shard slice; the cluster keys by tenant id).
 //
-// Shards are consumed through AsBlockSource with one buffered block per
-// shard, so block-native producers (synth generators, slices, column
-// views) pay no per-event interface dispatch. Events, ids, and chains
+// Shards are consumed with one buffered block per shard, so a shard pays
+// one interface call per block, not per event. Events, ids, and chains
 // pass through unmodified; callers that need a single coherent trace
 // want Merge instead.
 type Interleaver struct {
@@ -40,7 +39,7 @@ type Interleaver struct {
 // mergeCursor is one shard's streaming state: a buffered block, a read
 // position within it, and the shard-local byte clock.
 type mergeCursor struct {
-	bs    BlockSource
+	src   Source
 	blk   *EventBlock
 	pos   int
 	clock int64
@@ -55,7 +54,7 @@ func NewInterleaver(shards []Source) *Interleaver {
 	it := &Interleaver{cursors: make([]*mergeCursor, len(shards))}
 	for i, s := range shards {
 		it.cursors[i] = &mergeCursor{
-			bs:  AsBlockSource(s),
+			src: s,
 			blk: NewEventBlock(DefaultBlockLen),
 			idx: i,
 		}
@@ -125,7 +124,7 @@ func (it *Interleaver) Next() (int, Event, error) {
 	if c.pos >= c.blk.N {
 		if err := it.fill(c); err != nil {
 			// The current event is still valid; the error surfaces on the
-			// next call, preserving the scalar event-then-error order.
+			// next call, preserving the event-then-error order.
 			it.err = err
 			heap.Pop(&it.h)
 			return c.idx, ev, nil
@@ -142,7 +141,7 @@ func (it *Interleaver) Next() (int, Event, error) {
 // fill refills c's buffered block. A clean end leaves the cursor empty
 // with a nil error; a non-EOF error is returned.
 func (it *Interleaver) fill(c *mergeCursor) error {
-	err := c.bs.NextBlock(c.blk)
+	err := c.src.NextBlock(c.blk)
 	c.pos = 0
 	if err == io.EOF {
 		c.blk.Reset()

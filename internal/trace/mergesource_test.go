@@ -10,9 +10,9 @@ import (
 	"repro/internal/callchain"
 )
 
-// traceBytes serializes a trace to its LPTRACE1 encoding (WriteBinary) —
-// the strictest available equality: header, table, and every event must
-// match.
+// traceBytes serializes a trace to its binary encoding (WriteBinary) —
+// the strictest available equality: header, table, every event and the
+// trailer must match.
 func traceBytes(t testing.TB, tr *Trace) []byte {
 	t.Helper()
 	var b bytes.Buffer

@@ -16,39 +16,48 @@ type Meta struct {
 
 	// FunctionCalls and NonHeapRefs summarize the whole workload and are
 	// therefore trailer data on a stream: sources that cannot know them
-	// up front (LPTRACE2 readers, the synth generators) report zero until
-	// Next has returned io.EOF, after which Meta returns final values.
+	// up front (the binary and text readers, the synth generators) report
+	// zero until NextBlock has returned io.EOF, after which Meta returns
+	// final values.
 	FunctionCalls int64
 	NonHeapRefs   int64
 }
 
-// Source is a pull-based stream of trace events: the one idiom every
-// layer — codecs, generators, annotation, simulation — consumes.
+// Source is a pull-based stream of trace events in columnar blocks: the
+// one idiom every layer — codecs, generators, annotation, simulation —
+// consumes. NextBlock resets b and fills it with up to b.Cap() events.
 //
 // The contract:
 //
 //   - Table returns the call-chain interning table the events refer to.
-//     It is fully populated before the first event is returned, so
-//     consumers may resolve or transform chains as events arrive.
-//   - Next returns events in trace order and io.EOF at the clean end of
-//     the stream. Any other error means a malformed or truncated trace;
-//     after a non-EOF error the stream is dead.
+//     Every source but the TextReader fills it before the first block;
+//     the TextReader interns chains as it decodes them, so its table
+//     grows as it streams, and consumers that keep chain ids read the
+//     table after io.EOF, as Collect does.
+//   - NextBlock returns nil when it produced at least one event. io.EOF
+//     marks the clean end of the stream and always arrives with
+//     b.N == 0. Any other error means a malformed or truncated trace.
+//   - A producer that hits an error (or the clean end) after partly
+//     filling a block returns the filled events with a nil error first
+//     and the held error on the next call, so consumers observe every
+//     event before the error.
+//   - After a non-EOF error the stream is dead: no further events come.
 //   - Meta may be called at any time. Program and Input are valid from
 //     the start; FunctionCalls and NonHeapRefs are only guaranteed final
-//     after Next has returned io.EOF (see Meta).
+//     after NextBlock has returned io.EOF (see Meta).
 //
 // Sources are single-consumer and not safe for concurrent use, matching
 // the callchain.Table they carry.
 type Source interface {
 	Meta() Meta
 	Table() *callchain.Table
-	Next() (Event, error)
+	NextBlock(b *EventBlock) error
 }
 
 // Counted is implemented by sources that know their exact event count in
-// advance (slice adapters, LPTRACE1 readers, synth generators). Consumers
-// that need trace-relative positions — the observability phase marks at
-// 25/50/75% — query it; everything else ignores it.
+// advance (SliceSource, ColumnsSource, a synth generator after SetCount).
+// Consumers that need trace-relative positions — the observability phase
+// marks at 25/50/75% — query it; everything else ignores it.
 type Counted interface {
 	// EventCount returns the total number of events the source will
 	// yield and true, or (0, false) when the count is unknown.
@@ -81,23 +90,8 @@ func (s *SliceSource) Meta() Meta {
 // Table returns the trace's interning table.
 func (s *SliceSource) Table() *callchain.Table { return s.tr.Table }
 
-// Next yields the next event, io.EOF past the end.
-func (s *SliceSource) Next() (Event, error) {
-	if s.i >= len(s.tr.Events) {
-		return Event{}, io.EOF
-	}
-	ev := s.tr.Events[s.i]
-	s.i++
-	return ev, nil
-}
-
 // EventCount implements Counted: a slice always knows its length.
 func (s *SliceSource) EventCount() (int, bool) { return len(s.tr.Events), true }
-
-// collectCap bounds the capacity hint Collect takes from a Counted
-// source, so an adversarial claimed count cannot force a huge allocation
-// before any event has actually been decoded.
-const collectCap = 1 << 20
 
 // collectChunk is the largest chunk Collect gathers events in past its
 // first one; chunks double up to it.
@@ -105,28 +99,25 @@ const collectChunk = 1 << 16
 
 // Collect drains a Source into a materialized Trace — the inverse of
 // NewSliceSource. Generate, ReadBinary and ReadText are all Collect over
-// their streaming sources. It drains through AsBlockSource, so
-// block-native producers pay no per-event interface call. The Trace
-// shares the source's table; table and metadata are read after io.EOF,
-// so sources whose table grows as they stream (TextReader) and
-// trailer-carrying sources yield complete values.
+// their streaming sources. The Trace shares the source's table; table
+// and metadata are read after io.EOF, so sources whose table grows as
+// they stream (TextReader) and trailer-carrying sources yield complete
+// values.
 func Collect(src Source) (*Trace, error) {
 	var hint int
 	if c, ok := src.(Counted); ok {
-		if n, known := c.EventCount(); known {
-			hint = min(n, collectCap)
-		}
+		hint, _ = c.EventCount()
 	}
-	// Past the first chunk (sized by the Counted hint), events gather in
-	// doubling chunks joined once at the end: no append-growth slack, and
-	// no trace-sized array is reallocated while the stream drains.
+	// Past the first chunk (sized by a Counted source's exact count),
+	// events gather in doubling chunks joined once at the end: no
+	// append-growth slack, and no trace-sized array is reallocated while
+	// the stream drains.
 	var chunks [][]Event
 	cur := make([]Event, 0, max(hint, DefaultBlockLen))
 	n := 0
-	bs := AsBlockSource(src)
 	blk := NewEventBlock(DefaultBlockLen)
 	for {
-		err := bs.NextBlock(blk)
+		err := src.NextBlock(blk)
 		if err == io.EOF {
 			break
 		}
@@ -178,15 +169,11 @@ func Collect(src Source) (*Trace, error) {
 func AnnotateStream(src Source, emit func(Object) error) error {
 	live := make(map[ObjectID]Object, 4096)
 	var bytes int64
-	// The scan runs on the block path: sources that speak blocks natively
-	// (synth generators, slices, column views) are consumed with one
-	// NextBlock call per DefaultBlockLen events; everything else, the
-	// readers included, goes through the scalar adapter. Event indices in
-	// errors stay global — base counts events in completed blocks.
-	bs := AsBlockSource(src)
+	// Event indices in errors stay global: base counts events in
+	// completed blocks.
 	blk := NewEventBlock(DefaultBlockLen)
 	for base := 0; ; base += blk.N {
-		err := bs.NextBlock(blk)
+		err := src.NextBlock(blk)
 		if err == io.EOF {
 			break
 		}

@@ -25,8 +25,8 @@ func TestSliceSourceRoundTrip(t *testing.T) {
 		t.Fatal("Collect must preserve the source table")
 	}
 	// A drained source stays drained.
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("drained source Next = %v, want io.EOF", err)
+	if err := src.NextBlock(NewEventBlock(0)); err != io.EOF {
+		t.Fatalf("drained source NextBlock = %v, want io.EOF", err)
 	}
 }
 
@@ -53,8 +53,8 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.EventCount(); ok {
-		t.Fatal("LPTRACE2 reader must not claim a known event count")
+	if _, ok := any(src).(Counted); ok {
+		t.Fatal("the binary reader must not claim a known event count")
 	}
 	if m := src.Meta(); m.FunctionCalls != 0 || m.Program != tr.Program {
 		t.Fatalf("pre-EOF meta: %+v", m)
@@ -70,32 +70,6 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 			t.Fatalf("event %d: got %+v, want %+v", i, got.Events[i], tr.Events[i])
 		}
 	}
-}
-
-// TestReaderV1Streams checks the LPTRACE1 reader exposes its event count
-// and yields the same events ReadBinary materializes.
-func TestReaderV1Streams(t *testing.T) {
-	tr := buildTrace(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, ok := src.EventCount(); !ok || n != len(tr.Events) {
-		t.Fatalf("EventCount = %d,%v, want %d,true", n, ok, len(tr.Events))
-	}
-	// v1 headers carry the totals up front.
-	if m := src.Meta(); m.FunctionCalls != tr.FunctionCalls || m.NonHeapRefs != tr.NonHeapRefs {
-		t.Fatalf("v1 meta incomplete before events: %+v", m)
-	}
-	got, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTracesEqual(t, tr, got)
 }
 
 // TestStreamTruncationIsNotEOF pins the Source contract: a stream cut off
@@ -122,12 +96,7 @@ func TestStreamTruncationIsNotEOF(t *testing.T) {
 		if err != nil {
 			continue // truncated inside the header: also fine
 		}
-		for {
-			_, err = src.Next()
-			if err != nil {
-				break
-			}
-		}
+		_, err = drain(t, src, DefaultBlockLen)
 		if err == io.EOF {
 			t.Fatalf("truncation at %d/%d bytes reported clean io.EOF", n, len(data))
 		}
@@ -163,13 +132,24 @@ func TestTextStreamRoundTrip(t *testing.T) {
 // annotator shares with Annotate: the same []Object records — same
 // births, lifetimes, never-freed handling — for the same trace. The
 // stream emits in death order with never-freed objects after EOF, so the
-// collected output is re-sorted to birth order before comparing.
+// collected output is re-sorted to birth order before comparing. Besides
+// random traces, the inputs include an object id reused after its free,
+// which both annotators must accept as two objects.
 func TestAnnotateStreamMatchesSlice(t *testing.T) {
+	var traces []*Trace
 	for seed := uint64(1); seed <= 5; seed++ {
-		tr := randomTrace(seed, 500)
+		traces = append(traces, randomTrace(seed, 500))
+	}
+	traces = append(traces, &Trace{Events: []Event{
+		{Kind: KindAlloc, Obj: 1, Size: 8},
+		{Kind: KindFree, Obj: 1},
+		{Kind: KindAlloc, Obj: 1, Size: 16},
+		{Kind: KindFree, Obj: 1},
+	}})
+	for n, tr := range traces {
 		want, err := Annotate(tr)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("trace %d: %v", n, err)
 		}
 		var got []Object
 		if err := AnnotateStream(NewSliceSource(tr), func(o Object) error {
@@ -180,7 +160,7 @@ func TestAnnotateStreamMatchesSlice(t *testing.T) {
 		}
 		sort.Slice(got, func(a, b int) bool { return got[a].Birth < got[b].Birth })
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("seed %d: stream annotation diverges from slice annotation", seed)
+			t.Fatalf("trace %d: stream annotation diverges from slice annotation", n)
 		}
 	}
 }
@@ -266,25 +246,6 @@ func TestStatsAccumMatchesComputeStats(t *testing.T) {
 		if got := acc.Finish(tr.NonHeapRefs); got != want {
 			t.Fatalf("seed %d: accum %+v != scan %+v", seed, got, want)
 		}
-	}
-}
-
-// TestCollectClampsCapacityHint feeds a hand-built LPTRACE1 header that
-// claims an enormous event count: the reader must fail on the missing
-// events without first allocating proportionally to the claim.
-func TestCollectClampsCapacityHint(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("LPTRACE1\n")
-	buf.WriteByte(0) // program ""
-	buf.WriteByte(0) // input ""
-	buf.WriteByte(0) // funcCalls
-	buf.WriteByte(0) // nonHeapRefs
-	buf.WriteByte(0) // numFuncs
-	buf.WriteByte(0) // numChains
-	// numEvents = 2^56, then no event bytes at all.
-	buf.Write([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
-	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("forged event count accepted")
 	}
 }
 

@@ -10,11 +10,10 @@ import (
 	"repro/internal/callchain"
 )
 
-// The LPTRACE2 streaming binary format. LPTRACE1 prefixes the event list
-// with its count and carries all metadata in the header, which forces the
-// writer to materialize the whole trace first; LPTRACE2 terminates the
-// event list with a sentinel and moves the workload totals — unknown
-// until generation finishes — into a trailer, so both ends stream:
+// The LPTRACE2 binary format, all integers unsigned varints unless
+// noted. The event list ends with a sentinel and the workload totals —
+// unknown until generation finishes — follow it as a trailer, so a
+// writer needs neither up front and both ends stream:
 //
 //	magic        "LPTRACE2\n"
 //	program      string (varint length + bytes)
@@ -30,8 +29,8 @@ const binaryMagic2 = "LPTRACE2\n"
 
 // noEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a header,
 // an event, or before a required trailer, running out of bytes is a
-// truncation error, never the clean end-of-stream that Source.Next
-// signals with io.EOF.
+// truncation error, never the clean end-of-stream that a Source signals
+// with io.EOF.
 func noEOF(err error) error {
 	if err == io.EOF {
 		return io.ErrUnexpectedEOF
@@ -39,8 +38,7 @@ func noEOF(err error) error {
 	return err
 }
 
-// writeTable serializes the function and chain tables (shared between the
-// LPTRACE1 and LPTRACE2 headers).
+// writeTable serializes the function and chain tables of the header.
 func writeTable(cw countingWriter, tb *callchain.Table) error {
 	nf := tb.NumFuncs()
 	if err := cw.uvarint(uint64(nf)); err != nil {
@@ -69,9 +67,8 @@ func writeTable(cw countingWriter, tb *callchain.Table) error {
 	return nil
 }
 
-// readTable decodes the function and chain tables into a fresh table,
-// preserving ids exactly (shared between the LPTRACE1 and LPTRACE2
-// headers).
+// readTable decodes the header's function and chain tables into a fresh
+// table, preserving ids exactly.
 func readTable(cr countingReader) (*callchain.Table, error) {
 	tb := callchain.NewTable()
 	nf, err := cr.uvarint()
@@ -119,39 +116,30 @@ func readTable(cr countingReader) (*callchain.Table, error) {
 
 // Reader is a Source decoding a binary trace incrementally: the header
 // (metadata plus the function and chain tables) is parsed eagerly by
-// NewReader, then each Next call decodes exactly one event, so memory
-// held is the table plus the read buffer, independent of trace length.
-// Block consumers batch it through AsBlockSource's adapter. Reader
-// auto-detects the LPTRACE1 and LPTRACE2 formats; for LPTRACE1 it also
-// implements Counted, since that header carries the event count.
+// NewReader, then events are decoded one at a time into the caller's
+// block, so memory held is the table plus the read buffer, independent
+// of trace length.
 type Reader struct {
 	cr   countingReader
 	meta Meta
 	tb   *callchain.Table
-	v2   bool
-	n    uint64 // total events, LPTRACE1 only
 	i    uint64 // events decoded so far
-	done bool
+	end  error  // the error that ended the stream (fillBlock)
 }
 
-// NewReader parses a binary trace header from r and returns a Source
-// streaming its events. Both LPTRACE1 and LPTRACE2 inputs are accepted,
-// distinguished by magic.
+// NewReader parses an LPTRACE2 header from r and returns a Source
+// streaming its events.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	cr := countingReader{br}
-	magic := make([]byte, len(binaryMagic))
+	magic := make([]byte, len(binaryMagic2))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	rd := &Reader{cr: cr}
-	switch string(magic) {
-	case binaryMagic:
-	case binaryMagic2:
-		rd.v2 = true
-	default:
+	if string(magic) != binaryMagic2 {
 		return nil, fmt.Errorf("trace: bad magic %q", magic)
 	}
+	rd := &Reader{cr: cr}
 	var err error
 	if rd.meta.Program, err = cr.str(); err != nil {
 		return nil, noEOF(err)
@@ -159,31 +147,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if rd.meta.Input, err = cr.str(); err != nil {
 		return nil, noEOF(err)
 	}
-	if !rd.v2 {
-		fc, err := cr.uvarint()
-		if err != nil {
-			return nil, noEOF(err)
-		}
-		rd.meta.FunctionCalls = int64(fc)
-		nhr, err := cr.uvarint()
-		if err != nil {
-			return nil, noEOF(err)
-		}
-		rd.meta.NonHeapRefs = int64(nhr)
-	}
 	if rd.tb, err = readTable(cr); err != nil {
 		return nil, err
-	}
-	if !rd.v2 {
-		if rd.n, err = cr.uvarint(); err != nil {
-			return nil, noEOF(err)
-		}
 	}
 	return rd, nil
 }
 
-// Meta returns the trace metadata. For LPTRACE2 the workload totals live
-// in a trailer, so FunctionCalls and NonHeapRefs are zero until Next has
+// Meta returns the trace metadata. The workload totals live in a
+// trailer, so FunctionCalls and NonHeapRefs are zero until NextBlock has
 // returned io.EOF.
 func (r *Reader) Meta() Meta { return r.meta }
 
@@ -191,34 +162,18 @@ func (r *Reader) Meta() Meta { return r.meta }
 // exactly as written.
 func (r *Reader) Table() *callchain.Table { return r.tb }
 
-// EventCount implements Counted for LPTRACE1 inputs, whose header
-// declares the event count. LPTRACE2 streams are unbounded until the
-// sentinel, so the count is unknown. The declared count is a claim, not
-// a promise — Next still fails with io.ErrUnexpectedEOF if the stream
-// ends early, and consumers must not pre-allocate proportionally to it.
-func (r *Reader) EventCount() (int, bool) {
-	if r.v2 {
-		return 0, false
-	}
-	return int(r.n), true
-}
+// NextBlock implements Source. io.EOF marks the clean end of the stream,
+// after the sentinel and trailer; a stream that ends anywhere else
+// yields io.ErrUnexpectedEOF.
+func (r *Reader) NextBlock(b *EventBlock) error { return fillBlock(b, &r.end, r.next) }
 
-// Next decodes one event. io.EOF marks the clean end of the stream: after
-// the declared count (LPTRACE1) or the sentinel and trailer (LPTRACE2).
-// A stream that ends anywhere else yields io.ErrUnexpectedEOF.
-func (r *Reader) Next() (Event, error) {
-	if r.done {
-		return Event{}, io.EOF
-	}
-	if !r.v2 && r.i >= r.n {
-		r.done = true
-		return Event{}, io.EOF
-	}
+// next decodes one event, or reads the trailer at the sentinel.
+func (r *Reader) next() (Event, error) {
 	kb, err := r.cr.r.ReadByte()
 	if err != nil {
 		return Event{}, noEOF(err)
 	}
-	if r.v2 && kb == 0 {
+	if kb == 0 {
 		// Sentinel: the trailer completes the metadata.
 		fc, err := r.cr.uvarint()
 		if err != nil {
@@ -230,7 +185,6 @@ func (r *Reader) Next() (Event, error) {
 		}
 		r.meta.FunctionCalls = int64(fc)
 		r.meta.NonHeapRefs = int64(nhr)
-		r.done = true
 		return Event{}, io.EOF
 	}
 	i := r.i
@@ -275,8 +229,7 @@ func (r *Reader) Next() (Event, error) {
 // emits the header, Write emits one event at a time, Close emits the
 // sentinel and the metadata trailer. Nothing is retained between calls
 // beyond the output buffer, so writing is constant-memory in trace
-// length. Both binary formats encode events alike, so Write is also
-// WriteBinary's LPTRACE1 event encoder.
+// length. WriteBinary is Writer over a materialized trace.
 type Writer struct {
 	bw     *bufio.Writer
 	cw     countingWriter
@@ -434,7 +387,7 @@ type TextReader struct {
 	meta   Meta
 	tb     *callchain.Table
 	lineNo int
-	done   bool
+	end    error // the error that ended the stream (fillBlock)
 }
 
 // NewTextReader returns a Source over the text format.
@@ -445,7 +398,8 @@ func NewTextReader(r io.Reader) *TextReader {
 }
 
 // Meta returns the metadata folded in so far; totals carried on a
-// trailing metadata line are only present after Next returns io.EOF.
+// trailing metadata line are only present after NextBlock returns
+// io.EOF.
 func (r *TextReader) Meta() Meta { return r.meta }
 
 // Table returns the interning table built from chains seen so far.
@@ -453,12 +407,12 @@ func (r *TextReader) Meta() Meta { return r.meta }
 // decoded, so the table grows during the scan.
 func (r *TextReader) Table() *callchain.Table { return r.tb }
 
-// Next decodes the next event line, skipping blanks and folding metadata
+// NextBlock implements Source.
+func (r *TextReader) NextBlock(b *EventBlock) error { return fillBlock(b, &r.end, r.next) }
+
+// next decodes the next event line, skipping blanks and folding metadata
 // lines into Meta.
-func (r *TextReader) Next() (Event, error) {
-	if r.done {
-		return Event{}, io.EOF
-	}
+func (r *TextReader) next() (Event, error) {
 	for r.sc.Scan() {
 		r.lineNo++
 		line := strings.TrimSpace(r.sc.Text())
@@ -531,6 +485,5 @@ func (r *TextReader) Next() (Event, error) {
 	if err := r.sc.Err(); err != nil {
 		return Event{}, err
 	}
-	r.done = true
 	return Event{}, io.EOF
 }

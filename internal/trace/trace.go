@@ -105,19 +105,20 @@ func checkAlloc(ev Event) error {
 // arrives as a Source and memory must stay bounded by the live set, and
 // Annotate when the full birth-ordered slice is genuinely needed.
 //
-// Annotate returns an error if a free names an unknown or already-freed
-// object, which would indicate a corrupted trace or a generator bug.
+// Annotate returns an error if a free names an object that is not live
+// (never allocated, or already freed), which would indicate a corrupted
+// trace or a generator bug. An id may be reused once its object is freed.
 func Annotate(tr *Trace) ([]Object, error) {
 	objs := make([]Object, 0, len(tr.Events)/2+1)
-	index := make(map[ObjectID]int, len(tr.Events)/2+1)
+	live := make(map[ObjectID]int, len(tr.Events)/2+1) // live object -> its index in objs
 	var bytes int64
 	for i, ev := range tr.Events {
 		switch ev.Kind {
 		case KindAlloc:
-			if _, dup := index[ev.Obj]; dup {
+			if _, dup := live[ev.Obj]; dup {
 				return nil, fmt.Errorf("trace: event %d: object %d allocated twice", i, ev.Obj)
 			}
-			index[ev.Obj] = len(objs)
+			live[ev.Obj] = len(objs)
 			objs = append(objs, Object{
 				ID:    ev.Obj,
 				Size:  ev.Size,
@@ -127,13 +128,11 @@ func Annotate(tr *Trace) ([]Object, error) {
 			})
 			bytes += ev.Size
 		case KindFree:
-			j, ok := index[ev.Obj]
+			j, ok := live[ev.Obj]
 			if !ok {
 				return nil, fmt.Errorf("trace: event %d: free of unknown object %d", i, ev.Obj)
 			}
-			if objs[j].Freed {
-				return nil, fmt.Errorf("trace: event %d: double free of object %d", i, ev.Obj)
-			}
+			delete(live, ev.Obj)
 			objs[j].Freed = true
 			objs[j].Lifetime = bytes - objs[j].Birth
 		default:

@@ -177,12 +177,17 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("not a trace"),
-		[]byte("LPTRACE1\n"), // truncated after magic
+		[]byte("LPTRACE2\n"), // truncated after magic
 	}
 	for i, b := range cases {
 		if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
 			t.Errorf("case %d: ReadBinary accepted garbage", i)
 		}
+	}
+	// The retired count-prefixed format is refused by its magic.
+	old := []byte("LPTRACE1\n\x00\x00\x00\x00\x00\x00\x00")
+	if _, err := ReadBinary(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("LPTRACE1 input: err = %v, want bad magic", err)
 	}
 }
 

@@ -145,17 +145,18 @@ type (
 	// negatives) to one allocation site in ObsSnapshot.PredSites.
 	ObsPredSite = obs.PredSite
 
-	// TraceSource streams allocation events one Next call at a time
-	// (io.EOF marks a clean end); the whole pipeline — generation,
-	// training, simulation, the CLI tools — runs over it at constant
-	// memory.
+	// TraceSource streams allocation events one columnar block per
+	// NextBlock call (io.EOF marks a clean end); the whole pipeline —
+	// generation, training, simulation, the CLI tools — runs over it at
+	// constant memory.
 	TraceSource = trace.Source
 	// TraceMeta is a source's identity and trailer totals (FunctionCalls
-	// and NonHeapRefs are only final once Next has returned io.EOF for
-	// trailer-carrying sources).
+	// and NonHeapRefs are only final once NextBlock has returned io.EOF
+	// for trailer-carrying sources).
 	TraceMeta = trace.Meta
-	// TraceReader streams a serialized binary trace (either the legacy
-	// count-prefixed or the streaming sentinel-terminated format).
+	// TraceReader streams a serialized binary trace (the
+	// sentinel-terminated LPTRACE2 format WriteTrace and
+	// TraceStreamWriter write).
 	TraceReader = trace.Reader
 	// TraceStreamWriter writes events incrementally in the streaming
 	// binary format; Close writes the trailer.
@@ -185,14 +186,14 @@ func GenerateTrace(m *Model, input WorkloadInput, seed uint64, scale float64) (*
 }
 
 // GenerateSource returns a streaming generator over the model's events:
-// the same sequence GenerateTrace materializes, produced one event per
-// Next call with memory bounded by the live-object set.
+// the same sequence GenerateTrace materializes, produced a block per
+// NextBlock call with memory bounded by the live-object set.
 func GenerateSource(m *Model, input WorkloadInput, seed uint64, scale float64) (*ModelSource, error) {
 	return m.Source(synth.Config{Input: input, Seed: seed, Scale: scale})
 }
 
 // NewTraceReader opens a streaming reader over a serialized binary
-// trace; both binary formats are auto-detected.
+// trace.
 func NewTraceReader(r io.Reader) (*TraceReader, error) { return trace.NewReader(r) }
 
 // NewTraceStreamWriter opens a streaming binary trace writer. Events go
@@ -312,7 +313,9 @@ func CostArenaCCE(c OpCounts, callsPerAlloc float64) PerOpCost {
 	return costmodel.ArenaCCE(c, callsPerAlloc)
 }
 
-// WriteTrace writes a trace in the compact binary format.
+// WriteTrace writes a trace in the compact binary format, the same
+// LPTRACE2 stream TraceStreamWriter writes: the workload totals trail
+// the events, and no event count is recorded.
 func WriteTrace(w io.Writer, tr *Trace) error { return trace.WriteBinary(w, tr) }
 
 // ReadTrace reads a trace written by WriteTrace.
