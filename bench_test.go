@@ -306,16 +306,20 @@ func BenchmarkRunSim(b *testing.B) {
 	})
 }
 
-// BenchmarkRunSimObserved is the same replay with a collector attached,
-// for eyeballing the instrumentation overhead against BenchmarkRunSim.
+// BenchmarkRunSimObserved is the same replay with a collector attached:
+// the tracker's prediction scoring, the allocator's metrics and the
+// timeline. Like BenchmarkRunSimStreaming it reports events/op, and CI
+// gates its allocs/op and ns/event against BENCH_streaming.txt.
 func BenchmarkRunSimObserved(b *testing.B) {
 	a := artifacts(b, "gawk")
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		col := lifetime.NewObsCollector(lifetime.ObsOptions{Label: "gawk/arena"})
 		if _, err := core.RunSim(a.TestTrace, heapsim.NewArena(), a.TrainPredictor, col); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(a.TestTrace.Events)), "events/op")
 }
 
 // BenchmarkRunSimStreaming measures the block-path replay engine:

@@ -19,7 +19,9 @@ package core
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
+	"strconv"
 
 	"repro/internal/callchain"
 	"repro/internal/costmodel"
@@ -199,6 +201,12 @@ const predLifetimeBuckets = 40
 // drive it with the same calls, so their snapshots are field for field
 // the snapshot a solo replay would produce. A nil *Tracker is valid and
 // inert.
+//
+// One goroutine steps a tracker, so its bookkeeping is plain fields: no
+// Go map and no atomic add per event. The prediction scores reach the
+// collector in batches, published before each timeline sample, each phase
+// mark and the end-of-run sample; a live scrape sees pred.* at most one
+// sample behind, and every snapshot, phase and sample sees them exact.
 type Tracker struct {
 	col   *obs.Collector
 	alloc heapsim.Allocator
@@ -207,42 +215,89 @@ type Tracker struct {
 	clock       int64
 	liveBytes   int64
 	liveObjects int64
-	live        map[trace.ObjectID]liveObj
+	live        liveTable
 
-	siteAllocs map[callchain.ChainID]*siteAgg
-	predSites  map[callchain.ChainID]*predSiteAgg
+	nEvents  int // 0 when unknown (streaming)
+	seen     int
+	quartile int // 25/50/75% phase marks taken so far
+	nextMark int // the seen count of the next quartile mark, -1 for none
 
-	// Confusion-matrix counter handles, resolved once so every cell —
-	// including zero ones — appears in snapshots and bench baselines.
-	// "Positive" means predicted short-lived.
+	// Per-site tallies indexed by ChainID and grown on demand (a
+	// TextReader's table grows as it streams). A site is ranked once it
+	// has an allocation, a misprediction site once it has a false
+	// positive or a false negative.
+	siteAllocs []siteAgg
+	predSites  []predSiteAgg
+
+	// The confusion-matrix scores and lifetime histogram counts since
+	// the last publication ("positive" means predicted short-lived), and
+	// the rolling accuracy for timeline samples.
 	thr                    int64 // short-lifetime threshold (bytes)
-	tpObj, fpObj           *obs.Counter
-	fnObj, tnObj           *obs.Counter
-	tpBytes, fpBytes       *obs.Counter
-	fnBytes, tnBytes       *obs.Counter
-	fpCost                 *obs.Counter
-	lifeShort, lifeLong    *obs.Histogram
-	decidedObjs, rightObjs int64 // rolling accuracy for timeline samples
+	conf                   [numPredCells]int64
+	decidedObjs, rightObjs int64
 	decidedBytes           int64
 	rightBytes             int64
+	lifeShort, lifeLong    lifeHist
+
+	// confCtr are the handles conf is published into, resolved once so
+	// every cell — including zero ones — appears in snapshots and bench
+	// baselines.
+	confCtr [numPredCells]*obs.Counter
 
 	// scan is the opt-in heap-topology scanner (Options.HeapScan); nil
 	// when the collector did not request it or the allocator exposes no
 	// Walker. Scans run only on timeline samples, never per event.
 	scan *heapScanner
-
-	nEvents int // 0 when unknown (streaming)
-	seen    int
 }
 
-// liveObj is what the tracker remembers about a live object between its
-// alloc and its free: enough to compute the actual lifetime and attribute
-// the prediction back to its site.
-type liveObj struct {
-	size  int64
-	born  int64 // clock before the object's own allocation (trace.Object.Birth)
-	chain callchain.ChainID
-	short bool // predicted short-lived at alloc time
+// The confusion-matrix cells, indexing Tracker.conf and predCellNames.
+const (
+	tpObjects = iota
+	fpObjects
+	fnObjects
+	tnObjects
+	tpBytes
+	fpBytes
+	fnBytes
+	tnBytes
+	fpCostBytelife
+	numPredCells
+)
+
+var predCellNames = [numPredCells]string{
+	"pred.tp_objects", "pred.fp_objects", "pred.fn_objects", "pred.tn_objects",
+	"pred.tp_bytes", "pred.fp_bytes", "pred.fn_bytes", "pred.tn_bytes",
+	"pred.fp_cost_bytelife",
+}
+
+// lifeHist counts one pred.lifetime_pred_* histogram's observations since
+// the last publication, bucketed exactly as
+// obs.Log2Histogram(name, predLifetimeBuckets): negatives clamp to 0 and
+// values past the last bucket go to overflow.
+type lifeHist struct {
+	h              *obs.Histogram
+	counts         [predLifetimeBuckets]int64
+	over, sum, max int64
+}
+
+func (l *lifeHist) observe(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	if i := bits.Len64(uint64(v)); i < predLifetimeBuckets {
+		l.counts[i]++
+	} else {
+		l.over++
+	}
+	l.sum += v
+	if v > l.max {
+		l.max = v
+	}
+}
+
+func (l *lifeHist) publish() {
+	l.h.Fold(l.counts[:], l.over, l.sum, l.max)
+	*l = lifeHist{h: l.h}
 }
 
 type siteAgg struct {
@@ -275,24 +330,19 @@ func NewTracker(col *obs.Collector, alloc heapsim.Allocator, nEvents int, oracle
 		o.Observe(col)
 	}
 	t := &Tracker{
-		col:        col,
-		alloc:      alloc,
-		live:       make(map[trace.ObjectID]liveObj),
-		siteAllocs: make(map[callchain.ChainID]*siteAgg),
-		predSites:  make(map[callchain.ChainID]*predSiteAgg),
-		nEvents:    nEvents,
-		thr:        thr,
-		tpObj:      col.Counter("pred.tp_objects"),
-		fpObj:      col.Counter("pred.fp_objects"),
-		fnObj:      col.Counter("pred.fn_objects"),
-		tnObj:      col.Counter("pred.tn_objects"),
-		tpBytes:    col.Counter("pred.tp_bytes"),
-		fpBytes:    col.Counter("pred.fp_bytes"),
-		fnBytes:    col.Counter("pred.fn_bytes"),
-		tnBytes:    col.Counter("pred.tn_bytes"),
-		fpCost:     col.Counter("pred.fp_cost_bytelife"),
-		lifeShort:  col.Log2Histogram("pred.lifetime_pred_short", predLifetimeBuckets),
-		lifeLong:   col.Log2Histogram("pred.lifetime_pred_long", predLifetimeBuckets),
+		col:       col,
+		alloc:     alloc,
+		nEvents:   nEvents,
+		nextMark:  -1,
+		thr:       thr,
+		lifeShort: lifeHist{h: col.Log2Histogram("pred.lifetime_pred_short", predLifetimeBuckets)},
+		lifeLong:  lifeHist{h: col.Log2Histogram("pred.lifetime_pred_long", predLifetimeBuckets)},
+	}
+	if nEvents >= 4 {
+		t.nextMark = nEvents / 4
+	}
+	for i, name := range predCellNames {
+		t.confCtr[i] = col.Counter(name)
 	}
 	col.Gauge("pred.threshold_bytes").Set(thr)
 	if occ, ok := alloc.(occupancyReporter); ok {
@@ -314,48 +364,58 @@ func NewTracker(col *obs.Collector, alloc heapsim.Allocator, nEvents int, oracle
 // inlines into the caller, so an untracked replay pays no call.
 func (t *Tracker) Step(ev trace.Event, short bool) {
 	if t != nil {
-		t.step(ev, short)
+		t.step(ev.Kind, ev.Obj, ev.Size, ev.Chain, short)
 	}
 }
 
-func (t *Tracker) step(ev trace.Event, short bool) {
-	switch ev.Kind {
+// step is Step over an event's columns, as RunSimOracle reads them from a
+// block; size and chain are ignored for frees.
+func (t *Tracker) step(kind trace.Kind, obj trace.ObjectID, size int64, chain callchain.ChainID, short bool) {
+	switch kind {
 	case trace.KindAlloc:
 		born := t.clock
-		t.clock += ev.Size
-		t.liveBytes += ev.Size
+		t.clock += size
+		t.liveBytes += size
 		t.liveObjects++
-		t.live[ev.Obj] = liveObj{size: ev.Size, born: born, chain: ev.Chain, short: short}
-		ag := t.siteAllocs[ev.Chain]
-		if ag == nil {
-			ag = &siteAgg{}
-			t.siteAllocs[ev.Chain] = ag
+		t.live.put(obj, size, born, chain, short)
+		if int(chain) >= len(t.siteAllocs) {
+			t.siteAllocs = growTo(t.siteAllocs, chain)
 		}
+		ag := &t.siteAllocs[chain]
 		ag.allocs++
-		ag.bytes += ev.Size
+		ag.bytes += size
 		t.col.SetClock(t.clock)
 		if t.col.TimelineDue(t.clock) {
 			t.sample()
 		}
 	case trace.KindFree:
-		if lo, ok := t.live[ev.Obj]; ok {
+		if i := t.live.find(obj); i >= 0 {
+			lo := &t.live.slots[i]
 			t.liveBytes -= lo.size
 			t.liveObjects--
-			delete(t.live, ev.Obj)
 			t.score(lo, t.clock-lo.born)
+			t.live.remove(i)
 		}
 	}
 	t.seen++
-	if t.nEvents >= 4 {
-		switch t.seen {
-		case t.nEvents / 4:
-			t.col.MarkPhase("25%")
-		case t.nEvents / 2:
-			t.col.MarkPhase("50%")
-		case t.nEvents * 3 / 4:
-			t.col.MarkPhase("75%")
-		}
+	if t.seen == t.nextMark {
+		t.markQuartile()
 	}
+}
+
+// markQuartile takes the next 25/50/75% phase mark.
+func (t *Tracker) markQuartile() {
+	t.quartile++
+	t.markPhase(strconv.Itoa(25*t.quartile) + "%")
+	t.nextMark = -1
+	if t.quartile < 3 {
+		t.nextMark = (t.quartile + 1) * t.nEvents / 4
+	}
+}
+
+// growTo extends a chain-indexed slice with zero values to hold chain.
+func growTo[T any](s []T, chain callchain.ChainID) []T {
+	return append(s, make([]T, int(chain)+1-len(s))...)
 }
 
 // score resolves one object's alloc-time prediction against its actual
@@ -363,36 +423,36 @@ func (t *Tracker) step(ev trace.Event, short bool) {
 // trace.Annotate), updating the confusion matrix, the lifetime histograms
 // split by predicted class, the per-site misprediction attribution, and
 // the rolling-accuracy channel.
-func (t *Tracker) score(lo liveObj, lifetime int64) {
+func (t *Tracker) score(lo *liveObj, lifetime int64) {
 	actualShort := lifetime < t.thr
 	correct := lo.short == actualShort
 	switch {
 	case lo.short && actualShort:
-		t.tpObj.Add(1)
-		t.tpBytes.Add(lo.size)
+		t.conf[tpObjects]++
+		t.conf[tpBytes] += lo.size
 	case lo.short && !actualShort:
-		t.fpObj.Add(1)
-		t.fpBytes.Add(lo.size)
+		t.conf[fpObjects]++
+		t.conf[fpBytes] += lo.size
 		cost := lo.size * (lifetime - t.thr)
-		t.fpCost.Add(cost)
+		t.conf[fpCostBytelife] += cost
 		ps := t.predSite(lo.chain)
 		ps.fpObjects++
 		ps.fpBytes += lo.size
 		ps.fpCost += cost
 	case !lo.short && actualShort:
-		t.fnObj.Add(1)
-		t.fnBytes.Add(lo.size)
+		t.conf[fnObjects]++
+		t.conf[fnBytes] += lo.size
 		ps := t.predSite(lo.chain)
 		ps.fnObjects++
 		ps.fnBytes += lo.size
 	default:
-		t.tnObj.Add(1)
-		t.tnBytes.Add(lo.size)
+		t.conf[tnObjects]++
+		t.conf[tnBytes] += lo.size
 	}
 	if lo.short {
-		t.lifeShort.Observe(lifetime)
+		t.lifeShort.observe(lifetime)
 	} else {
-		t.lifeLong.Observe(lifetime)
+		t.lifeLong.observe(lifetime)
 	}
 	t.decidedObjs++
 	t.decidedBytes += lo.size
@@ -403,16 +463,36 @@ func (t *Tracker) score(lo liveObj, lifetime int64) {
 }
 
 func (t *Tracker) predSite(chain callchain.ChainID) *predSiteAgg {
-	ps := t.predSites[chain]
-	if ps == nil {
-		ps = &predSiteAgg{}
-		t.predSites[chain] = ps
+	if int(chain) >= len(t.predSites) {
+		t.predSites = growTo(t.predSites, chain)
 	}
-	return ps
+	return &t.predSites[chain]
 }
 
-// sample records one timeline point from the current replay state.
+// publish adds the scores counted since the last publication into the
+// collector's pred.* counters and histograms.
+func (t *Tracker) publish() {
+	for i, v := range t.conf {
+		if v != 0 {
+			t.confCtr[i].Add(v)
+		}
+	}
+	t.conf = [numPredCells]int64{}
+	t.lifeShort.publish()
+	t.lifeLong.publish()
+}
+
+// markPhase publishes the scores, then snapshots the counters under
+// label.
+func (t *Tracker) markPhase(label string) {
+	t.publish()
+	t.col.MarkPhase(label)
+}
+
+// sample publishes the scores, then records one timeline point from the
+// current replay state.
 func (t *Tracker) sample() {
+	t.publish()
 	s := obs.Sample{
 		Clock:              t.clock,
 		LiveBytes:          t.liveBytes,
@@ -447,22 +527,21 @@ func (t *Tracker) Finish(program string, tb *callchain.Table) *obs.Snapshot {
 	if t == nil {
 		return nil
 	}
-	// Draining the live map in arbitrary order is fine: every scoring
+	// Draining the live table in slot order is fine: every scoring
 	// update is a commutative accumulation (counter adds, histogram
 	// observations, per-site sums), so the result is order-independent.
-	for _, lo := range t.live {
-		t.score(lo, t.clock-lo.born)
-	}
-	t.live = make(map[trace.ObjectID]liveObj)
+	t.live.drain(func(lo *liveObj) { t.score(lo, t.clock-lo.born) })
 	t.sample()
-	t.col.MarkPhase("end")
+	t.markPhase("end")
 
-	chains := make([]callchain.ChainID, 0, len(t.siteAllocs))
+	var chains []callchain.ChainID
 	for id := range t.siteAllocs {
-		chains = append(chains, id)
+		if t.siteAllocs[id].allocs > 0 {
+			chains = append(chains, callchain.ChainID(id))
+		}
 	}
 	sort.Slice(chains, func(i, j int) bool {
-		a, b := t.siteAllocs[chains[i]], t.siteAllocs[chains[j]]
+		a, b := &t.siteAllocs[chains[i]], &t.siteAllocs[chains[j]]
 		if a.bytes != b.bytes {
 			return a.bytes > b.bytes
 		}
@@ -492,12 +571,14 @@ func (t *Tracker) Finish(program string, tb *callchain.Table) *obs.Snapshot {
 // false-negative bytes, chain id as the deterministic tie-break, capped at
 // maxObsSites like the allocation ranking.
 func (t *Tracker) rankPredSites(tb *callchain.Table) []obs.PredSite {
-	chains := make([]callchain.ChainID, 0, len(t.predSites))
+	var chains []callchain.ChainID
 	for id := range t.predSites {
-		chains = append(chains, id)
+		if ps := &t.predSites[id]; ps.fpObjects+ps.fnObjects > 0 {
+			chains = append(chains, callchain.ChainID(id))
+		}
 	}
 	sort.Slice(chains, func(i, j int) bool {
-		a, b := t.predSites[chains[i]], t.predSites[chains[j]]
+		a, b := &t.predSites[chains[i]], &t.predSites[chains[j]]
 		if a.fpCost != b.fpCost {
 			return a.fpCost > b.fpCost
 		}
@@ -624,14 +705,14 @@ func RunSimOracle(src trace.Source, alloc heapsim.Allocator, oracle profile.Orac
 				res.TotalAllocs++
 				res.TotalBytes += sizes[k]
 				if ot != nil {
-					ot.step(blk.Event(k), short)
+					ot.step(trace.KindAlloc, objs[k], sizes[k], chains[k], short)
 				}
 			case trace.KindFree:
 				if err := alloc.Free(objs[k]); err != nil {
 					return res, fmt.Errorf("core: event %d: %w", base+k, err)
 				}
 				if ot != nil {
-					ot.step(blk.Event(k), false)
+					ot.step(trace.KindFree, objs[k], 0, 0, false)
 				}
 			default:
 				return res, fmt.Errorf("core: event %d: bad kind %d", base+k, kinds[k])

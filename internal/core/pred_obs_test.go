@@ -183,3 +183,142 @@ func TestPredTrackingSited(t *testing.T) {
 		}
 	}
 }
+
+// TestPredTrackingPhasesExact holds the tracker's batched pred.*
+// publication to per-event scoring. A synth Test trace replays under its
+// Train predictor with a known event count, so the 25/50/75% phases are
+// marked; every phase's confusion-matrix counters, and the lifetime
+// histograms at the end, must equal a map-based reference scorer's at the
+// same event counts, and at every timeline sample the registered object
+// counters must already sum to the sample's decided objects.
+func TestPredTrackingPhasesExact(t *testing.T) {
+	a := buildArtifacts(t, "cfrac")
+	tr := a.TestTrace
+	var col *obs.Collector
+	samples := 0
+	col = obs.NewCollector(obs.Options{
+		TimelineInterval: 4096,
+		SampleHook: func(s obs.Sample) {
+			samples++
+			var decided int64
+			for _, name := range predCounterNames[:4] {
+				decided += col.Counter(name).Value()
+			}
+			if decided != s.PredDecidedObjects {
+				t.Errorf("sample at clock %d: registered tp+fp+fn+tn = %d, sample decided %d",
+					s.Clock, decided, s.PredDecidedObjects)
+			}
+		},
+	})
+	res, err := RunSim(tr, heapsim.NewArena(), a.TrainPredictor, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples < 10 {
+		t.Fatalf("only %d timeline samples", samples)
+	}
+	want, hists := referencePredPhases(tr, a.TrainPredictor.NewMapper(tr.Table))
+	var labels []string
+	for _, p := range res.Obs.Phases {
+		labels = append(labels, p.Label)
+		for _, name := range predCounterNames {
+			if got := p.Counters[name]; got != want[p.Label][name] {
+				t.Errorf("phase %s: %s = %d, reference %d", p.Label, name, got, want[p.Label][name])
+			}
+		}
+	}
+	if !reflect.DeepEqual(labels, []string{"25%", "50%", "75%", "end"}) {
+		t.Errorf("phases %v, want 25%%, 50%%, 75%%, end", labels)
+	}
+	for _, c := range predCounterNames[:4] {
+		if want["end"][c] == 0 {
+			t.Errorf("reference %s is 0: the trace does not exercise every cell", c)
+		}
+	}
+	for name, h := range hists {
+		if got := res.Obs.Histograms[name]; !reflect.DeepEqual(got, h.Snapshot()) {
+			t.Errorf("%s = %+v, reference %+v", name, got, h.Snapshot())
+		}
+	}
+}
+
+// predCounterNames are the confusion-matrix counters, object counts first.
+var predCounterNames = []string{
+	"pred.tp_objects", "pred.fp_objects", "pred.fn_objects", "pred.tn_objects",
+	"pred.tp_bytes", "pred.fp_bytes", "pred.fn_bytes", "pred.tn_bytes",
+	"pred.fp_cost_bytelife",
+}
+
+// referencePredPhases scores tr's predictions the way the tracker did
+// before it batched: a Go map live set, every outcome counted the moment
+// its object dies, and the never-freed objects scored at the final clock.
+// It returns the nine pred.* counters after the 25/50/75% events and at
+// the end, and the two lifetime histograms.
+func referencePredPhases(tr *trace.Trace, oracle profile.Oracle) (map[string]map[string]int64, map[string]*obs.Histogram) {
+	type live struct {
+		size, born int64
+		short      bool
+	}
+	thr := oracle.ShortThreshold()
+	hists := map[string]*obs.Histogram{
+		"pred.lifetime_pred_short": obs.NewLog2Histogram(predLifetimeBuckets),
+		"pred.lifetime_pred_long":  obs.NewLog2Histogram(predLifetimeBuckets),
+	}
+	counts := map[string]int64{}
+	score := func(lo live, lifetime int64) {
+		actualShort := lifetime < thr
+		cell := "tn"
+		switch {
+		case lo.short && actualShort:
+			cell = "tp"
+		case lo.short:
+			cell = "fp"
+			counts["pred.fp_cost_bytelife"] += lo.size * (lifetime - thr)
+		case actualShort:
+			cell = "fn"
+		}
+		counts["pred."+cell+"_objects"]++
+		counts["pred."+cell+"_bytes"] += lo.size
+		if lo.short {
+			hists["pred.lifetime_pred_short"].Observe(lifetime)
+		} else {
+			hists["pred.lifetime_pred_long"].Observe(lifetime)
+		}
+	}
+	phases := map[string]map[string]int64{}
+	mark := func(label string) {
+		p := map[string]int64{}
+		for _, name := range predCounterNames {
+			p[name] = counts[name]
+		}
+		phases[label] = p
+	}
+	n := len(tr.Events)
+	objs := map[trace.ObjectID]live{}
+	clock := int64(0)
+	for i, ev := range tr.Events {
+		switch ev.Kind {
+		case trace.KindAlloc:
+			objs[ev.Obj] = live{size: ev.Size, born: clock, short: oracle.PredictShort(ev.Chain, ev.Size)}
+			clock += ev.Size
+		case trace.KindFree:
+			if lo, ok := objs[ev.Obj]; ok {
+				delete(objs, ev.Obj)
+				score(lo, clock-lo.born)
+			}
+		}
+		switch i + 1 {
+		case n / 4:
+			mark("25%")
+		case n / 2:
+			mark("50%")
+		case n * 3 / 4:
+			mark("75%")
+		}
+	}
+	for _, lo := range objs {
+		score(lo, clock-lo.born)
+	}
+	mark("end")
+	return phases, hists
+}

@@ -273,14 +273,9 @@ func histogramFamily(name string, h obs.HistogramSnapshot, labels map[string]str
 			Value:  float64(cum),
 		})
 	}
-	// A live snapshot reads each atomic independently, so Count can lag
-	// the per-bucket totals mid-replay; derive +Inf from the same bucket
-	// counts (plus overflow) and clamp so the histogram stays monotone,
-	// with _count equal to the +Inf bucket as the format requires.
+	// A snapshot's Count is its bucket sum plus overflow, so +Inf and
+	// _count are the same number, as the format requires.
 	inf := cum + h.Overflow
-	if h.Count > inf {
-		inf = h.Count
-	}
 	ms = append(ms,
 		Metric{Suffix: "_bucket", Labels: withLabel(labels, "le", "+Inf"), Value: float64(inf)},
 		Metric{Suffix: "_sum", Labels: labels, Value: float64(h.Sum)},

@@ -27,14 +27,15 @@ func (k HistKind) String() string {
 }
 
 // Histogram is a fixed-bucket histogram with an overflow bucket, a total
-// count/sum, and a maximum. Observe is lock-free; all methods are safe
-// for concurrent use. Negative values clamp to zero.
+// sum, and a maximum. Observe is lock-free; all methods are safe for
+// concurrent use. Negative values clamp to zero. The observation count is
+// not kept apart: it is the bucket sum plus the overflow, so a snapshot's
+// count always agrees with its buckets.
 type Histogram struct {
 	kind   HistKind
 	width  int64 // linear bucket width (unused for log2)
 	counts []atomic.Int64
 	over   atomic.Int64
-	count  atomic.Int64
 	sum    atomic.Int64
 	max    atomic.Int64
 }
@@ -84,18 +85,48 @@ func (h *Histogram) Observe(v int64) {
 	} else {
 		h.over.Add(1)
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
+	h.raiseMax(v)
+}
+
+// Fold adds observations counted outside the histogram: counts[i] more
+// values in bucket i, overflow more past the last bucket, sum more in the
+// total, and max as a candidate maximum. A single-writer hot path buckets
+// into plain fields exactly as h would and folds them in at its
+// publication points; counts must be no longer than h's bucket count.
+func (h *Histogram) Fold(counts []int64, overflow, sum, max int64) {
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	if overflow != 0 {
+		h.over.Add(overflow)
+	}
+	if sum != 0 {
+		h.sum.Add(sum)
+	}
+	h.raiseMax(max)
+}
+
+func (h *Histogram) raiseMax(v int64) {
 	for {
 		m := h.max.Load()
 		if v <= m || h.max.CompareAndSwap(m, v) {
-			break
+			return
 		}
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Count returns the number of observations: the bucket sum plus the
+// overflow.
+func (h *Histogram) Count() int64 {
+	n := h.over.Load()
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -105,7 +136,7 @@ func (h *Histogram) Max() int64 { return h.max.Load() }
 
 // Mean returns the average observed value (0 before any observation).
 func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
+	n := h.Count()
 	if n == 0 {
 		return 0
 	}
@@ -119,12 +150,13 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Width:    h.width,
 		Counts:   make([]int64, len(h.counts)),
 		Overflow: h.over.Load(),
-		Count:    h.count.Load(),
 		Sum:      h.sum.Load(),
 		Max:      h.max.Load(),
 	}
+	s.Count = s.Overflow
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

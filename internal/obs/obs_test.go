@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"math/bits"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -129,21 +131,74 @@ func TestLinearHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramConcurrent observes from four goroutines and folds
+// privately bucketed batches of the same values from four more, while a
+// reader snapshots: the count a snapshot derives never falls, and the end
+// state equals observing every value once per goroutine.
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewLog2Histogram(16)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int64(0); i < 5000; i++ {
-				h.Observe(i % 1000)
+	const workers, perW = 8, 5000
+	value := func(i int64) int64 { return i * 7919 % (1 << 17) } // past bucket 15 too
+	h, want := NewLog2Histogram(16), NewLog2Histogram(16)
+	for w := 0; w < workers; w++ {
+		for i := int64(0); i < perW; i++ {
+			want.Observe(value(i))
+		}
+	}
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		last := int64(0)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
+			if n := h.Snapshot().Count; n < last {
+				t.Errorf("snapshot count fell from %d to %d", last, n)
+			} else {
+				last = n
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(fold bool) {
+			defer wg.Done()
+			var counts [16]int64
+			var over, sum, max int64
+			for i := int64(0); i < perW; i++ {
+				v := value(i)
+				if !fold {
+					h.Observe(v)
+					continue
+				}
+				if b := bits.Len64(uint64(v)); b < len(counts) {
+					counts[b]++
+				} else {
+					over++
+				}
+				sum += v
+				if v > max {
+					max = v
+				}
+				if i%100 == 99 {
+					h.Fold(counts[:], over, sum, max)
+					counts, over, sum, max = [16]int64{}, 0, 0, 0
+				}
+			}
+		}(w%2 == 1)
 	}
 	wg.Wait()
-	if h.Count() != 8*5000 {
-		t.Errorf("count = %d, want %d", h.Count(), 8*5000)
+	close(stop)
+	<-read
+	if h.Count() != workers*perW {
+		t.Errorf("count = %d, want %d", h.Count(), workers*perW)
+	}
+	if got, w := h.Snapshot(), want.Snapshot(); !reflect.DeepEqual(got, w) {
+		t.Errorf("snapshot %+v, want %+v", got, w)
 	}
 }
 

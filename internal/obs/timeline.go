@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Sample is one point on a run's timeline, taken every Interval bytes of
 // allocation. The clock is bytes allocated since the start of the run
@@ -50,10 +53,12 @@ const maxTimelineSamples = 4096
 
 // Timeline records Samples on a bytes-allocated cadence. It is safe for
 // concurrent use, though the replay loops drive it from one goroutine.
+// Due, asked on every allocation, reads the next boundary without the
+// lock; Record stores it under the lock.
 type Timeline struct {
 	mu       sync.Mutex
 	interval int64
-	next     int64
+	next     atomic.Int64
 	samples  []Sample
 }
 
@@ -63,17 +68,16 @@ func NewTimeline(interval int64) *Timeline {
 	if interval <= 0 {
 		interval = DefaultTimelineInterval
 	}
-	return &Timeline{interval: interval, next: interval}
+	t := &Timeline{interval: interval}
+	t.next.Store(interval)
+	return t
 }
 
 // Due reports whether the clock has crossed the next sampling boundary.
 // Callers check Due first so building a Sample (which may probe the
 // allocator) is skipped between boundaries.
 func (t *Timeline) Due(clock int64) bool {
-	t.mu.Lock()
-	due := clock >= t.next
-	t.mu.Unlock()
-	return due
+	return clock >= t.next.Load()
 }
 
 // Record appends a sample and advances the sampling boundary past the
@@ -83,9 +87,11 @@ func (t *Timeline) Record(s Sample) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.samples = append(t.samples, s)
-	for t.next <= s.Clock {
-		t.next += t.interval
+	next := t.next.Load()
+	for next <= s.Clock {
+		next += t.interval
 	}
+	t.next.Store(next)
 	if len(t.samples) >= maxTimelineSamples {
 		keep := t.samples[:0]
 		for i := 0; i < len(t.samples); i += 2 {
