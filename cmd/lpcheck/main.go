@@ -47,6 +47,12 @@ func main() {
 		"lpcheck -models all -allocs all -stride 1",
 		"lpcheck -cases 1000 -seed 1993",
 		"lpcheck -repro fail.trc")
+	if *cases < 0 {
+		cliutil.UsageError(name, "-cases %d: want 0 or more", *cases)
+	}
+	if *events < 1 {
+		cliutil.UsageError(name, "-events %d: want 1 or more", *events)
+	}
 
 	fs, err := selectFactories(*allocs)
 	if err != nil {

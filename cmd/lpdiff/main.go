@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -201,8 +202,9 @@ func parseThresholds(spec string) ([]threshold, error) {
 		if !ok {
 			return nil, fmt.Errorf("threshold %q: allowance must end in %%", part)
 		}
+		// ParseFloat accepts NaN and Inf: allowances no value can exceed.
 		pct, err := strconv.ParseFloat(pctStr, 64)
-		if err != nil || pct < 0 {
+		if err != nil || !(pct >= 0) || math.IsInf(pct, 1) {
 			return nil, fmt.Errorf("threshold %q: bad allowance %q", part, pctStr)
 		}
 		metric := part[:i]

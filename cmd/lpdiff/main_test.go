@@ -24,7 +24,8 @@ func TestParseThresholds(t *testing.T) {
 	if ts[1].Name != "arena.fallbacks" || ts[1].Up || ts[1].Pct != 5 {
 		t.Errorf("second threshold = %+v", ts[1])
 	}
-	for _, bad := range []string{"", "noallowance", "x+10", "x+-1%", "+10%"} {
+	for _, bad := range []string{"", "noallowance", "x+10", "x+-1%", "+10%",
+		"x+NaN%", "x-nan%", "x+Inf%", "x-Inf%", "x+infinity%"} {
 		if _, err := parseThresholds(bad); err == nil {
 			t.Errorf("parseThresholds(%q) accepted", bad)
 		}

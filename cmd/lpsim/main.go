@@ -25,6 +25,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"flag"
@@ -45,7 +46,8 @@ func main() {
 	obsPath := flag.String("obs", "", "observe the run and write the metrics snapshot JSON here (- for stdout)")
 	obsInterval := flag.Int64("obs-interval", 0, "timeline sampling cadence in bytes allocated (0 = default 64KB)")
 	heapScan := flag.Bool("heapscan", false, "with -obs: walk the allocator's span layout at every timeline sample, decomposing fragmentation (heap.* families) and recording an address-space heatmap")
-	heatmapBins := flag.Int("heatmap-bins", 0, "address-space heatmap column count (0 = default 32); needs -heapscan")
+	heatmapBins := flag.Int("heatmap-bins", 0, fmt.Sprintf("address-space heatmap column count, 0 to %d (0 = default %d); needs -heapscan",
+		obs.MaxHeatmapBins, obs.DefaultHeatmapBins))
 	startProfiles := cliutil.ProfileFlags(name)
 	cliutil.Parse(name,
 		"replay an allocation trace through an allocator simulator",
@@ -56,6 +58,13 @@ func main() {
 
 	if *tracePath == "" {
 		cliutil.UsageError(name, "missing -trace")
+	}
+	// NaN fails every comparison, so !(x >= 0) refuses it too.
+	if cpa := *callsPerAlloc; !(cpa >= 0) || math.IsInf(cpa, 1) {
+		cliutil.UsageError(name, "-calls-per-alloc %v: want a finite number >= 0", cpa)
+	}
+	if *heatmapBins < 0 || *heatmapBins > obs.MaxHeatmapBins {
+		cliutil.UsageError(name, "-heatmap-bins %d: want 0 to %d", *heatmapBins, obs.MaxHeatmapBins)
 	}
 	// The trace streams through the replay: events decode one at a time
 	// (from a file or a pipe), so `lpgen ... -o - | lpsim -trace -` runs

@@ -1011,7 +1011,8 @@ func replayLocality(tr *trace.Trace, alloc heapsim.Allocator, pred *profile.Pred
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	pager, err := locality.NewPageLRU(64, 4<<10)
+	// The resident set: 64 frames of 4 KB pages in one LRU set.
+	pager, err := locality.NewCache(64<<12, 64, 4<<10)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -1022,8 +1023,7 @@ func replayLocality(tr *trace.Trace, alloc heapsim.Allocator, pred *profile.Pred
 	var window []locality.Ref
 	var allRefs []locality.Ref
 	flush := func() {
-		locality.Replay(cache, window, localityRefsCap)
-		locality.ReplayPaged(pager, window, localityRefsCap)
+		locality.Replay(window, localityRefsCap, cache, pager)
 		window = window[:0]
 	}
 	for i, ev := range tr.Events {
@@ -1053,6 +1053,6 @@ func replayLocality(tr *trace.Trace, alloc heapsim.Allocator, pred *profile.Pred
 		}
 	}
 	flush()
-	return 100 * cache.MissRate(), 100 * pager.FaultRate(),
+	return 100 * cache.MissRate(), 100 * pager.MissRate(),
 		locality.WorkingSet(allRefs, 4<<10), nil
 }

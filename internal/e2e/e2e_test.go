@@ -24,7 +24,7 @@ var (
 	binErr  error
 )
 
-var commands = []string{"lpgen", "lpprof", "lpsim", "lpstats", "lpdiff", "lpbench"}
+var commands = []string{"lpgen", "lpprof", "lpsim", "lpstats", "lpdiff", "lpbench", "lpcheck"}
 
 func bins(t *testing.T) string {
 	t.Helper()
@@ -343,6 +343,77 @@ func TestProfileRejectsBadFlags(t *testing.T) {
 		_, err := os.Stat(out)
 		if wrote := err == nil; wrote != (tc.want == 0) {
 			t.Errorf("lpprof %s %s: output file written = %v, want %v", tc.flag, tc.value, wrote, tc.want == 0)
+		}
+	}
+}
+
+// TestCommandsRejectBadFlags requires each count that would run nothing
+// or unbounded work, and each non-finite or negative number, to be
+// refused with every other argument valid: a usage error (exit 2) before
+// any work, or for a bad generator scale a generation error (exit 1),
+// and either way no output file and nothing on stdout. An in-range value
+// of the same flag still exits 0.
+func TestCommandsRejectBadFlags(t *testing.T) {
+	bin := bins(t)
+	dir := t.TempDir()
+	trc := filepath.Join(dir, "test.trc")
+	if _, stderr, code := run(t, bin, "lpgen",
+		"-program", "gawk", "-input", "test", "-scale", "0.005", "-o", trc); code != 0 {
+		t.Fatalf("lpgen exited %d: %s", code, stderr)
+	}
+	snap := filepath.Join(dir, "snap.json")
+	if _, stderr, code := run(t, bin, "lpsim", "-trace", trc, "-obs", snap); code != 0 {
+		t.Fatalf("lpsim exited %d: %s", code, stderr)
+	}
+	// valid gives each command's other arguments, writing to out when
+	// the command writes a file; flags under test go in front, so
+	// lpdiff's files stay last.
+	valid := map[string]func(out string) []string{
+		"lpgen":   func(out string) []string { return []string{"-program", "gawk", "-input", "test", "-o", out} },
+		"lpsim":   func(out string) []string { return []string{"-trace", trc, "-heapscan", "-obs", out} },
+		"lpcheck": func(string) []string { return []string{"-allocs", "firstfit"} },
+		"lpdiff":  func(string) []string { return []string{snap, snap} },
+	}
+	for i, tc := range []struct {
+		cmd   string
+		flags []string
+		want  int
+	}{
+		{"lpcheck", []string{"-cases", "-1"}, 2},
+		{"lpcheck", []string{"-cases", "-3"}, 2},
+		{"lpcheck", []string{"-events", "0"}, 2},
+		{"lpcheck", []string{"-events", "-5"}, 2},
+		{"lpcheck", []string{"-cases", "2", "-events", "1"}, 0},
+		{"lpsim", []string{"-heatmap-bins", "-7"}, 2},
+		{"lpsim", []string{"-heatmap-bins", "1025"}, 2},
+		{"lpsim", []string{"-heatmap-bins", "100000"}, 2},
+		{"lpsim", []string{"-calls-per-alloc", "NaN"}, 2},
+		{"lpsim", []string{"-calls-per-alloc", "-1"}, 2},
+		{"lpsim", []string{"-calls-per-alloc", "+Inf"}, 2},
+		{"lpsim", []string{"-heatmap-bins", "1024", "-calls-per-alloc", "2.5"}, 0},
+		{"lpdiff", []string{"-threshold", "clock+NaN%"}, 2},
+		{"lpdiff", []string{"-threshold", "clock+Inf%"}, 2},
+		{"lpdiff", []string{"-threshold", "clock-Inf%"}, 2},
+		{"lpdiff", []string{"-threshold", "clock+10%"}, 0},
+		{"lpgen", []string{"-scale", "NaN"}, 1},
+		{"lpgen", []string{"-scale", "+Inf"}, 1},
+		{"lpgen", []string{"-scale", "-1"}, 1},
+		{"lpgen", []string{"-scale", "0.005"}, 0},
+	} {
+		out := filepath.Join(dir, fmt.Sprintf("out%d", i))
+		args := append(append([]string(nil), tc.flags...), valid[tc.cmd](out)...)
+		stdout, stderr, code := run(t, bin, tc.cmd, args...)
+		if code != tc.want {
+			t.Errorf("%s %v exited %d, want %d: %s", tc.cmd, tc.flags, code, tc.want, stderr)
+		}
+		if tc.want == 0 {
+			continue
+		}
+		if stdout != "" {
+			t.Errorf("%s %v wrote to stdout:\n%s", tc.cmd, tc.flags, stdout)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("%s %v wrote its output file", tc.cmd, tc.flags)
 		}
 	}
 }

@@ -84,9 +84,9 @@ func TestSmallFootprintBeatsScattered(t *testing.T) {
 		return refs
 	}
 	packed, _ := NewCache(32<<10, 4, 32)
-	Replay(packed, mk(64<<10), 0)
+	Replay(mk(64<<10), 0, packed)
 	scattered, _ := NewCache(32<<10, 4, 32)
-	Replay(scattered, mk(4<<20), 0)
+	Replay(mk(4<<20), 0, scattered)
 	if packed.MissRate() >= scattered.MissRate() {
 		t.Fatalf("packed miss rate %.4f not below scattered %.4f",
 			packed.MissRate(), scattered.MissRate())
@@ -95,14 +95,33 @@ func TestSmallFootprintBeatsScattered(t *testing.T) {
 
 func TestReplayCapPreservesWork(t *testing.T) {
 	c, _ := NewCache(1<<10, 1, 16)
-	Replay(c, []Ref{{Addr: 0, Size: 64, Refs: 1000}}, 10)
+	Replay([]Ref{{Addr: 0, Size: 64, Refs: 1000}}, 10, c)
 	if c.Accesses() != 10 {
 		t.Fatalf("capped replay made %d accesses, want 10", c.Accesses())
 	}
 	c2, _ := NewCache(1<<10, 1, 16)
-	Replay(c2, []Ref{{Addr: 0, Size: 64, Refs: 5}, {Addr: 512, Size: 16, Refs: 0}}, 0)
+	Replay([]Ref{{Addr: 0, Size: 64, Refs: 5}, {Addr: 512, Size: 16, Refs: 0}}, 0, c2)
 	if c2.Accesses() != 5 {
 		t.Fatalf("uncapped replay made %d accesses, want 5", c2.Accesses())
+	}
+}
+
+func TestReplayFeedsEveryCacheTheSameStream(t *testing.T) {
+	// Replaying a window into two caches at once must leave each exactly
+	// as replaying it into that cache alone does.
+	r := xrand.New(5)
+	window := make([]Ref, 64)
+	for i := range window {
+		window[i] = Ref{Addr: r.Range(0, 1<<20), Size: r.Range(1, 512), Refs: r.Range(0, 200)}
+	}
+	both := []*Cache{mustCache(t, 256<<10, 4, 32), newPager(t, 64)}
+	Replay(window, 96, both...)
+	for i, alone := range []*Cache{mustCache(t, 256<<10, 4, 32), newPager(t, 64)} {
+		Replay(window, 96, alone)
+		if both[i].Accesses() != alone.Accesses() || both[i].Misses() != alone.Misses() {
+			t.Errorf("cache %d: shared replay %d/%d accesses/misses, alone %d/%d",
+				i, both[i].Accesses(), both[i].Misses(), alone.Accesses(), alone.Misses())
+		}
 	}
 }
 

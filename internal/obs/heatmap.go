@@ -7,6 +7,11 @@ import "sync"
 // clusters, narrow enough to render in a terminal.
 const DefaultHeatmapBins = 32
 
+// MaxHeatmapBins is the widest heatmap a command accepts. The scanner
+// copies a bins-long row at every timeline sample and keeps up to
+// maxHeatmapRows of them, so this caps a heatmap at 4 MiB.
+const MaxHeatmapBins = 1024
+
 // maxHeatmapRows bounds a heatmap's memory the same way
 // maxTimelineSamples bounds the timeline: when full, every other row is
 // kept, so arbitrarily long runs degrade time resolution instead of

@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/callchain"
@@ -56,8 +57,11 @@ type Source struct {
 // consumers rely on. Configuration errors (bad scale, bad phase windows,
 // no active sites) surface here, before any event is produced.
 func (m *Model) Source(cfg Config) (*Source, error) {
-	if cfg.Scale <= 0 {
-		return nil, fmt.Errorf("synth: non-positive scale %v", cfg.Scale)
+	// NaN fails every comparison, so it is refused with zero and the
+	// negatives; an infinite or huge scale puts the byte budget past
+	// int64 (or at NaN, for an empty model).
+	if bytes := float64(m.TotalBytes) * cfg.Scale; !(cfg.Scale > 0 && bytes < math.MaxInt64) {
+		return nil, fmt.Errorf("synth: scale %v out of range (want finite and positive, with a byte budget that fits in int64)", cfg.Scale)
 	}
 	in := cfg.Input
 	if in == "" {

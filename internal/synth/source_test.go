@@ -2,6 +2,7 @@ package synth
 
 import (
 	"io"
+	"math"
 	"reflect"
 	"testing"
 
@@ -101,6 +102,25 @@ func TestSourceConfigErrors(t *testing.T) {
 	}
 	if src.Meta().FunctionCalls == 0 {
 		t.Fatal("trailer metadata missing after EOF")
+	}
+}
+
+// TestSourceRejectsBadScale requires every generator entry point to
+// refuse a scale that is not finite and positive, or whose byte budget
+// overflows int64, instead of generating a NaN or empty trace.
+func TestSourceRejectsBadScale(t *testing.T) {
+	m := CFRAC()
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1, 1e300} {
+		cfg := Config{Input: Train, Seed: 1, Scale: scale}
+		if _, err := m.Source(cfg); err == nil {
+			t.Errorf("Source accepted scale %v", scale)
+		}
+		if _, err := m.Generate(cfg); err == nil {
+			t.Errorf("Generate accepted scale %v", scale)
+		}
+		if _, err := m.CountEvents(cfg); err == nil {
+			t.Errorf("CountEvents accepted scale %v", scale)
+		}
 	}
 }
 
