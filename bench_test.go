@@ -328,7 +328,9 @@ func BenchmarkRunSimObserved(b *testing.B) {
 // repoints the block at the next column window; nothing is copied or
 // decoded per event). Generation and training happen once, outside the
 // timed region, so ns/op prices the replay alone — divide by the
-// reported events/op for ns/event, which is what CI gates.
+// reported events/op for ns/event, which is what CI gates. Arena replays
+// with the trained predictor's hints and custom with its 16 top training
+// sizes as hot sizes, as in the experiments; the rest take no hints.
 //
 // With -benchmem the other gated column is allocs/op: the replay's
 // allocation count is bounded by the live-object set (block free lists,
@@ -346,13 +348,13 @@ func BenchmarkRunSimStreaming(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred := db.Predictor()
+	pred, hot := db.Predictor(), db.TopSizes(16)
 	for _, sc := range []struct {
 		name  string
 		scale float64
 	}{{"1x", 0.002}, {"10x", 0.02}} {
 		cfg := synth.Config{Input: synth.Test, Seed: 1, Scale: sc.scale}
-		for _, alloc := range []string{"arena", "firstfit"} {
+		for _, alloc := range []string{"arena", "firstfit", "bsd", "segfit", "custom"} {
 			alloc := alloc
 			b.Run("gawk/"+alloc+"/"+sc.name, func(b *testing.B) {
 				tr, err := m.Generate(cfg)
@@ -365,12 +367,13 @@ func BenchmarkRunSimStreaming(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					cols.Reset()
-					var a heapsim.Allocator
+					a, err := heapsim.New(alloc, hot)
+					if err != nil {
+						b.Fatal(err)
+					}
 					var p *profile.Predictor
 					if alloc == "arena" {
-						a, p = heapsim.NewArena(), pred
-					} else {
-						a = heapsim.NewFirstFit()
+						p = pred
 					}
 					if _, err := core.RunSimSource(cols, a, p); err != nil {
 						b.Fatal(err)

@@ -40,7 +40,7 @@ func main() {
 	cases := flag.Int("cases", 0, "property-based cases to run (0 = only if no other mode selected, then 100)")
 	seed := flag.Uint64("seed", 1993, "base seed for property-based generation")
 	events := flag.Int("events", 400, "events per generated property case")
-	stride := flag.Int("stride", 32, "audit every Nth event (1 = every event)")
+	stride := flag.Int("stride", 32, "audit every Nth event, 1 or more (1 = every event)")
 	repro := flag.String("repro", "", "replay a saved repro trace (text or binary) through the full suite")
 	cliutil.Parse(name,
 		"audit allocator heap invariants, differentially replay traces, and property-test with shrinking",
@@ -52,6 +52,9 @@ func main() {
 	}
 	if *events < 1 {
 		cliutil.UsageError(name, "-events %d: want 1 or more", *events)
+	}
+	if *stride < 1 {
+		cliutil.UsageError(name, "-stride %d: want 1 or more", *stride)
 	}
 
 	fs, err := selectFactories(*allocs)

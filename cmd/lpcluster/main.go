@@ -52,7 +52,7 @@ func main() {
 	admission := flag.String("admission", "reject",
 		fmt.Sprintf("admission mode for the stressed replay (%s)",
 			strings.Join(cluster.AdmissionModes(), ",")))
-	budget := flag.Int64("budget", 0, "stressed-replay live-byte budget (0: half of each scenario's unconstrained peak)")
+	budget := flag.Int64("budget", 0, "stressed-replay live-byte budget, 0 or more (0: half of each scenario's unconstrained peak)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrent scenarios")
 	cliutil.Parse(name,
 		"rank routing policies x pool shapes for a multi-tenant shared heap",
@@ -66,6 +66,9 @@ func main() {
 	}
 	if *workers < 1 {
 		cliutil.UsageError(name, "-workers must be at least 1 (got %d)", *workers)
+	}
+	if *budget < 0 {
+		cliutil.UsageError(name, "-budget %d: want 0 or more", *budget)
 	}
 	cfg := cluster.MatrixConfig{
 		Core:      core.DefaultConfig(*scale),

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -403,6 +404,69 @@ func TestEventsStream(t *testing.T) {
 	case <-finished:
 	case <-drainDeadline:
 		t.Fatal("SSE stream did not close on shutdown")
+	}
+}
+
+// flushHookWriter is a streaming ResponseWriter whose first Flush runs
+// onFlush, as a client acting the moment it sees the stream's headers
+// would, and which closes seen once the body contains want. Only the
+// handler touches it until the handler returns.
+type flushHookWriter struct {
+	header  http.Header
+	onFlush func()
+	want    string
+	seen    chan struct{}
+	body    bytes.Buffer
+}
+
+func (w *flushHookWriter) Header() http.Header { return w.header }
+
+func (w *flushHookWriter) WriteHeader(int) {}
+
+func (w *flushHookWriter) Write(p []byte) (int, error) {
+	n, err := w.body.Write(p)
+	if w.want != "" && strings.Contains(w.body.String(), w.want) {
+		w.want = ""
+		close(w.seen)
+	}
+	return n, err
+}
+
+func (w *flushHookWriter) Flush() {
+	if f := w.onFlush; f != nil {
+		w.onFlush = nil
+		f()
+	}
+}
+
+// TestEventsSubscribedBeforeHeaders publishes a job from the stream's
+// first Flush, as a client posting /run right after the headers would:
+// the job's frame must reach that stream.
+func TestEventsSubscribedBeforeHeaders(t *testing.T) {
+	srv := newServer(core.DefaultConfig(0.02), 1)
+	defer srv.shutdown()
+	j := &job{ID: 7, Spec: core.MatrixJob{Model: "gawk", Allocator: "arena", Predictor: "true"}, status: statusQueued}
+	const frame = "event: job\ndata: {\"id\":7,"
+	w := &flushHookWriter{
+		header:  http.Header{},
+		onFlush: func() { srv.broker.publishJob(j) },
+		want:    frame,
+		seen:    make(chan struct{}),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		srv.handleEvents(w, httptest.NewRequest("GET", "/events", nil).WithContext(ctx))
+		close(done)
+	}()
+	select {
+	case <-w.seen:
+	case <-time.After(2 * time.Second):
+	}
+	cancel()
+	<-done
+	if got := w.body.String(); !strings.Contains(got, frame) {
+		t.Fatalf("job published at the first flush never reached the stream:\n%s", got)
 	}
 }
 

@@ -386,19 +386,15 @@ var heartbeatInterval = 15 * time.Second
 
 // handleEvents streams job transitions, timeline samples, and structured
 // obs events as server-sent events until the client goes away or the
-// server drains. Idle streams carry periodic heartbeat comments.
+// server drains. Idle streams carry periodic heartbeat comments. The
+// client is subscribed before its headers are flushed, so a job it posts
+// once it sees them cannot publish a frame the stream misses.
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, ": lpserve event stream\n\n")
-	fl.Flush()
-
 	sub := s.broker.subscribe()
 	defer func() {
 		// Best-effort: tell the client how many messages its slow
@@ -408,6 +404,12 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 	}()
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	fmt.Fprintf(w, ": lpserve event stream\n\n")
+	fl.Flush()
+
 	heartbeat := time.NewTicker(heartbeatInterval)
 	defer heartbeat.Stop()
 	for {

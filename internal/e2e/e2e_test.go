@@ -24,7 +24,7 @@ var (
 	binErr  error
 )
 
-var commands = []string{"lpgen", "lpprof", "lpsim", "lpstats", "lpdiff", "lpbench", "lpcheck"}
+var commands = []string{"lpgen", "lpprof", "lpsim", "lpstats", "lpdiff", "lpbench", "lpcheck", "lpcluster"}
 
 func bins(t *testing.T) string {
 	t.Helper()
@@ -373,6 +373,9 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		"lpsim":   func(out string) []string { return []string{"-trace", trc, "-heapscan", "-obs", out} },
 		"lpcheck": func(string) []string { return []string{"-allocs", "firstfit"} },
 		"lpdiff":  func(string) []string { return []string{snap, snap} },
+		"lpcluster": func(string) []string {
+			return []string{"-scale", "0.005", "-tenants", "cfrac", "-pools", "1xfirstfit", "-policies", "round-robin", "-workers", "1"}
+		},
 	}
 	for i, tc := range []struct {
 		cmd   string
@@ -384,6 +387,11 @@ func TestCommandsRejectBadFlags(t *testing.T) {
 		{"lpcheck", []string{"-events", "0"}, 2},
 		{"lpcheck", []string{"-events", "-5"}, 2},
 		{"lpcheck", []string{"-cases", "2", "-events", "1"}, 0},
+		{"lpcheck", []string{"-stride", "0"}, 2},
+		{"lpcheck", []string{"-stride", "-4"}, 2},
+		{"lpcheck", []string{"-cases", "2", "-stride", "1"}, 0},
+		{"lpcluster", []string{"-budget", "-1"}, 2},
+		{"lpcluster", []string{"-budget", "100000"}, 0},
 		{"lpsim", []string{"-heatmap-bins", "-7"}, 2},
 		{"lpsim", []string{"-heatmap-bins", "1025"}, 2},
 		{"lpsim", []string{"-heatmap-bins", "100000"}, 2},

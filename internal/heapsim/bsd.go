@@ -13,24 +13,16 @@ import (
 // and nothing is ever split or coalesced. Allocation and free are a few
 // loads and stores — the cheap, memory-hungry end of the Table 9 spectrum.
 type BSD struct {
-	heapEnd   int64
-	liveBytes int64
-
-	// freeLists is indexed by bucket (log2 chunk size); bucketFor yields
-	// at most 64, so a fixed array replaces the old map and the hot paths
-	// index it directly.
-	freeLists [65][]int64
-	live      objIndex[bsdObj]
-	ops       OpCounts
-	obs       *bsdObs // nil unless a collector is attached
+	slabHeap // class k holds chunks of 1<<k bytes; bucketFor picks k
+	ops      OpCounts
+	obs      *bsdObs // nil unless a collector is attached
 }
 
 // The fixed geometry: an 8-byte per-object header (the historical
-// implementation's overhead union), 4KB page carves, and 16-byte (2^4)
-// minimum chunks.
+// implementation's overhead union) and 16-byte (2^4) minimum chunks,
+// carved from whole 4KB pages (slabPage).
 const (
 	bsdHeader    = 8
-	bsdPage      = 4 << 10
 	bsdMinBucket = 4
 )
 
@@ -41,14 +33,14 @@ type bsdObs struct {
 	carves  *obs.Counter
 }
 
-type bsdObj struct {
-	addr   int64
-	bucket int
-	size   int64 // requested bytes, for layout audits
-}
-
 // NewBSD returns a BSD malloc simulator.
-func NewBSD() *BSD { return &BSD{} }
+func NewBSD() *BSD {
+	b := &BSD{slabHeap: slabHeap{window: "heap", header: bsdHeader, classes: make([]slabClass, 0, 65)}}
+	for k := 0; k <= 64; k++ { // bucketFor yields at most 64
+		b.addClass(int64(1) << k)
+	}
+	return b
+}
 
 // Name returns the simulator's name.
 func (b *BSD) Name() string { return "bsd" }
@@ -91,27 +83,15 @@ func (b *BSD) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	if b.obs != nil {
 		b.obs.buckets.Observe(int64(bucket))
 	}
-
-	list := b.freeLists[bucket]
-	if len(list) == 0 {
-		// Carve a slab into chunks of this class.
+	if b.empty(bucket) {
 		b.ops.BSDCarves++
-		chunk := int64(1) << bucket
-		slab := align(chunk, bsdPage)
+		slab := b.carve(bucket)
 		if b.obs != nil {
 			b.obs.carves.Inc()
 			b.obs.col.Emit(obs.EvHeapGrow, slab)
 		}
-		start := b.heapEnd
-		b.heapEnd += slab
-		for a := start; a+chunk <= start+slab; a += chunk {
-			list = append(list, a)
-		}
 	}
-	addr := list[len(list)-1]
-	b.freeLists[bucket] = list[:len(list)-1]
-	b.live.put(id, bsdObj{addr: addr, bucket: bucket, size: size})
-	b.liveBytes += size
+	b.live.put(id, b.pop(bucket, size))
 	return nil
 }
 
@@ -121,27 +101,10 @@ func (b *BSD) Free(id trace.ObjectID) error {
 	if !ok {
 		return errUnknownFree("bsd", id)
 	}
-	b.liveBytes -= o.size
+	b.push(o)
 	b.ops.Frees++
-	b.freeLists[o.bucket] = append(b.freeLists[o.bucket], o.addr)
 	return nil
 }
 
-// HeapSize returns the current break. BSD's heap never shrinks, so the
-// maximum equals the current value.
-func (b *BSD) HeapSize() int64 { return b.heapEnd }
-
-// MaxHeapSize implements Allocator.
-func (b *BSD) MaxHeapSize() int64 { return b.heapEnd }
-
 // Counts implements Allocator.
 func (b *BSD) Counts() OpCounts { return b.ops }
-
-// Addr implements Allocator.
-func (b *BSD) Addr(id trace.ObjectID) (int64, bool) {
-	o, ok := b.live.get(id)
-	if !ok {
-		return 0, false
-	}
-	return o.addr + bsdHeader, true
-}

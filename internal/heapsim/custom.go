@@ -19,18 +19,14 @@ import (
 // work").
 type Custom struct {
 	fallback
-	hot     map[int64]*sizeClass // keyed by rounded request size
-	heapEnd int64                // dedicated slab region (separate from the general heap)
-	live    map[trace.ObjectID]customObj
-	obs     *customObs // nil unless a collector is attached
+	slabs slabHeap      // the hot sizes' window, at customBase, headerless
+	hot   map[int64]int // rounded request size -> its class in slabs
+	obs   *customObs    // nil unless a collector is attached
 }
 
 // Request sizes are rounded to the allocator's 8-byte alignment before
-// the hot-size check, and hot-size slabs are carved 4KB at a time.
-const (
-	customRounding = 8
-	customSlab     = 4 << 10
-)
+// the hot-size check.
+const customRounding = 8
 
 // customObs caches resolved metric handles for the hot paths.
 type customObs struct {
@@ -38,30 +34,25 @@ type customObs struct {
 	carves *obs.Counter
 }
 
-type sizeClass struct {
-	free []int64 // free chunk addresses, LIFO
-}
-
-type customObj struct {
-	addr    int64
-	size    int64 // rounded size class (the chunk extent)
-	payload int64 // requested bytes, for layout audits
-}
-
 // customBase places the slab region away from the general heap's address
 // space, like the arena area.
 const customBase = int64(1) << 41
 
 // NewCustom returns a CUSTOMALLOC-style simulator whose hot sizes (the
-// profiled request sizes, rounded) get dedicated free lists.
+// profiled request sizes, rounded) get dedicated free lists. Chunks carry
+// no header: the size is implied by the owning list, one of
+// CUSTOMALLOC's savings.
 func NewCustom(hotSizes []int64) *Custom {
 	c := &Custom{
 		fallback: newFallback("custom"),
-		hot:      make(map[int64]*sizeClass, len(hotSizes)),
-		live:     make(map[trace.ObjectID]customObj),
+		slabs:    slabHeap{window: "slab", base: customBase, end: customBase},
+		hot:      make(map[int64]int, len(hotSizes)),
 	}
 	for _, s := range hotSizes {
-		c.hot[align(s, customRounding)] = &sizeClass{}
+		rs := align(s, customRounding)
+		if _, dup := c.hot[rs]; !dup {
+			c.hot[rs] = c.slabs.addClass(rs)
+		}
 	}
 	return c
 }
@@ -79,60 +70,48 @@ func (c *Custom) Observe(col *obs.Collector) {
 
 // Alloc implements Allocator; the predictedShort hint is ignored.
 func (c *Custom) Alloc(id trace.ObjectID, size int64, _ bool) error {
-	_, placed := c.live[id]
+	_, placed := c.slabs.live.get(id)
 	if err := c.admit(id, size, placed); err != nil {
 		return err
 	}
-	rs := align(size, customRounding)
-	class, ok := c.hot[rs]
+	class, ok := c.hot[align(size, customRounding)]
 	if !ok {
 		return c.alloc(id, size, false)
 	}
 	c.ops.Allocs++
-	if len(class.free) == 0 {
-		// Carve a slab into exact-size chunks (no headers: the size is
-		// implied by the owning list, one of CUSTOMALLOC's savings).
+	if c.slabs.empty(class) {
 		c.ops.BSDCarves++
-		slab := align(rs, customSlab)
+		slab := c.slabs.carve(class)
 		if c.obs != nil {
 			c.obs.carves.Inc()
 			c.obs.col.Emit(obs.EvHeapGrow, slab)
 		}
-		start := customBase + c.heapEnd
-		c.heapEnd += slab
-		for a := start; a+rs <= start+slab; a += rs {
-			class.free = append(class.free, a)
-		}
 	}
-	addr := class.free[len(class.free)-1]
-	class.free = class.free[:len(class.free)-1]
-	c.live[id] = customObj{addr: addr, size: rs, payload: size}
+	c.slabs.live.put(id, c.slabs.pop(class, size))
 	c.ops.ArenaBytes += size // reuse the counter: bytes on the fast path
 	return nil
 }
 
 // Free implements Allocator.
 func (c *Custom) Free(id trace.ObjectID) error {
-	o, ok := c.live[id]
-	if ok {
-		delete(c.live, id)
+	if o, ok := c.slabs.live.del(id); ok {
+		c.slabs.push(o)
 		c.ops.Frees++
-		c.hot[o.size].free = append(c.hot[o.size].free, o.addr)
 		return nil
 	}
 	return c.free(id)
 }
 
 // HeapSize implements Allocator: slab region plus the general heap.
-func (c *Custom) HeapSize() int64 { return c.heapEnd + c.general.HeapSize() }
+func (c *Custom) HeapSize() int64 { return c.slabs.HeapSize() + c.general.HeapSize() }
 
 // MaxHeapSize implements Allocator (the slab region never shrinks).
-func (c *Custom) MaxHeapSize() int64 { return c.heapEnd + c.general.MaxHeapSize() }
+func (c *Custom) MaxHeapSize() int64 { return c.slabs.MaxHeapSize() + c.general.MaxHeapSize() }
 
 // Addr implements Allocator.
 func (c *Custom) Addr(id trace.ObjectID) (int64, bool) {
-	if o, ok := c.live[id]; ok {
-		return o.addr, true
+	if a, ok := c.slabs.Addr(id); ok {
+		return a, true
 	}
 	return c.general.Addr(id)
 }

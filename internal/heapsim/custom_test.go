@@ -53,12 +53,12 @@ func TestCustomSlabCapacity(t *testing.T) {
 	for i := trace.ObjectID(0); i < 64; i++ {
 		mustAlloc(t, c, i, 64, false)
 	}
-	if c.heapEnd != 4<<10 {
-		t.Fatalf("slab region %d after 64 chunks, want 4KB", c.heapEnd)
+	if got := c.slabs.HeapSize(); got != 4<<10 {
+		t.Fatalf("slab region %d after 64 chunks, want 4KB", got)
 	}
 	mustAlloc(t, c, 100, 64, false)
-	if c.heapEnd != 8<<10 {
-		t.Fatalf("slab region %d after overflow, want 8KB", c.heapEnd)
+	if got := c.slabs.HeapSize(); got != 8<<10 {
+		t.Fatalf("slab region %d after overflow, want 8KB", got)
 	}
 }
 

@@ -31,6 +31,15 @@
 // into the composite's Counts, the composite's name, and the check that
 // an id is live in neither layer before it is placed in either.
 //
+// The three segregated-list simulators (bsd, segfit and custom's hot
+// sizes) share one unexported heap in the same way, slabHeap: a LIFO
+// free list per size class, refilled by carving a page-rounded slab at
+// the heap's end, one live index and one walker. Each simulator keeps
+// only its class function (a power-of-two bucket, an entry of the
+// segregated-fit class table or a page-rounded large chunk, a rounded
+// hot size), its operation counts and its metrics. Live chunks, free
+// chunks and slab tails tile each of their windows.
+//
 // The simulators model the *address space and operation counts*, not the
 // bytes themselves: objects are identified by trace object ids, and every
 // allocator reports OpCounts from which the instruction cost model

@@ -291,7 +291,7 @@ func TestBSDNeverCoalesces(t *testing.T) {
 	// A larger request must carve fresh space even though 128B is free.
 	heap := b.HeapSize()
 	mustAlloc(t, b, 2, 200, false) // 256 bucket
-	if b.HeapSize() == heap && len(b.freeLists[8]) == 0 {
+	if b.HeapSize() == heap && len(b.classes[8].free) == 0 {
 		t.Fatal("256B allocation served without carving or a free chunk")
 	}
 }
@@ -299,7 +299,7 @@ func TestBSDNeverCoalesces(t *testing.T) {
 func TestBSDCarveFillsList(t *testing.T) {
 	b := NewBSD()
 	mustAlloc(t, b, 1, 20, false) // 32B bucket; page carve = 128 chunks
-	if got := len(b.freeLists[5]); got != 127 {
+	if got := len(b.classes[5].free); got != 127 {
 		t.Fatalf("free list after carve has %d chunks, want 127", got)
 	}
 	if b.HeapSize() != 4<<10 {

@@ -26,26 +26,17 @@ var segClasses = []int64{
 // little metadata for far less internal fragmentation — which is exactly
 // the axis the tournament ranks it on against the paper's allocators.
 type SegFit struct {
-	heapEnd   int64
-	liveBytes int64
-
-	// free maps a chunk size (class or page-rounded large size) to its
-	// LIFO free list of chunk addresses.
-	free map[int64][]int64
-	// tails records the permanently unused remainder of each carved slab
-	// whose class does not divide the page, so the walked spans tile the
-	// region exactly.
-	tails []segTail
-	live  objIndex[segObj]
+	// The heap's classes are segClasses, in order, then each large chunk
+	// size in first-use order; large maps a large chunk size to its
+	// class.
+	slabHeap
+	large map[int64]int
 	ops   OpCounts
 	obs   *segObs // nil unless a collector is attached
 }
 
-// The fixed geometry: an 8-byte per-object header and 4KB page carves.
-const (
-	segHeader = 8
-	segPage   = 4 << 10
-)
+// segHeader is the per-object header inside each chunk.
+const segHeader = 8
 
 // segObs caches resolved metric handles for the hot paths.
 type segObs struct {
@@ -54,19 +45,17 @@ type segObs struct {
 	class  *obs.Histogram // chunk size per allocation (log2)
 }
 
-type segObj struct {
-	addr  int64
-	chunk int64 // chunk extent, header included
-	size  int64 // requested bytes, for layout audits
-}
-
-// segTail is a carved slab's unusable remainder.
-type segTail struct {
-	addr, size int64
-}
-
 // NewSegFit returns a segregated-fit simulator.
-func NewSegFit() *SegFit { return &SegFit{free: make(map[int64][]int64, len(segClasses))} }
+func NewSegFit() *SegFit {
+	s := &SegFit{
+		slabHeap: slabHeap{window: "heap", header: segHeader, classes: make([]slabClass, 0, len(segClasses))},
+		large:    make(map[int64]int),
+	}
+	for _, chunk := range segClasses {
+		s.addClass(chunk)
+	}
+	return s
+}
 
 // Name returns the simulator's name.
 func (s *SegFit) Name() string { return "segfit" }
@@ -84,16 +73,21 @@ func (s *SegFit) Observe(col *obs.Collector) {
 	}
 }
 
-// chunkFor returns the chunk size serving a request: the smallest class
-// that fits size plus the header, or the page-rounded need for large
-// requests.
-func (s *SegFit) chunkFor(size int64) int64 {
+// classFor returns the class serving a request: the smallest of
+// segClasses that fits size plus the header, or for a large request the
+// class of its page-rounded need, added on first use.
+func (s *SegFit) classFor(size int64) int {
 	need := size + segHeader
 	if need <= segClasses[len(segClasses)-1] {
-		i := sort.Search(len(segClasses), func(i int) bool { return segClasses[i] >= need })
-		return segClasses[i]
+		return sort.Search(len(segClasses), func(i int) bool { return segClasses[i] >= need })
 	}
-	return align(need, segPage)
+	chunk := align(need, slabPage)
+	class, ok := s.large[chunk]
+	if !ok {
+		class = s.addClass(chunk)
+		s.large[chunk] = class
+	}
+	return class
 }
 
 // Alloc implements Allocator; predictedShort is ignored (like BSD and
@@ -105,37 +99,22 @@ func (s *SegFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	if _, dup := s.live.get(id); dup {
 		return errDoubleAlloc("segfit", id)
 	}
-	chunk := s.chunkFor(size)
+	class := s.classFor(size)
 	s.ops.Allocs++
 	if s.obs != nil {
-		s.obs.class.Observe(chunk)
+		s.obs.class.Observe(s.classes[class].chunk)
 	}
-
-	list := s.free[chunk]
-	if len(list) == 0 {
-		// Refill: small classes carve one page into equal chunks (any
-		// remainder is a permanent tail); large chunks are page-rounded
-		// already and carve exactly.
+	if s.empty(class) {
+		// Small classes carve one page into equal chunks; large chunks
+		// are page-rounded already and carve exactly.
 		s.ops.SegCarves++
-		slab := align(chunk, segPage)
+		slab := s.carve(class)
 		if s.obs != nil {
 			s.obs.carves.Inc()
 			s.obs.col.Emit(obs.EvHeapGrow, slab)
 		}
-		start := s.heapEnd
-		s.heapEnd += slab
-		a := start
-		for ; a+chunk <= start+slab; a += chunk {
-			list = append(list, a)
-		}
-		if tail := start + slab - a; tail > 0 {
-			s.tails = append(s.tails, segTail{addr: a, size: tail})
-		}
 	}
-	addr := list[len(list)-1]
-	s.free[chunk] = list[:len(list)-1]
-	s.live.put(id, segObj{addr: addr, chunk: chunk, size: size})
-	s.liveBytes += size
+	s.live.put(id, s.pop(class, size))
 	return nil
 }
 
@@ -145,67 +124,10 @@ func (s *SegFit) Free(id trace.ObjectID) error {
 	if !ok {
 		return errUnknownFree("segfit", id)
 	}
-	s.liveBytes -= o.size
+	s.push(o)
 	s.ops.Frees++
-	s.free[o.chunk] = append(s.free[o.chunk], o.addr)
 	return nil
 }
-
-// HeapSize returns the current break. The slab heap never shrinks, so
-// the maximum equals the current value.
-func (s *SegFit) HeapSize() int64 { return s.heapEnd }
-
-// MaxHeapSize implements Allocator.
-func (s *SegFit) MaxHeapSize() int64 { return s.heapEnd }
 
 // Counts implements Allocator.
 func (s *SegFit) Counts() OpCounts { return s.ops }
-
-// Addr implements Allocator.
-func (s *SegFit) Addr(id trace.ObjectID) (int64, bool) {
-	o, ok := s.live.get(id)
-	if !ok {
-		return 0, false
-	}
-	return o.addr + segHeader, true
-}
-
-// Regions implements Walker: one carve window from 0. It is tiled — live
-// chunks, free-list chunks, and the recorded slab tails cover it exactly.
-func (s *SegFit) Regions() []Region {
-	return []Region{{Name: "heap", Base: 0, End: s.heapEnd, Tiled: true, Header: segHeader}}
-}
-
-// Walk implements Walker: live chunks, free chunks per class list, and
-// the permanent slab tails (reported free, since they hold no object).
-func (s *SegFit) Walk(emit func(Span) error) error {
-	var werr error
-	s.live.forEach(func(id trace.ObjectID, o segObj) {
-		if werr != nil {
-			return
-		}
-		werr = emit(Span{
-			Region:  "heap",
-			Addr:    o.addr,
-			Size:    o.chunk,
-			Obj:     id,
-			Payload: o.size,
-		})
-	})
-	if werr != nil {
-		return werr
-	}
-	for chunk, list := range s.free {
-		for _, addr := range list {
-			if err := emit(Span{Region: "heap", Addr: addr, Size: chunk, Free: true}); err != nil {
-				return err
-			}
-		}
-	}
-	for _, t := range s.tails {
-		if err := emit(Span{Region: "heap", Addr: t.addr, Size: t.size, Free: true}); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -27,8 +27,8 @@ func TestSegFitClassTable(t *testing.T) {
 		{4096, 8192},     // 4096+8 spills to the next page
 	}
 	for _, tc := range cases {
-		if got := s.chunkFor(tc.size); got != tc.chunk {
-			t.Errorf("chunkFor(%d) = %d, want %d", tc.size, got, tc.chunk)
+		if got := s.classes[s.classFor(tc.size)].chunk; got != tc.chunk {
+			t.Errorf("chunk for %d = %d, want %d", tc.size, got, tc.chunk)
 		}
 	}
 }
@@ -47,7 +47,7 @@ func TestSegFitCarveAndReuse(t *testing.T) {
 		t.Fatalf("SegCarves = %d, want 1", got)
 	}
 	// 4096/48 = 85 chunks; 84 remain free after one alloc.
-	if got := len(s.free[48]); got != 84 {
+	if got := len(s.classes[s.classFor(40)].free); got != 84 {
 		t.Fatalf("free chunks = %d, want 84", got)
 	}
 	a1, _ := s.Addr(1)
@@ -77,6 +77,38 @@ func TestSegFitCarveAndReuse(t *testing.T) {
 	}
 	if tail != 85*48 {
 		t.Errorf("slab tail at %d, want %d", tail, 85*48)
+	}
+}
+
+// TestSegFitLargeClasses: each page-rounded large chunk size gets its own
+// class in first-use order, not a class indexed by its size (a 1 TB
+// request would otherwise allocate a table proportional to it), and a
+// freed large chunk is reused LIFO.
+func TestSegFitLargeClasses(t *testing.T) {
+	s := NewSegFit()
+	const tb = int64(1) << 40
+	mustAlloc(t, s, 1, tb, false)      // tb+8 -> tb+4096
+	mustAlloc(t, s, 2, tb+4096, false) // tb+4104 -> tb+8192
+	if c1, c2 := s.classFor(tb), s.classFor(tb+4096); c1 == c2 {
+		t.Fatalf("both large requests in class %d", c1)
+	}
+	if got, want := len(s.classes), len(segClasses)+2; got != want {
+		t.Fatalf("%d classes after two large sizes, want %d", got, want)
+	}
+	if got, want := s.HeapSize(), (tb+4096)+(tb+8192); got != want {
+		t.Fatalf("HeapSize = %d, want %d", got, want)
+	}
+	a1, _ := s.Addr(1)
+	mustFree(t, s, 1)
+	mustAlloc(t, s, 3, tb+100, false) // tb+108 -> tb+4096, object 1's chunk
+	if a3, _ := s.Addr(3); a3 != a1 {
+		t.Errorf("large reuse: object 3 at %d, freed chunk was at %d", a3, a1)
+	}
+	if got := s.Counts().SegCarves; got != 2 {
+		t.Errorf("SegCarves = %d, want 2", got)
+	}
+	if got, want := s.HeapSize(), (tb+4096)+(tb+8192); got != want {
+		t.Errorf("reuse grew the heap to %d, want %d", got, want)
 	}
 }
 

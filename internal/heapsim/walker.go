@@ -35,14 +35,14 @@ type Region struct {
 	Base, End int64
 	// Tiled promises that the walked spans of this region exactly tile
 	// [Base, End): sorted by address they are gapless as well as
-	// disjoint. First-fit's block list and BSD's carved pages tile;
-	// bump-pointer arena areas (where dead objects leave unaccounted
-	// holes until a reset) do not.
+	// disjoint. First-fit's block list and the slab heaps' carved slabs
+	// tile; bump-pointer arena areas (where dead objects leave
+	// unaccounted holes until a reset) do not.
 	Tiled bool
 	// Coalesced promises that free spans are never address-adjacent —
 	// the immediate-coalescing invariant of the boundary-tag heaps.
-	// Segregated-list allocators (BSD, Custom) never coalesce and leave
-	// it false.
+	// Segregated-list allocators (BSD, SegFit, Custom) never coalesce
+	// and leave it false.
 	Coalesced bool
 	// Header is the per-object bookkeeping overhead modeled inside each
 	// live span's Size (0 for bump-pointer windows, whose spans carry no
@@ -102,46 +102,6 @@ func (ff *FirstFit) Walk(emit func(Span) error) error {
 		}
 		if err := emit(s); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// Regions implements Walker: BSD owns one carve window from 0.
-func (b *BSD) Regions() []Region {
-	return []Region{{Name: "heap", Base: 0, End: b.heapEnd, Tiled: true, Header: bsdHeader}}
-}
-
-// Walk implements Walker: every carved chunk is either live or on its
-// bucket's free list, so the two together tile the heap.
-func (b *BSD) Walk(emit func(Span) error) error {
-	var werr error
-	b.live.forEach(func(id trace.ObjectID, o bsdObj) {
-		if werr != nil {
-			return
-		}
-		werr = emit(Span{
-			Region:  "heap",
-			Addr:    o.addr,
-			Size:    int64(1) << o.bucket,
-			Obj:     id,
-			Payload: o.size,
-		})
-	})
-	if werr != nil {
-		return werr
-	}
-	for bucket, list := range b.freeLists {
-		for _, addr := range list {
-			err := emit(Span{
-				Region: "heap",
-				Addr:   addr,
-				Size:   int64(1) << bucket,
-				Free:   true,
-			})
-			if err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -209,38 +169,16 @@ func (s *SiteArena) Walk(emit func(Span) error) error {
 }
 
 // Regions implements Walker: the general heap plus the hot-size slab
-// window. The slab window is not tiled: a carve keeps only whole chunks,
-// so a slab whose chunk size does not divide it ends in a small
-// permanently-unused tail.
+// window, which live chunks, free chunks and slab tails tile.
 func (c *Custom) Regions() []Region {
-	return append(c.general.Regions(),
-		Region{Name: "slab", Base: customBase, End: customBase + c.heapEnd})
+	return append(c.general.Regions(), c.slabs.Regions()...)
 }
 
-// Walk implements Walker: live hot-size chunks, free chunks on the
-// per-class lists, and the general heap's blocks.
+// Walk implements Walker: the general heap's blocks, then the slab
+// window's chunks and tails.
 func (c *Custom) Walk(emit func(Span) error) error {
 	if err := c.general.Walk(emit); err != nil {
 		return err
 	}
-	for id, o := range c.live {
-		err := emit(Span{
-			Region:  "slab",
-			Addr:    o.addr,
-			Size:    o.size,
-			Obj:     id,
-			Payload: o.payload,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for size, class := range c.hot {
-		for _, addr := range class.free {
-			if err := emit(Span{Region: "slab", Addr: addr, Size: size, Free: true}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return c.slabs.Walk(emit)
 }

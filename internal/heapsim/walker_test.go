@@ -41,23 +41,28 @@ func walkerWorkload(t *testing.T, a Allocator) {
 	}
 }
 
-// walkerCases builds every registered simulator, giving custom three of
-// the workload's sizes as hot sizes.
+// walkerCases builds every registered simulator, giving custom four of
+// the workload's sizes as hot sizes. 24 does not divide a 4KB page, so
+// each of its slabs ends in a 16-byte tail.
 func walkerCases() map[string]func() Allocator {
 	cases := make(map[string]func() Allocator, len(Names))
 	for _, name := range Names {
 		cases[name] = func() Allocator {
-			a, _ := New(name, []int64{16, 32, 64})
+			a, _ := New(name, []int64{16, 24, 32, 64})
 			return a
 		}
 	}
 	return cases
 }
 
+// slabWindows names the slab heap's window in each simulator built on it.
+var slabWindows = map[string]string{"bsd": "heap", "segfit": "heap", "custom": "slab"}
+
 // TestWalkerLayout checks the core Walker contract on every simulator:
 // regions are disjoint and account for HeapSize(), spans stay inside
 // their declared region, spans never overlap, tiled regions have no
-// gaps, and the set of live spans matches Addr()-visible liveness.
+// gaps, every slab window is tiled, and the set of live spans matches
+// Addr()-visible liveness.
 func TestWalkerLayout(t *testing.T) {
 	for name, mk := range walkerCases() {
 		t.Run(name, func(t *testing.T) {
@@ -80,6 +85,9 @@ func TestWalkerLayout(t *testing.T) {
 			}
 			if extent != a.HeapSize() {
 				t.Fatalf("region extents sum to %d, HeapSize() = %d", extent, a.HeapSize())
+			}
+			if win, ok := slabWindows[name]; ok && !byName[win].Tiled {
+				t.Fatalf("slab window %q is not tiled: %+v", win, byName[win])
 			}
 
 			perRegion := make(map[string][]Span)
