@@ -328,9 +328,11 @@ func BenchmarkRunSimObserved(b *testing.B) {
 // repoints the block at the next column window; nothing is copied or
 // decoded per event). Generation and training happen once, outside the
 // timed region, so ns/op prices the replay alone — divide by the
-// reported events/op for ns/event, which is what CI gates. Arena replays
-// with the trained predictor's hints and custom with its 16 top training
-// sizes as hot sizes, as in the experiments; the rest take no hints.
+// reported events/op for ns/event, which is what CI gates. Arena and
+// sitearena replay with the trained predictor's hints (sitearena routed
+// per site through the predictor's Mapper) and custom with its 16 top
+// training sizes as hot sizes, as in the experiments; the rest take no
+// hints.
 //
 // With -benchmem the other gated column is allocs/op: the replay's
 // allocation count is bounded by the live-object set (block free lists,
@@ -354,7 +356,7 @@ func BenchmarkRunSimStreaming(b *testing.B) {
 		scale float64
 	}{{"1x", 0.002}, {"10x", 0.02}} {
 		cfg := synth.Config{Input: synth.Test, Seed: 1, Scale: sc.scale}
-		for _, alloc := range []string{"arena", "firstfit", "bsd", "segfit", "custom"} {
+		for _, alloc := range []string{"arena", "firstfit", "bsd", "segfit", "custom", "sitearena"} {
 			alloc := alloc
 			b.Run("gawk/"+alloc+"/"+sc.name, func(b *testing.B) {
 				tr, err := m.Generate(cfg)
@@ -372,7 +374,7 @@ func BenchmarkRunSimStreaming(b *testing.B) {
 						b.Fatal(err)
 					}
 					var p *profile.Predictor
-					if alloc == "arena" {
+					if alloc == "arena" || alloc == "sitearena" {
 						p = pred
 					}
 					if _, err := core.RunSimSource(cols, a, p); err != nil {

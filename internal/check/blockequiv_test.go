@@ -63,11 +63,12 @@ func TestBlockEquivalenceAcrossModels(t *testing.T) {
 			if err := Diff(trace.NewSliceSource(tr), sited, Options{Predict: mapper}); err != nil {
 				t.Fatal(err)
 			}
+			const onePool = 2 * 4 << 10 // NewSiteArena's pool: 2 x 4KB
 			for _, run := range []struct {
 				name string
 				sa   *heapsim.SiteArena
 			}{{"referenceReplay", replayed}, {"Diff", diffed}} {
-				if onePool := int64(run.sa.ArenasPerSite) * run.sa.ArenaSize; run.sa.ArenaArea() <= onePool {
+				if run.sa.ArenaArea() <= onePool {
 					t.Errorf("%s: sitearena used one site pool (%d bytes): per-site routing went unexercised", run.name, run.sa.ArenaArea())
 				}
 			}

@@ -172,8 +172,7 @@ func TestSiteArenaIsolatesCfracPollution(t *testing.T) {
 	// Unbounded per-site pools isolate pollution fully — CFRAC recovers
 	// most of its predicted fraction — at a memory cost that grows with
 	// the number of hot sites.
-	unboundedSA := heapsim.NewSiteArena()
-	unboundedSA.MaxSites = 1 << 20
+	unboundedSA := heapsim.NewSiteArenaGeometry(2, 4<<10, 1<<20)
 	unbounded, err := RunSim(a.TestTrace, unboundedSA, a.TrainPredictor)
 	if err != nil {
 		t.Fatal(err)

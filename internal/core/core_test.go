@@ -93,7 +93,8 @@ func TestRunSimRoutesSiteArenaPerSite(t *testing.T) {
 	if res.Counts.ArenaAllocs == 0 {
 		t.Fatal("no allocation was placed in a site pool")
 	}
-	if onePool := int64(sa.ArenasPerSite) * sa.ArenaSize; sa.ArenaArea() <= onePool {
+	const onePool = 2 * 4 << 10 // NewSiteArena's pool: 2 x 4KB
+	if sa.ArenaArea() <= onePool {
 		t.Errorf("arena area %d bytes fits one site pool (%d bytes): predicted-short objects were not routed per site",
 			sa.ArenaArea(), onePool)
 	}

@@ -71,8 +71,8 @@ func (b *BSD) bucketFor(size int64) int {
 
 // Alloc implements Allocator; predictedShort is ignored.
 func (b *BSD) Alloc(id trace.ObjectID, size int64, _ bool) error {
-	if size <= 0 {
-		return errSize(size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	if _, dup := b.live.get(id); dup {
 		return errDoubleAlloc("bsd", id)

@@ -2,7 +2,10 @@ package heapsim
 
 import (
 	"fmt"
+	"math"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // mustNew builds the named simulator, giving custom the hot sizes.
@@ -101,5 +104,36 @@ func TestAllocatorRejectsNonPositiveSize(t *testing.T) {
 				t.Fatalf("rejected allocs counted: %d", got)
 			}
 		})
+	}
+}
+
+// TestAllocatorRejectsOversizedRequest: a request above maxRequest (2^40
+// bytes, where the arena window begins) is refused by every simulator,
+// on either layer of a composite, and leaves its heap as it was.
+// Accepted, 2^62 bytes carried each general heap across the arena, custom
+// and site-arena windows, and overflowed BSD's power-of-two chunk into a
+// negative heap size.
+func TestAllocatorRejectsOversizedRequest(t *testing.T) {
+	for _, name := range Names {
+		for _, short := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/short=%v", name, short), func(t *testing.T) {
+				a := mustNew(t, name, nil)
+				heap := a.HeapSize() // arena's starts at its fixed area
+				for i, sz := range []int64{maxRequest + 1, 1 << 62, math.MaxInt64} {
+					if err := a.Alloc(trace.ObjectID(i), sz, short); err == nil {
+						t.Fatalf("size %d accepted", sz)
+					}
+					if got := a.HeapSize(); got != heap {
+						t.Fatalf("refused size %d moved HeapSize from %d to %d", sz, heap, got)
+					}
+				}
+				if got := a.Counts().Allocs; got != 0 {
+					t.Fatalf("refused allocs counted: %d", got)
+				}
+				if err := a.Alloc(9, maxRequest, short); err != nil {
+					t.Fatalf("size %d (the limit) refused: %v", int64(maxRequest), err)
+				}
+			})
+		}
 	}
 }

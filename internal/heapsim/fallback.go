@@ -22,11 +22,11 @@ func newFallback(name string) fallback {
 func (f *fallback) Name() string { return f.general.name }
 
 // admit checks a request before the composite places it in either layer:
-// the size must be positive and the id live in neither the composite's
-// own layer (placed) nor the general heap.
+// checkSize must accept the size, and the id must be live in neither the
+// composite's own layer (placed) nor the general heap.
 func (f *fallback) admit(id trace.ObjectID, size int64, placed bool) error {
-	if size <= 0 {
-		return errSize(size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	if _, live := f.general.live.get(id); placed || live {
 		return errDoubleAlloc(f.general.name, id)

@@ -212,8 +212,8 @@ func (ff *FirstFit) extend(need int64) {
 
 // Alloc implements Allocator. The predictedShort hint is ignored.
 func (ff *FirstFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
-	if size <= 0 {
-		return errSize(size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	if _, dup := ff.live.get(id); dup {
 		return errDoubleAlloc(ff.name, id)
@@ -221,8 +221,8 @@ func (ff *FirstFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	return ff.place(id, size)
 }
 
-// place allocates a checked request: a positive size whose id is not
-// live.
+// place allocates a checked request: a size checkSize accepts, whose id
+// is not live.
 func (ff *FirstFit) place(id trace.ObjectID, size int64) error {
 	ff.ops.Allocs++
 	ff.ops.FFAllocs++

@@ -40,6 +40,19 @@
 // hot size), its operation counts and its metrics. Live chunks, free
 // chunks and slab tails tile each of their windows.
 //
+// The two arena simulators (arena, sitearena) share one unexported
+// bump-pointer area the same way, arenaArea: every arena in one flat
+// slice, grouped into pools (arena's one pool of 16, a pool per hash
+// bucket for sitearena), the bump, the ring hunt within a pool, the
+// spill to the general heap, the count-decrement free, one live index,
+// the synthetic addresses and one walker. Arena keeps only its pinned
+// gauge; SiteArena keeps its pool per bucket, each arena's owning sites
+// in placement order, and its strikes against each site.
+//
+// Every simulator refuses a request that is not positive or is larger
+// than 2^40 bytes, where the arena window begins, so no general heap
+// grows into another window from one request.
+//
 // The simulators model the *address space and operation counts*, not the
 // bytes themselves: objects are identified by trace object ids, and every
 // allocator reports OpCounts from which the instruction cost model
@@ -147,8 +160,22 @@ func errDoubleAlloc(alloc string, id trace.ObjectID) error {
 	return fmt.Errorf("heapsim: %s: object %d allocated while already live", alloc, id)
 }
 
+// maxRequest is the largest request any simulator accepts: 2^40 bytes,
+// ArenaBase, the lowest window above the general heap. It also keeps
+// BSD's power-of-two chunks from overflowing.
+const maxRequest = ArenaBase
+
+// checkSize refuses a request no simulator places: a size that is not
+// positive or is above maxRequest.
+func checkSize(size int64) error {
+	if size <= 0 || size > maxRequest {
+		return errSize(size)
+	}
+	return nil
+}
+
 func errSize(size int64) error {
-	return fmt.Errorf("heapsim: non-positive allocation size %d", size)
+	return fmt.Errorf("heapsim: allocation size %d outside [1, 2^40]", size)
 }
 
 func errUnknownFree(alloc string, id trace.ObjectID) error {

@@ -576,8 +576,7 @@ func TestSiteArenaBasics(t *testing.T) {
 }
 
 func TestSiteArenaPollutionIsolation(t *testing.T) {
-	sa := NewSiteArena()
-	sa.ArenasPerSite, sa.ArenaSize = 2, 1000
+	sa := NewSiteArenaGeometry(2, 1000, 64)
 	// Site 1 pollutes: immortal objects pin both of its arenas.
 	if err := sa.AllocAt(1, 900, 1); err != nil {
 		t.Fatal(err)
@@ -611,8 +610,7 @@ func TestSiteArenaPollutionIsolation(t *testing.T) {
 }
 
 func TestSiteArenaHashBucketsBounded(t *testing.T) {
-	sa := NewSiteArena()
-	sa.ArenasPerSite, sa.ArenaSize, sa.MaxSites = 1, 1000, 2
+	sa := NewSiteArenaGeometry(1, 1000, 2)
 	for site := uint64(0); site < 5; site++ {
 		if err := sa.AllocAt(trace.ObjectID(site), 100, site); err != nil {
 			t.Fatal(err)

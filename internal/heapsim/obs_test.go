@@ -1,6 +1,7 @@
 package heapsim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,7 +117,7 @@ func TestObservedArena(t *testing.T) {
 	// arena reuse by allocating past the arena boundary.
 	id := trace.ObjectID(1)
 	var ids []trace.ObjectID
-	for used := int64(0); used+512 <= a.arenaSize; used += 512 {
+	for used := int64(0); used+512 <= a.size; used += 512 {
 		mustAlloc(t, a, id, 512, true)
 		ids = append(ids, id)
 		id++
@@ -128,7 +129,7 @@ func TestObservedArena(t *testing.T) {
 		mustFree(t, a, i)
 	}
 	for j := 0; j < len(a.arenas)*8; j++ {
-		mustAlloc(t, a, id, a.arenaSize/2, true)
+		mustAlloc(t, a, id, a.size/2, true)
 		mustFree(t, a, id)
 		id++
 	}
@@ -153,7 +154,7 @@ func TestObservedArena(t *testing.T) {
 	b.Observe(col2)
 	id = 1
 	for i := 0; i <= len(b.arenas); i++ {
-		mustAlloc(t, b, id, b.arenaSize-16, true)
+		mustAlloc(t, b, id, b.size-16, true)
 		id++
 	}
 	s2 := col2.Snapshot()
@@ -175,9 +176,9 @@ func TestObservedSiteArenaDemotion(t *testing.T) {
 
 	const site = 7
 	id := trace.ObjectID(1)
-	// Fill the site's pool (ArenasPerSite arenas) with live objects.
-	poolBytes := int64(sa.ArenasPerSite) * sa.ArenaSize
-	for used := int64(0); used < poolBytes+sa.ArenaSize; used += 512 {
+	// Fill the site's pool (per arenas) with live objects.
+	poolBytes := int64(sa.per) * sa.size
+	for used := int64(0); used < poolBytes+sa.size; used += 512 {
 		if err := sa.AllocAt(id, 512, site); err != nil {
 			t.Fatalf("AllocAt: %v", err)
 		}
@@ -207,6 +208,53 @@ func TestObservedSiteArenaDemotion(t *testing.T) {
 	}
 	if occ := sa.ArenaOccupancy(); occ <= 0 || occ > 1 {
 		t.Errorf("occupancy = %g, want in (0,1]", occ)
+	}
+}
+
+// TestSiteArenaDemotionOrder pins several sites' immortal objects in one
+// pool and drives the pool to demotion on fresh simulators: every replay
+// must emit the same events, with the predictor_miss events in the order
+// in which the sites placed their objects.
+func TestSiteArenaDemotionOrder(t *testing.T) {
+	const sites = 8
+	replay := func() []obs.Event {
+		sa := NewSiteArenaGeometry(1, 1000, 1) // one pool of one arena
+		col := obs.NewCollector(obs.Options{})
+		sa.Observe(col)
+		id := trace.ObjectID(1)
+		for site := uint64(1); site <= sites; site++ {
+			if err := sa.AllocAt(id, 100, site); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+		// Each 300-byte request finds the arena pinned and strikes all
+		// eight owners; the last strike demotes them together.
+		for i := 0; i < siteDemoteAfter; i++ {
+			if err := sa.AllocAt(id, 300, 99); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+		if got := sa.Counts().ArenaDemotions; got != sites {
+			t.Fatalf("%d sites demoted, want %d", got, sites)
+		}
+		return col.Snapshot().Events.Recent
+	}
+	first := replay()
+	var misses []int64
+	for _, ev := range first {
+		if ev.Kind == obs.EvPredictorMiss {
+			misses = append(misses, ev.Arg)
+		}
+	}
+	if want := []int64{1, 2, 3, 4, 5, 6, 7, 8}; !slices.Equal(misses, want) {
+		t.Fatalf("predictor_miss sites %v, want placement order %v", misses, want)
+	}
+	for i := 0; i < 4; i++ {
+		if again := replay(); !slices.Equal(again, first) {
+			t.Fatalf("replay %d events differ:\n%v\nvs\n%v", i+2, again, first)
+		}
 	}
 }
 

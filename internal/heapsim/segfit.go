@@ -93,8 +93,8 @@ func (s *SegFit) classFor(size int64) int {
 // Alloc implements Allocator; predictedShort is ignored (like BSD and
 // CUSTOMALLOC, segregated fit optimizes placement by size, not lifetime).
 func (s *SegFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
-	if size <= 0 {
-		return errSize(size)
+	if err := checkSize(size); err != nil {
+		return err
 	}
 	if _, dup := s.live.get(id); dup {
 		return errDoubleAlloc("segfit", id)

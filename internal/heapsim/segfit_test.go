@@ -81,33 +81,33 @@ func TestSegFitCarveAndReuse(t *testing.T) {
 }
 
 // TestSegFitLargeClasses: each page-rounded large chunk size gets its own
-// class in first-use order, not a class indexed by its size (a 1 TB
-// request would otherwise allocate a table proportional to it), and a
-// freed large chunk is reused LIFO.
+// class in first-use order, not a class indexed by its size (a
+// half-terabyte request would otherwise allocate a table proportional to
+// it), and a freed large chunk is reused LIFO.
 func TestSegFitLargeClasses(t *testing.T) {
 	s := NewSegFit()
-	const tb = int64(1) << 40
-	mustAlloc(t, s, 1, tb, false)      // tb+8 -> tb+4096
-	mustAlloc(t, s, 2, tb+4096, false) // tb+4104 -> tb+8192
-	if c1, c2 := s.classFor(tb), s.classFor(tb+4096); c1 == c2 {
+	const big = int64(1) << 39          // half of maxRequest
+	mustAlloc(t, s, 1, big, false)      // big+8 -> big+4096
+	mustAlloc(t, s, 2, big+4096, false) // big+4104 -> big+8192
+	if c1, c2 := s.classFor(big), s.classFor(big+4096); c1 == c2 {
 		t.Fatalf("both large requests in class %d", c1)
 	}
 	if got, want := len(s.classes), len(segClasses)+2; got != want {
 		t.Fatalf("%d classes after two large sizes, want %d", got, want)
 	}
-	if got, want := s.HeapSize(), (tb+4096)+(tb+8192); got != want {
+	if got, want := s.HeapSize(), (big+4096)+(big+8192); got != want {
 		t.Fatalf("HeapSize = %d, want %d", got, want)
 	}
 	a1, _ := s.Addr(1)
 	mustFree(t, s, 1)
-	mustAlloc(t, s, 3, tb+100, false) // tb+108 -> tb+4096, object 1's chunk
+	mustAlloc(t, s, 3, big+100, false) // big+108 -> big+4096, object 1's chunk
 	if a3, _ := s.Addr(3); a3 != a1 {
 		t.Errorf("large reuse: object 3 at %d, freed chunk was at %d", a3, a1)
 	}
 	if got := s.Counts().SegCarves; got != 2 {
 		t.Errorf("SegCarves = %d, want 2", got)
 	}
-	if got, want := s.HeapSize(), (tb+4096)+(tb+8192); got != want {
+	if got, want := s.HeapSize(), (big+4096)+(big+8192); got != want {
 		t.Errorf("reuse grew the heap to %d, want %d", got, want)
 	}
 }

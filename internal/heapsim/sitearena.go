@@ -1,7 +1,7 @@
 package heapsim
 
 import (
-	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -33,94 +33,57 @@ import (
 // Demotion blames the sites that OWN live objects in the pinned pool
 // (the actual polluters), so innocents sharing a bucket are never
 // revoked: they fall back only while the polluter's objects still pin
-// the pool, and resume once it drains. The arena area is bounded by
-// MaxSites x ArenasPerSite x ArenaSize.
+// the pool, and resume once it drains. The pools are those of an
+// arenaArea, which does the bump, hunt, spill and free; the arena area
+// is bounded by maxSites x perSite x size.
 type SiteArena struct {
-	// ArenasPerSite and ArenaSize give each site's pool (default 2 x 4KB).
-	// MaxSites is the number of hash buckets sites map onto (default 64,
-	// i.e. at most 512KB of arena area with the defaults). Set them
-	// before the first allocation.
-	ArenasPerSite int
-	ArenaSize     int64
-	MaxSites      int
+	arenaArea
+	maxSites  int
+	pools     []int32        // hash bucket -> its pool's number plus one (0: none yet)
+	owners    [][]siteOwner  // per arena: the sites owning its live objects, in placement order
+	strikes   map[uint64]int // per site: pinned-pool fallbacks blamed on it
+	demotions *obs.Counter   // nil unless a collector is attached
+}
 
-	fallback
-	pools    map[uint64]*sitePool
-	where    map[trace.ObjectID]siteLoc
-	nextPool int
-	strikes  map[uint64]int
-	demoted  map[uint64]bool
-	obs      *siteArenaObs // nil unless a collector is attached
+// siteOwner counts one site's live objects in an arena.
+type siteOwner struct {
+	site uint64
+	live int64
 }
 
 // siteDemoteAfter is how many pinned-pool fallbacks a site's objects may
-// cause before its prediction is revoked for the rest of the run.
+// cause before its prediction is revoked for the rest of the run: a site
+// is demoted exactly when its strikes reach it.
 const siteDemoteAfter = 4
-
-// siteArenaObs caches resolved metric handles for the hot paths.
-type siteArenaObs struct {
-	col       *obs.Collector
-	scanLen   *obs.Histogram // arenas examined per in-pool hunt (linear)
-	allocSize *obs.Histogram // pool-placed sizes (log2)
-	resets    *obs.Counter
-	fallbacks *obs.Counter
-	demotions *obs.Counter
-}
-
-type sitePool struct {
-	index  int // pool number, for address synthesis
-	arenas []siteArenaState
-	cur    int
-}
-
-// siteArenaState is an arena plus the sites owning its live objects.
-type siteArenaState struct {
-	used   int64
-	count  int64
-	owners map[uint64]int64 // full site key -> live objects
-}
-
-type siteLoc struct {
-	bucket uint64 // pool key (hashed)
-	full   uint64 // owning site
-	idx    int
-	off    int64
-	size   int64 // requested bytes, for layout audits
-}
 
 // siteArenaBase places the pools' synthetic addresses away from both the
 // general heap and the shared Arena window.
 const siteArenaBase = int64(1) << 42
 
-// NewSiteArena returns a per-site arena allocator with defaults.
-func NewSiteArena() *SiteArena {
+// NewSiteArena returns a per-site arena allocator with the default
+// geometry: 64 hash buckets, each a pool of 2 x 4KB arenas, so at most
+// 512KB of arena area.
+func NewSiteArena() *SiteArena { return NewSiteArenaGeometry(2, 4<<10, 64) }
+
+// NewSiteArenaGeometry returns a per-site arena allocator whose sites
+// hash onto maxSites buckets, each a pool of perSite arenas of size bytes
+// (all three must be positive), over a fresh first-fit general heap.
+func NewSiteArenaGeometry(perSite int, size int64, maxSites int) *SiteArena {
 	return &SiteArena{
-		ArenasPerSite: 2,
-		ArenaSize:     4 << 10,
-		MaxSites:      64,
-		fallback:      newFallback("sitearena"),
-		pools:         make(map[uint64]*sitePool),
-		where:         make(map[trace.ObjectID]siteLoc),
-		strikes:       make(map[uint64]int),
-		demoted:       make(map[uint64]bool),
+		arenaArea: newArenaArea("sitearena", siteArenaBase, size, perSite),
+		maxSites:  maxSites,
+		pools:     make([]int32, maxSites),
+		strikes:   make(map[uint64]int),
 	}
 }
 
 // Observe implements Observable; the collector also attaches to the
 // general fallback heap.
 func (s *SiteArena) Observe(col *obs.Collector) {
-	s.general.Observe(col)
-	if col == nil {
-		s.obs = nil
-		return
-	}
-	s.obs = &siteArenaObs{
-		col:       col,
-		scanLen:   col.LinearHistogram("sitearena.scan_len", 1, 16),
-		allocSize: col.Log2Histogram("sitearena.alloc_size", 16),
-		resets:    col.Counter("sitearena.resets"),
-		fallbacks: col.Counter("sitearena.fallbacks"),
-		demotions: col.Counter("sitearena.demotions"),
+	s.observe(col, 16)
+	s.demotions = nil
+	if col != nil {
+		s.demotions = col.Counter("sitearena.demotions")
 	}
 }
 
@@ -128,90 +91,87 @@ func (s *SiteArena) Observe(col *obs.Collector) {
 // (any stable 64-bit identity for the site; core uses the predictor's
 // mapped site). Unpredicted allocations go through Alloc.
 func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
-	_, placed := s.where[id]
+	_, placed := s.live.get(id)
 	if err := s.admit(id, size, placed); err != nil {
 		return err
 	}
 	s.ops.PredChecks++
-	if size > s.ArenaSize {
+	if size > s.size {
 		return s.alloc(id, size, false)
 	}
-	if s.demoted[site] {
+	if s.strikes[site] >= siteDemoteAfter {
 		return s.alloc(id, size, true)
 	}
-	fullSite := site
-	bucket := site % uint64(s.MaxSites) // hash bucket; pools are bounded
-	pool := s.pools[bucket]
-	if pool == nil {
-		pool = &sitePool{
-			index:  s.nextPool,
-			arenas: make([]siteArenaState, s.ArenasPerSite),
-		}
-		s.nextPool++
-		s.pools[bucket] = pool
+	p := s.pool(site % uint64(s.maxSites))
+	g := s.bump(p, id, size, site)
+	if g < 0 {
+		s.strike(p)
+		return s.spill(id, size)
 	}
-	// Bump in the pool's current arena, hunting within the pool only.
-	cur := &pool.arenas[pool.cur]
-	if cur.used+size > s.ArenaSize {
-		found := false
-		for i := 1; i <= len(pool.arenas); i++ {
-			idx := (pool.cur + i) % len(pool.arenas)
-			s.ops.ArenaScanSteps++
-			if pool.arenas[idx].count == 0 {
-				pool.cur = idx
-				pool.arenas[idx].used = 0
-				s.ops.ArenaResets++
-				if s.obs != nil {
-					s.obs.scanLen.Observe(int64(i))
-					s.obs.resets.Inc()
-					s.obs.col.Emit(obs.EvArenaReuse, int64(pool.index))
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			// Strike the sites whose live objects pin this pool; the
-			// polluters, not the blocked allocator.
-			for ai := range pool.arenas {
-				for owner, n := range pool.arenas[ai].owners {
-					if n <= 0 || s.demoted[owner] {
-						continue
-					}
-					s.strikes[owner]++
-					if s.strikes[owner] >= siteDemoteAfter {
-						s.demoted[owner] = true
-						s.ops.ArenaDemotions++
-						if s.obs != nil {
-							s.obs.demotions.Inc()
-							s.obs.col.Emit(obs.EvPredictorMiss, int64(owner))
-						}
-					}
-				}
-			}
-			if s.obs != nil {
-				s.obs.scanLen.Observe(int64(len(pool.arenas)))
-				s.obs.fallbacks.Inc()
-				s.obs.col.Emit(obs.EvArenaOverflow, size)
-			}
-			return s.alloc(id, size, true)
-		}
-		cur = &pool.arenas[pool.cur]
-	}
-	s.where[id] = siteLoc{bucket: bucket, full: fullSite, idx: pool.cur, off: cur.used, size: size}
-	if cur.owners == nil {
-		cur.owners = make(map[uint64]int64, 4)
-	}
-	cur.owners[fullSite]++
-	cur.used += size
-	cur.count++
-	s.ops.Allocs++
-	s.ops.ArenaAllocs++
-	s.ops.ArenaBytes += size
-	if s.obs != nil {
-		s.obs.allocSize.Observe(size)
-	}
+	s.own(g, site)
 	return nil
+}
+
+// pool returns a hash bucket's pool, adding it on first use, so pools
+// are numbered, and their arenas addressed, in first-use order.
+func (s *SiteArena) pool(bucket uint64) int {
+	if p := s.pools[bucket]; p > 0 {
+		return int(p) - 1
+	}
+	p := s.addPool()
+	s.pools[bucket] = int32(p + 1)
+	s.owners = append(s.owners, make([][]siteOwner, s.per)...)
+	return p
+}
+
+// own counts a new live object of site in arena g.
+func (s *SiteArena) own(g int, site uint64) {
+	os := s.owners[g]
+	for i := range os {
+		if os[i].site == site {
+			os[i].live++
+			return
+		}
+	}
+	s.owners[g] = append(os, siteOwner{site: site, live: 1})
+}
+
+// disown uncounts a dead object of site in arena g, dropping the site
+// from the arena's owners with its last live object there.
+func (s *SiteArena) disown(g int, site uint64) {
+	os := s.owners[g]
+	for i := range os {
+		if os[i].site == site {
+			if os[i].live--; os[i].live == 0 {
+				s.owners[g] = append(os[:i], os[i+1:]...)
+			}
+			return
+		}
+	}
+}
+
+// strike blames the sites whose live objects pin pool p — the polluters,
+// not the blocked allocation — arena by arena in placement order. Each
+// site not yet demoted takes one strike per arena it owns objects in, and
+// is demoted when its strikes reach siteDemoteAfter.
+func (s *SiteArena) strike(p int) {
+	for _, os := range s.owners[p*s.per : (p+1)*s.per] {
+		for _, o := range os {
+			n := s.strikes[o.site]
+			if n >= siteDemoteAfter {
+				continue
+			}
+			s.strikes[o.site] = n + 1
+			if n+1 < siteDemoteAfter {
+				continue
+			}
+			s.ops.ArenaDemotions++
+			if s.demotions != nil {
+				s.demotions.Inc()
+				s.obs.col.Emit(obs.EvPredictorMiss, int64(o.site))
+			}
+		}
+	}
 }
 
 // Alloc implements Allocator: without a site key, predicted allocations
@@ -222,7 +182,7 @@ func (s *SiteArena) Alloc(id trace.ObjectID, size int64, predictedShort bool) er
 	if predictedShort {
 		return s.AllocAt(id, size, 0)
 	}
-	_, placed := s.where[id]
+	_, placed := s.live.get(id)
 	if err := s.admit(id, size, placed); err != nil {
 		return err
 	}
@@ -231,60 +191,13 @@ func (s *SiteArena) Alloc(id trace.ObjectID, size int64, predictedShort bool) er
 
 // Free implements Allocator.
 func (s *SiteArena) Free(id trace.ObjectID) error {
-	if loc, ok := s.where[id]; ok {
-		delete(s.where, id)
-		st := &s.pools[loc.bucket].arenas[loc.idx]
-		if st.count <= 0 {
-			return fmt.Errorf("heapsim: site-arena count underflow freeing %d", id)
-		}
-		st.count--
-		if st.owners[loc.full]--; st.owners[loc.full] <= 0 {
-			delete(st.owners, loc.full)
-		}
-		s.ops.Frees++
-		s.ops.ArenaFrees++
-		return nil
+	loc, ok := s.live.del(id)
+	if !ok {
+		return s.free(id)
 	}
-	return s.free(id)
-}
-
-// ArenaArea reports the total arena bytes currently reserved.
-func (s *SiteArena) ArenaArea() int64 {
-	return int64(len(s.pools)) * int64(s.ArenasPerSite) * s.ArenaSize
-}
-
-// HeapSize implements Allocator: general heap plus the reserved pools.
-func (s *SiteArena) HeapSize() int64 { return s.general.HeapSize() + s.ArenaArea() }
-
-// MaxHeapSize implements Allocator (pools only grow).
-func (s *SiteArena) MaxHeapSize() int64 { return s.general.MaxHeapSize() + s.ArenaArea() }
-
-// Addr implements Allocator with synthetic pool addresses.
-func (s *SiteArena) Addr(id trace.ObjectID) (int64, bool) {
-	if loc, ok := s.where[id]; ok {
-		pool := s.pools[loc.bucket]
-		poolBase := siteArenaBase + int64(pool.index)*int64(s.ArenasPerSite)*s.ArenaSize
-		return poolBase + int64(loc.idx)*s.ArenaSize + loc.off, true
-	}
-	return s.general.Addr(id)
-}
-
-// ArenaOccupancy reports the fraction of the reserved pool area's bytes
-// under the bump pointers of arenas holding live objects.
-func (s *SiteArena) ArenaOccupancy() float64 {
-	area := s.ArenaArea()
-	if area == 0 {
-		return 0
-	}
-	var used int64
-	for _, pool := range s.pools {
-		for _, a := range pool.arenas {
-			if a.count > 0 {
-				used += a.used
-			}
-		}
-	}
-	return float64(used) / float64(area)
+	s.release(loc)
+	s.disown(loc.arena, loc.site)
+	return nil
 }
 
 // PinnedArenas reports how many site pools currently have every arena
@@ -292,15 +205,9 @@ func (s *SiteArena) ArenaOccupancy() float64 {
 // which a replay's SimResult.PinnedArenas reports for both.
 func (s *SiteArena) PinnedArenas() int {
 	n := 0
-	for _, pool := range s.pools {
-		pinned := true
-		for _, a := range pool.arenas {
-			if a.count == 0 {
-				pinned = false
-				break
-			}
-		}
-		if pinned {
+	for p := range s.cur {
+		free := func(st arenaState) bool { return st.count == 0 }
+		if !slices.ContainsFunc(s.arenas[p*s.per:(p+1)*s.per], free) {
 			n++
 		}
 	}

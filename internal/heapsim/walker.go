@@ -107,67 +107,6 @@ func (ff *FirstFit) Walk(emit func(Span) error) error {
 	return nil
 }
 
-// Regions implements Walker: the general heap's window plus the fixed
-// arena area. The arena window is not tiled — freed objects leave holes
-// under the bump pointers until a reset reclaims the whole arena.
-func (a *Arena) Regions() []Region {
-	return append(a.general.Regions(),
-		Region{Name: "arena", Base: ArenaBase, End: ArenaBase + a.area()})
-}
-
-// Walk implements Walker: the general heap's blocks plus one span per
-// live arena object at its synthetic bump address.
-func (a *Arena) Walk(emit func(Span) error) error {
-	if err := a.general.Walk(emit); err != nil {
-		return err
-	}
-	var werr error
-	a.where.forEach(func(id trace.ObjectID, loc arenaLoc) {
-		if werr != nil {
-			return
-		}
-		werr = emit(Span{
-			Region:  "arena",
-			Addr:    ArenaBase + int64(loc.idx)*a.arenaSize + loc.off,
-			Size:    loc.size,
-			Obj:     id,
-			Payload: loc.size,
-		})
-	})
-	return werr
-}
-
-// Regions implements Walker: the general heap plus the reserved site
-// pools (pools are allocated densely, so the window ends at the next
-// unassigned pool index).
-func (s *SiteArena) Regions() []Region {
-	end := siteArenaBase + int64(s.nextPool)*int64(s.ArenasPerSite)*s.ArenaSize
-	return append(s.general.Regions(),
-		Region{Name: "sitearena", Base: siteArenaBase, End: end})
-}
-
-// Walk implements Walker.
-func (s *SiteArena) Walk(emit func(Span) error) error {
-	if err := s.general.Walk(emit); err != nil {
-		return err
-	}
-	poolSize := int64(s.ArenasPerSite) * s.ArenaSize
-	for id, loc := range s.where {
-		pool := s.pools[loc.bucket]
-		err := emit(Span{
-			Region:  "sitearena",
-			Addr:    siteArenaBase + int64(pool.index)*poolSize + int64(loc.idx)*s.ArenaSize + loc.off,
-			Size:    loc.size,
-			Obj:     id,
-			Payload: loc.size,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Regions implements Walker: the general heap plus the hot-size slab
 // window, which live chunks, free chunks and slab tails tile.
 func (c *Custom) Regions() []Region {
