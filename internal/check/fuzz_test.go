@@ -27,7 +27,8 @@ var fuzzEdgeSizes = []int64{1, 1016, 1017, 1024, 1025, 4095, 4096, 4097, 1 << 20
 //     otherwise the record allocates, under chain (r[0]>>2)%fuzzChains,
 //     at the next id: one past the last id (r[0]%4 == 1), up to 4081 past
 //     it (2, with r[3] as the gap), or 2^25 past it (3), which carries
-//     every later id past objIndex's spine cap into its overflow map;
+//     every later id past trace.LiveSetCap, out of every live set's
+//     slice and into its map;
 //   - the request is fuzzEdgeSizes[r[1]] when r[1] indexes it, else
 //     r[1]<<(r[2]%21)>>8, clamped to [1, 1MB], so sizes are spread
 //     roughly log-uniformly from 1 byte to 1MB.

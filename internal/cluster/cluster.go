@@ -14,6 +14,7 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -23,12 +24,17 @@ import (
 	"repro/internal/trace"
 )
 
-// tenantShardBits positions the shard tag in a global object id: tenant
-// i's object ids are tagged with i<<48, which keeps ids unique across
-// tenants while leaving shard 0's ids untouched (the single-tenant
-// identity). Synth and recorded traces number objects densely from zero,
-// far below 2^48; Run rejects ids that would collide with the tag.
-const tenantShardBits = 48
+// globalID maps object local of tenant shard, one of n, to its id in the
+// pool, local×n + shard, and reports false when that would pass 2^64.
+// Global ids are unique across tenants, gid % n recovers the shard, ids
+// recycled densely by each tenant stay dense in the pool, and one tenant
+// keeps its own ids (the single-tenant identity).
+func globalID(local trace.ObjectID, shard, n int) (trace.ObjectID, bool) {
+	if local > (math.MaxUint64-trace.ObjectID(shard))/trace.ObjectID(n) {
+		return 0, false
+	}
+	return local*trace.ObjectID(n) + trace.ObjectID(shard), true
+}
 
 // Tenant is one workload stream entering the cluster.
 type Tenant struct {
@@ -179,7 +185,7 @@ type tenantState struct {
 // queuedObj is one waiting allocation in Queue mode.
 type queuedObj struct {
 	shard     int
-	ev        trace.Event // original event, id already tagged
+	ev        trace.Event // original event, id already global
 	short     bool
 	cancelled bool
 }
@@ -225,14 +231,7 @@ func Run(cfg Config, tenants []Tenant) (*Result, error) {
 		return nil, err
 	}
 
-	r := &clusterRun{
-		cfg:     cfg,
-		states:  states,
-		dropped: make(map[trace.ObjectID]struct{}),
-	}
-	if cfg.Admission == Queue {
-		r.queueIndex = make(map[trace.ObjectID]*queuedObj)
-	}
+	r := &clusterRun{cfg: cfg, states: states}
 	for i := 0; ; i++ {
 		shard, ev, err := it.Next()
 		if err == io.EOF {
@@ -259,30 +258,38 @@ type clusterRun struct {
 	peakLive     int64
 
 	// The admitted objects are the pool's live set (Pool.Size); an
-	// object's shard is its id's tag, gid >> tenantShardBits.
-	dropped map[trace.ObjectID]struct{} // rejected or evicted gids
+	// object's shard is its global id modulo the tenant count.
+	dropped trace.LiveSet[struct{}] // rejected or evicted gids
 
-	// Evict mode: pool-wide admission order, lazily compacted.
+	// Evict mode: pool-wide admission order, lazily compacted, and each
+	// admitted gid's position in it. A recycled gid is admitted again at
+	// a new position, so an entry is current only where fifoPos says.
 	evictFIFO []trace.ObjectID
 	evictHead int
+	fifoPos   trace.LiveSet[int]
 
 	// Queue mode: strict FIFO with a death-cancellation index.
 	queue      []*queuedObj
 	queueHead  int
-	queueIndex map[trace.ObjectID]*queuedObj
+	queueIndex trace.LiveSet[*queuedObj]
+}
+
+// shard returns the tenant state owning global id gid.
+func (r *clusterRun) shard(gid trace.ObjectID) *tenantState {
+	return r.states[gid%trace.ObjectID(len(r.states))]
 }
 
 // step processes one merged event.
 func (r *clusterRun) step(shard int, ev trace.Event) error {
 	st := r.states[shard]
+	local := ev.Obj
+	gid, ok := globalID(local, shard, len(r.states))
+	if !ok {
+		return fmt.Errorf("tenant %q object id %d overflows the global id", st.t.ID, local)
+	}
+	ev.Obj = gid
 	switch ev.Kind {
 	case trace.KindAlloc:
-		gid := ev.Obj
-		if gid>>tenantShardBits != 0 {
-			return fmt.Errorf("tenant %q object id %d overflows the shard tag", st.t.ID, gid)
-		}
-		gid |= trace.ObjectID(shard) << tenantShardBits
-		ev.Obj = gid
 		short := false
 		if st.t.Oracle != nil {
 			short = st.t.Oracle.PredictShort(ev.Chain, ev.Size)
@@ -294,7 +301,7 @@ func (r *clusterRun) step(shard int, ev trace.Event) error {
 			// Strict FIFO: while anyone waits, newcomers wait too.
 			q := &queuedObj{shard: shard, ev: ev, short: short}
 			r.queue = append(r.queue, q)
-			r.queueIndex[gid] = q
+			r.queueIndex.Put(gid, q)
 			st.res.Queued++
 		case over && r.cfg.Admission == Evict:
 			if !r.evictFor(ev.Size) {
@@ -313,26 +320,22 @@ func (r *clusterRun) step(shard int, ev trace.Event) error {
 			}
 		}
 	case trace.KindFree:
-		gid := ev.Obj | trace.ObjectID(shard)<<tenantShardBits
-		ev.Obj = gid
-		if q, ok := r.queueIndex[gid]; ok {
+		if q, ok := r.queueIndex.Delete(gid); ok {
 			// Died waiting: cancel the queued allocation.
 			q.cancelled = true
-			delete(r.queueIndex, gid)
 			st.res.QueueExpired++
 			st.tracker.Step(ev, false)
 			break
 		}
-		if _, ok := r.dropped[gid]; ok {
+		if _, ok := r.dropped.Delete(gid); ok {
 			// Free of a rejected or evicted object: absorbed, but still
 			// stepped so the tracker's event count stays aligned.
-			delete(r.dropped, gid)
 			st.tracker.Step(ev, false)
 			break
 		}
 		size, ok := r.cfg.Pool.Size(gid)
 		if !ok {
-			return fmt.Errorf("tenant %q frees unknown object %d", st.t.ID, ev.Obj)
+			return fmt.Errorf("tenant %q frees unknown object %d", st.t.ID, local)
 		}
 		if err := r.cfg.Pool.Free(gid); err != nil {
 			return err
@@ -369,6 +372,7 @@ func (r *clusterRun) admit(shard int, ev trace.Event, short bool) error {
 		r.peakLive = r.admittedLive
 	}
 	if r.cfg.Admission == Evict {
+		r.fifoPos.Put(ev.Obj, len(r.evictFIFO))
 		r.evictFIFO = append(r.evictFIFO, ev.Obj)
 	}
 	st.res.Sim.TotalAllocs++
@@ -379,7 +383,7 @@ func (r *clusterRun) admit(shard int, ev trace.Event, short bool) error {
 
 // reject drops one allocation.
 func (r *clusterRun) reject(st *tenantState, shard int, ev trace.Event) {
-	r.dropped[ev.Obj] = struct{}{}
+	r.dropped.Put(ev.Obj, struct{}{})
 	st.res.Rejected++
 	st.res.RejectedBytes += ev.Size
 }
@@ -387,7 +391,8 @@ func (r *clusterRun) reject(st *tenantState, shard int, ev trace.Event) {
 // release updates live accounting after an admitted object of size
 // bytes leaves the pool (free or eviction).
 func (r *clusterRun) release(gid trace.ObjectID, size int64) {
-	st := r.states[gid>>tenantShardBits]
+	r.fifoPos.Delete(gid)
+	st := r.shard(gid)
 	r.advance(st)
 	st.live -= size
 	r.admittedLive -= size
@@ -403,7 +408,7 @@ func (r *clusterRun) evictFor(size int64) bool {
 	for r.admittedLive+size > r.cfg.Budget {
 		// Lazily skip entries already freed the normal way.
 		for r.evictHead < len(r.evictFIFO) {
-			if _, live := r.cfg.Pool.Size(r.evictFIFO[r.evictHead]); live {
+			if pos, live := r.fifoPos.Get(r.evictFIFO[r.evictHead]); live && pos == r.evictHead {
 				break
 			}
 			r.evictHead++
@@ -418,9 +423,9 @@ func (r *clusterRun) evictFor(size int64) bool {
 			return false
 		}
 		r.release(gid, size)
-		st := r.states[gid>>tenantShardBits]
+		st := r.shard(gid)
 		st.res.Evicted++
-		r.dropped[gid] = struct{}{}
+		r.dropped.Put(gid, struct{}{})
 		// Score the victim now: from its tracker's point of view the
 		// object just died.
 		st.tracker.Step(trace.Event{Kind: trace.KindFree, Obj: gid}, false)
@@ -440,7 +445,7 @@ func (r *clusterRun) drainQueue() error {
 			return nil // head still does not fit; everyone behind waits
 		}
 		r.queueHead++
-		delete(r.queueIndex, q.ev.Obj)
+		r.queueIndex.Delete(q.ev.Obj)
 		if err := r.admit(q.shard, q.ev, q.short); err != nil {
 			return err
 		}

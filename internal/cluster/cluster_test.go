@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/check"
@@ -288,8 +289,8 @@ func mustPolicy(t testing.TB, name string) RoutingPolicy {
 
 // TestClusterLedgerReconciliation replays two tenants against a mixed
 // pool with no budget (everything admitted) and reconciles the final
-// pool state against a ledger built from the identically-interleaved,
-// identically-id-tagged event stream: the conformance auditor must
+// pool state against a ledger built from the identically-interleaved
+// event stream in the same global ids: the conformance auditor must
 // accept the pool (spans disjoint across member windows, live set equal
 // to the ledger's, op conservation).
 func TestClusterLedgerReconciliation(t *testing.T) {
@@ -323,25 +324,43 @@ func TestClusterLedgerReconciliation(t *testing.T) {
 		t.Fatal("no admitted work")
 	}
 
-	// Independent ledger over the same merged, gid-tagged stream.
-	led := check.NewLedger(32)
-	it, err := trace.NewKeyedInterleaver(
-		[]trace.Source{trace.NewSliceSource(mats[0]), trace.NewSliceSource(mats[1])}, ids)
+	// Independent ledger over the same merged stream, in global ids.
+	led := mergedLedger(t, []Tenant{
+		{ID: ids[0], Source: trace.NewSliceSource(mats[0])},
+		{ID: ids[1], Source: trace.NewSliceSource(mats[1])},
+	})
+	if err := check.AuditState("cluster-pool", pool, led); err != nil {
+		t.Fatalf("reconciliation failed: %v", err)
+	}
+}
+
+// mergedLedger drains the tenants' sources, merged as Run merges them
+// and in global ids, into a fresh ledger: the live set of a pool that
+// admitted everything.
+func mergedLedger(t *testing.T, tenants []Tenant) *check.Ledger {
+	t.Helper()
+	shards := make([]trace.Source, len(tenants))
+	keys := make([]string, len(tenants))
+	for i, tn := range tenants {
+		shards[i], keys[i] = tn.Source, tn.ID
+	}
+	it, err := trace.NewKeyedInterleaver(shards, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
+	led := check.NewLedger(32)
 	for {
 		shard, ev, err := it.Next()
-		if err != nil {
-			break
+		if err == io.EOF {
+			return led
 		}
-		ev.Obj |= trace.ObjectID(shard) << tenantShardBits
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.Obj, _ = globalID(ev.Obj, shard, len(tenants))
 		if err := led.Apply(ev); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := check.AuditState("cluster-pool", pool, led); err != nil {
-		t.Fatalf("reconciliation failed: %v", err)
 	}
 }
 

@@ -186,6 +186,16 @@ type occupancyReporter interface {
 // maxObsSites bounds the per-site ranking attached to a snapshot.
 const maxObsSites = 50
 
+// liveObj is what the tracker remembers about a live object between its
+// alloc and its free: enough to compute the actual lifetime and attribute
+// the prediction back to its site.
+type liveObj struct {
+	size  int64
+	born  int64 // clock before the object's own allocation (trace.Object.Birth)
+	chain callchain.ChainID
+	short bool // predicted short-lived at alloc time
+}
+
 // predLifetimeBuckets sizes the log2 actual-lifetime histograms: lifetimes
 // are measured in bytes allocated, so 40 buckets cover runs up to a
 // terabyte of allocation before the overflow bucket engages.
@@ -202,8 +212,8 @@ const predLifetimeBuckets = 40
 // the snapshot a solo replay would produce. A nil *Tracker is valid and
 // inert.
 //
-// One goroutine steps a tracker, so its bookkeeping is plain fields: no
-// Go map and no atomic add per event. The prediction scores reach the
+// One goroutine steps a tracker, so its bookkeeping is plain fields and
+// a trace.LiveSet: no atomic add per event. The prediction scores reach the
 // collector in batches, published before each timeline sample, each phase
 // mark and the end-of-run sample; a live scrape sees pred.* at most one
 // sample behind, and every snapshot, phase and sample sees them exact.
@@ -215,7 +225,7 @@ type Tracker struct {
 	clock       int64
 	liveBytes   int64
 	liveObjects int64
-	live        liveTable
+	live        trace.LiveSet[liveObj]
 
 	nEvents  int // 0 when unknown (streaming)
 	seen     int
@@ -377,7 +387,7 @@ func (t *Tracker) step(kind trace.Kind, obj trace.ObjectID, size int64, chain ca
 		t.clock += size
 		t.liveBytes += size
 		t.liveObjects++
-		t.live.put(obj, size, born, chain, short)
+		t.live.Put(obj, liveObj{size: size, born: born, chain: chain, short: short})
 		if int(chain) >= len(t.siteAllocs) {
 			t.siteAllocs = growTo(t.siteAllocs, chain)
 		}
@@ -389,12 +399,10 @@ func (t *Tracker) step(kind trace.Kind, obj trace.ObjectID, size int64, chain ca
 			t.sample()
 		}
 	case trace.KindFree:
-		if i := t.live.find(obj); i >= 0 {
-			lo := &t.live.slots[i]
+		if lo, ok := t.live.Delete(obj); ok {
 			t.liveBytes -= lo.size
 			t.liveObjects--
-			t.score(lo, t.clock-lo.born)
-			t.live.remove(i)
+			t.score(&lo, t.clock-lo.born)
 		}
 	}
 	t.seen++
@@ -527,10 +535,11 @@ func (t *Tracker) Finish(program string, tb *callchain.Table) *obs.Snapshot {
 	if t == nil {
 		return nil
 	}
-	// Draining the live table in slot order is fine: every scoring
-	// update is a commutative accumulation (counter adds, histogram
-	// observations, per-site sums), so the result is order-independent.
-	t.live.drain(func(lo *liveObj) { t.score(lo, t.clock-lo.born) })
+	// Every scoring update is a commutative accumulation (counter adds,
+	// histogram observations, per-site sums), so the drain's id order
+	// does not show in the result.
+	t.live.Walk(func(_ trace.ObjectID, lo liveObj) { t.score(&lo, t.clock-lo.born) })
+	t.live = trace.LiveSet[liveObj]{}
 	t.sample()
 	t.markPhase("end")
 

@@ -26,7 +26,7 @@ type arenaArea struct {
 	per    int   // arenas per pool
 	arenas []arenaState
 	cur    []int // each pool's current arena, an index into arenas
-	live   objIndex[arenaLoc]
+	live   trace.LiveSet[arenaLoc]
 	obs    *areaObs // nil unless a collector is attached
 }
 
@@ -96,7 +96,7 @@ func (a *arenaArea) bump(p int, id trace.ObjectID, size int64, site uint64) int 
 		}
 		st = &a.arenas[g]
 	}
-	a.live.put(id, arenaLoc{arena: g, off: st.used, size: size, site: site})
+	a.live.Put(id, arenaLoc{arena: g, off: st.used, size: size, site: site})
 	st.used += size
 	st.count++
 	a.ops.Allocs++
@@ -179,7 +179,7 @@ func (a *arenaArea) addr(loc arenaLoc) int64 { return a.base + int64(loc.arena)*
 // which is exactly the locality property the paper claims for them;
 // general-heap objects use the first-fit address space starting at 0.
 func (a *arenaArea) Addr(id trace.ObjectID) (int64, bool) {
-	if loc, ok := a.live.get(id); ok {
+	if loc, ok := a.live.Get(id); ok {
 		return a.addr(loc), true
 	}
 	return a.general.Addr(id)
@@ -216,7 +216,7 @@ func (a *arenaArea) Walk(emit func(Span) error) error {
 		return err
 	}
 	var werr error
-	a.live.forEach(func(id trace.ObjectID, loc arenaLoc) {
+	a.live.Walk(func(id trace.ObjectID, loc arenaLoc) {
 		if werr == nil {
 			werr = emit(Span{Region: a.window, Addr: a.addr(loc), Size: loc.size, Obj: id, Payload: loc.size})
 		}

@@ -59,7 +59,7 @@ func (a *Arena) Observe(col *obs.Collector) {
 // Alloc implements Allocator. Objects with predictedShort true are placed
 // in an arena when possible.
 func (a *Arena) Alloc(id trace.ObjectID, size int64, predictedShort bool) error {
-	_, placed := a.live.get(id)
+	_, placed := a.live.Get(id)
 	if err := a.admit(id, size, placed); err != nil {
 		return err
 	}
@@ -79,7 +79,7 @@ func (a *Arena) Alloc(id trace.ObjectID, size int64, predictedShort bool) error 
 
 // Free implements Allocator.
 func (a *Arena) Free(id trace.ObjectID) error {
-	loc, ok := a.live.del(id)
+	loc, ok := a.live.Delete(id)
 	if !ok {
 		return a.free(id)
 	}

@@ -74,7 +74,7 @@ func (b *BSD) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	if err := checkSize(size); err != nil {
 		return err
 	}
-	if _, dup := b.live.get(id); dup {
+	if _, dup := b.live.Get(id); dup {
 		return errDoubleAlloc("bsd", id)
 	}
 	bucket := b.bucketFor(size)
@@ -91,13 +91,13 @@ func (b *BSD) Alloc(id trace.ObjectID, size int64, _ bool) error {
 			b.obs.col.Emit(obs.EvHeapGrow, slab)
 		}
 	}
-	b.live.put(id, b.pop(bucket, size))
+	b.live.Put(id, b.pop(bucket, size))
 	return nil
 }
 
 // Free implements Allocator: push the chunk back on its bucket's list.
 func (b *BSD) Free(id trace.ObjectID) error {
-	o, ok := b.live.del(id)
+	o, ok := b.live.Delete(id)
 	if !ok {
 		return errUnknownFree("bsd", id)
 	}

@@ -70,7 +70,7 @@ func (c *Custom) Observe(col *obs.Collector) {
 
 // Alloc implements Allocator; the predictedShort hint is ignored.
 func (c *Custom) Alloc(id trace.ObjectID, size int64, _ bool) error {
-	_, placed := c.slabs.live.get(id)
+	_, placed := c.slabs.live.Get(id)
 	if err := c.admit(id, size, placed); err != nil {
 		return err
 	}
@@ -87,14 +87,14 @@ func (c *Custom) Alloc(id trace.ObjectID, size int64, _ bool) error {
 			c.obs.col.Emit(obs.EvHeapGrow, slab)
 		}
 	}
-	c.slabs.live.put(id, c.slabs.pop(class, size))
+	c.slabs.live.Put(id, c.slabs.pop(class, size))
 	c.ops.ArenaBytes += size // reuse the counter: bytes on the fast path
 	return nil
 }
 
 // Free implements Allocator.
 func (c *Custom) Free(id trace.ObjectID) error {
-	if o, ok := c.slabs.live.del(id); ok {
+	if o, ok := c.slabs.live.Delete(id); ok {
 		c.slabs.push(o)
 		c.ops.Frees++
 		return nil

@@ -1,17 +1,23 @@
-package heapsim
+package heapsim_test
 
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/check"
+	"repro/internal/heapsim"
 	"repro/internal/trace"
 )
 
+// maxRequest is the largest request size every simulator accepts.
+const maxRequest = heapsim.MaxRequest
+
 // mustNew builds the named simulator, giving custom the hot sizes.
-func mustNew(t *testing.T, name string, hot []int64) Allocator {
+func mustNew(t *testing.T, name string, hot []int64) heapsim.Allocator {
 	t.Helper()
-	a, err := New(name, hot)
+	a, err := heapsim.New(name, hot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +29,7 @@ func mustNew(t *testing.T, name string, hot []int64) Allocator {
 // exact heapsim error messages (comparison tooling greps them), and Addr
 // must report liveness truthfully for dead and never-alive ids.
 func TestAllocatorErrorPaths(t *testing.T) {
-	for _, name := range Names {
+	for _, name := range heapsim.Names {
 		for _, short := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/short=%v", name, short), func(t *testing.T) {
 				a := mustNew(t, name, []int64{16, 64})
@@ -92,7 +98,7 @@ func TestAllocatorErrorPaths(t *testing.T) {
 // TestAllocatorRejectsNonPositiveSize: a non-positive request is a trace
 // corruption, never a silent no-op.
 func TestAllocatorRejectsNonPositiveSize(t *testing.T) {
-	for _, name := range Names {
+	for _, name := range heapsim.Names {
 		t.Run(name, func(t *testing.T) {
 			a := mustNew(t, name, nil)
 			for _, sz := range []int64{0, -8} {
@@ -107,14 +113,15 @@ func TestAllocatorRejectsNonPositiveSize(t *testing.T) {
 	}
 }
 
-// TestAllocatorRejectsOversizedRequest: a request above maxRequest (2^40
-// bytes, where the arena window begins) is refused by every simulator,
-// on either layer of a composite, and leaves its heap as it was.
+// TestAllocatorRejectsOversizedRequest: a request above maxRequest (the
+// most a fresh heap holds below the arena window) is refused by every
+// simulator, on either layer of a composite, and leaves its heap as it
+// was.
 // Accepted, 2^62 bytes carried each general heap across the arena, custom
 // and site-arena windows, and overflowed BSD's power-of-two chunk into a
 // negative heap size.
 func TestAllocatorRejectsOversizedRequest(t *testing.T) {
-	for _, name := range Names {
+	for _, name := range heapsim.Names {
 		for _, short := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/short=%v", name, short), func(t *testing.T) {
 				a := mustNew(t, name, nil)
@@ -132,6 +139,58 @@ func TestAllocatorRejectsOversizedRequest(t *testing.T) {
 				}
 				if err := a.Alloc(9, maxRequest, short); err != nil {
 					t.Fatalf("size %d (the limit) refused: %v", int64(maxRequest), err)
+				}
+			})
+		}
+	}
+}
+
+// TestGeneralHeapStopsAtItsWindow: a first-fit heap never grows past
+// ArenaBase, so a composite's general heap refuses the request that would
+// carry it into the arena, slab or site-arena window above it. Requests
+// of 2^39 bytes fill the heap until one is refused, with an error naming
+// the allocator and without moving the heap or its first-fit counts; the
+// windows stay disjoint throughout, and the audit against the accepted
+// requests passes after the refusal.
+func TestGeneralHeapStopsAtItsWindow(t *testing.T) {
+	const size = 1 << 39
+	for _, name := range []string{"arena", "custom", "sitearena"} {
+		for _, short := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/short=%v", name, short), func(t *testing.T) {
+				a := mustNew(t, name, nil)
+				led := check.NewLedger(0)
+				for id := trace.ObjectID(0); ; id++ {
+					if id == 4 {
+						t.Fatalf("%d requests of %d bytes accepted", id, size)
+					}
+					heap, counts := a.HeapSize(), a.Counts()
+					err := a.Alloc(id, size, short)
+					if err != nil {
+						if !strings.Contains(err.Error(), name) {
+							t.Errorf("refusal %q does not name %s", err, name)
+						}
+						if got := a.HeapSize(); got != heap {
+							t.Errorf("refusal moved HeapSize from %d to %d", heap, got)
+						}
+						if c := a.Counts(); c.Allocs != counts.Allocs || c.FFProbes != counts.FFProbes || c.FFExtends != counts.FFExtends {
+							t.Errorf("refusal moved the counts from %+v to %+v", counts, c)
+						}
+						break
+					}
+					if err := led.Apply(trace.Event{Kind: trace.KindAlloc, Obj: id, Size: size}); err != nil {
+						t.Fatal(err)
+					}
+					rs := a.(heapsim.Walker).Regions()
+					for i := range rs {
+						for _, r := range rs[i+1:] {
+							if rs[i].Base < r.End && r.Base < rs[i].End {
+								t.Fatalf("after %d requests, windows %+v and %+v overlap", id+1, rs[i], r)
+							}
+						}
+					}
+				}
+				if err := check.AuditState(name, a, led); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}

@@ -28,7 +28,7 @@ func (f *fallback) admit(id trace.ObjectID, size int64, placed bool) error {
 	if err := checkSize(size); err != nil {
 		return err
 	}
-	if _, live := f.general.live.get(id); placed || live {
+	if _, live := f.general.live.Get(id); placed || live {
 		return errDoubleAlloc(f.general.name, id)
 	}
 	return nil

@@ -41,7 +41,7 @@ type FirstFit struct {
 	freeBlocks int
 	pool       ffBlockPool
 
-	live objIndex[*ffBlock]
+	live trace.LiveSet[*ffBlock]
 	ops  OpCounts
 }
 
@@ -181,9 +181,15 @@ func (ff *FirstFit) freeListRemove(b *ffBlock) {
 }
 
 // extend grows the heap by at least need bytes (in ffChunk multiples),
-// merging the new space with a trailing free block when possible.
-func (ff *FirstFit) extend(need int64) {
+// merging the new space with a trailing free block when possible. The
+// heap never grows past ArenaBase, where a composite's other windows
+// begin: extend reports false, changing nothing, when need would take it
+// there.
+func (ff *FirstFit) extend(need int64) bool {
 	growth := align(need, ffChunk)
+	if growth > ArenaBase-ff.heapEnd {
+		return false
+	}
 	ff.ops.FFExtends++
 	if ff.obs != nil {
 		ff.obs.extends.Inc()
@@ -196,7 +202,7 @@ func (ff *FirstFit) extend(need int64) {
 	}
 	if ff.tail != nil && ff.tail.free {
 		ff.tail.size += growth
-		return
+		return true
 	}
 	b := ff.pool.get()
 	b.addr, b.size, b.free = start, growth, true
@@ -208,6 +214,7 @@ func (ff *FirstFit) extend(need int64) {
 	}
 	ff.tail = b
 	ff.freeListInsert(b)
+	return true
 }
 
 // Alloc implements Allocator. The predictedShort hint is ignored.
@@ -215,28 +222,32 @@ func (ff *FirstFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	if err := checkSize(size); err != nil {
 		return err
 	}
-	if _, dup := ff.live.get(id); dup {
+	if _, dup := ff.live.Get(id); dup {
 		return errDoubleAlloc(ff.name, id)
 	}
 	return ff.place(id, size)
 }
 
 // place allocates a checked request: a size checkSize accepts, whose id
-// is not live.
+// is not live. A request the heap has no room for fails and leaves the
+// heap and its counts as they were.
 func (ff *FirstFit) place(id trace.ObjectID, size int64) error {
-	ff.ops.Allocs++
-	ff.ops.FFAllocs++
 	need := align(size+ffHeader, ffAlign)
 
 	probesBefore := ff.ops.FFProbes
 	b := ff.search(need)
 	if b == nil {
-		ff.extend(need)
+		if !ff.extend(need) {
+			ff.ops.FFProbes = probesBefore
+			return errHeapFull(ff.name, size)
+		}
 		b = ff.search(need)
 		if b == nil {
 			return fmt.Errorf("heapsim: internal error: no fit after extend for %d bytes", need)
 		}
 	}
+	ff.ops.Allocs++
+	ff.ops.FFAllocs++
 	if ff.obs != nil {
 		ff.obs.searchLen.Observe(ff.ops.FFProbes - probesBefore)
 		ff.obs.allocSize.Observe(size)
@@ -278,7 +289,7 @@ func (ff *FirstFit) place(id trace.ObjectID, size int64) error {
 	}
 	b.free = false
 	b.payload = size
-	ff.live.put(id, b)
+	ff.live.Put(id, b)
 	ff.liveBytes += size
 	return nil
 }
@@ -315,7 +326,7 @@ func (ff *FirstFit) search(need int64) *ffBlock {
 // Free implements Allocator: O(1) boundary-tag coalescing with both
 // address neighbors.
 func (ff *FirstFit) Free(id trace.ObjectID) error {
-	b, ok := ff.live.del(id)
+	b, ok := ff.live.Delete(id)
 	if !ok {
 		return errUnknownFree(ff.name, id)
 	}
@@ -376,14 +387,14 @@ func (ff *FirstFit) MaxHeapSize() int64 { return ff.maxHeapEnd }
 func (ff *FirstFit) LiveBytes() int64 { return ff.liveBytes }
 
 // LiveObjects returns the number of live objects.
-func (ff *FirstFit) LiveObjects() int { return ff.live.len() }
+func (ff *FirstFit) LiveObjects() int { return ff.live.Len() }
 
 // Counts implements Allocator.
 func (ff *FirstFit) Counts() OpCounts { return ff.ops }
 
 // Addr implements Allocator.
 func (ff *FirstFit) Addr(id trace.ObjectID) (int64, bool) {
-	b, ok := ff.live.get(id)
+	b, ok := ff.live.Get(id)
 	if !ok {
 		return 0, false
 	}

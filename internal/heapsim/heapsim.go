@@ -50,8 +50,9 @@
 // in placement order, and its strikes against each site.
 //
 // Every simulator refuses a request that is not positive or is larger
-// than 2^40 bytes, where the arena window begins, so no general heap
-// grows into another window from one request.
+// than 2^40 bytes less one 8KB growth chunk, and every first-fit heap
+// refuses to grow past 2^40, where the arena window begins, so no general
+// heap grows into another window.
 //
 // The simulators model the *address space and operation counts*, not the
 // bytes themselves: objects are identified by trace object ids, and every
@@ -160,10 +161,11 @@ func errDoubleAlloc(alloc string, id trace.ObjectID) error {
 	return fmt.Errorf("heapsim: %s: object %d allocated while already live", alloc, id)
 }
 
-// maxRequest is the largest request any simulator accepts: 2^40 bytes,
-// ArenaBase, the lowest window above the general heap. It also keeps
-// BSD's power-of-two chunks from overflowing.
-const maxRequest = ArenaBase
+// maxRequest is the largest request any simulator accepts: the most a
+// fresh first-fit heap can hold below ArenaBase, the lowest window above
+// it, where every first-fit heap stops growing. It also keeps BSD's
+// power-of-two chunks from overflowing.
+const maxRequest = ArenaBase - ffChunk
 
 // checkSize refuses a request no simulator places: a size that is not
 // positive or is above maxRequest.
@@ -175,7 +177,11 @@ func checkSize(size int64) error {
 }
 
 func errSize(size int64) error {
-	return fmt.Errorf("heapsim: allocation size %d outside [1, 2^40]", size)
+	return fmt.Errorf("heapsim: allocation size %d outside [1, %d]", size, int64(maxRequest))
+}
+
+func errHeapFull(alloc string, size int64) error {
+	return fmt.Errorf("heapsim: %s: no room for %d bytes below the heap's 2^40-byte limit", alloc, size)
 }
 
 func errUnknownFree(alloc string, id trace.ObjectID) error {

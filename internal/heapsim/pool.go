@@ -36,7 +36,7 @@ const PoolStride int64 = 1 << 44
 type Pool struct {
 	name    string
 	members []Allocator
-	owner   map[trace.ObjectID]poolSlot
+	owner   trace.LiveSet[poolSlot]
 	live    []int64 // per-member live payload bytes
 }
 
@@ -61,7 +61,6 @@ func NewPool(name string, members ...Allocator) (*Pool, error) {
 	return &Pool{
 		name:    name,
 		members: members,
-		owner:   make(map[trace.ObjectID]poolSlot),
 		live:    make([]int64, len(members)),
 	}, nil
 }
@@ -82,23 +81,23 @@ func (p *Pool) MemberHeap(i int) int64 { return p.members[i].HeapSize() }
 // Size returns the payload size of a live object and whether the pool
 // holds it.
 func (p *Pool) Size(id trace.ObjectID) (int64, bool) {
-	slot, ok := p.owner[id]
+	slot, ok := p.owner.Get(id)
 	return slot.size, ok
 }
 
 // AllocOn places an object on an explicit member — the routed entry point
-// the cluster uses. The id must be globally unique across the pool.
+// the cluster uses. The id must not be live anywhere in the pool.
 func (p *Pool) AllocOn(member int, id trace.ObjectID, size int64, predictedShort bool) error {
 	if member < 0 || member >= len(p.members) {
 		return fmt.Errorf("heapsim: pool %q: route to member %d of %d", p.name, member, len(p.members))
 	}
-	if _, dup := p.owner[id]; dup {
+	if _, dup := p.owner.Get(id); dup {
 		return errDoubleAlloc("pool", id)
 	}
 	if err := p.members[member].Alloc(id, size, predictedShort); err != nil {
 		return err
 	}
-	p.owner[id] = poolSlot{member: member, size: size}
+	p.owner.Put(id, poolSlot{member: member, size: size})
 	p.live[member] += size
 	return nil
 }
@@ -111,14 +110,14 @@ func (p *Pool) Alloc(id trace.ObjectID, size int64, predictedShort bool) error {
 
 // Free releases a live object on whichever member holds it.
 func (p *Pool) Free(id trace.ObjectID) error {
-	slot, ok := p.owner[id]
+	slot, ok := p.owner.Get(id)
 	if !ok {
 		return errUnknownFree("pool", id)
 	}
 	if err := p.members[slot.member].Free(id); err != nil {
 		return err
 	}
-	delete(p.owner, id)
+	p.owner.Delete(id)
 	p.live[slot.member] -= slot.size
 	return nil
 }
@@ -174,7 +173,7 @@ func (p *Pool) Counts() OpCounts {
 // Addr reports a live object's pool-wide address: its member address
 // shifted into the member's PoolStride window.
 func (p *Pool) Addr(id trace.ObjectID) (int64, bool) {
-	slot, ok := p.owner[id]
+	slot, ok := p.owner.Get(id)
 	if !ok {
 		return 0, false
 	}
@@ -218,7 +217,7 @@ func (p *Pool) ArenaOccupancy() float64 {
 
 // CheckInvariants runs every member's structural self-check (the
 // conformance auditor's hook), plus the pool's own accounting identity:
-// per-member live payload sums over the owner map.
+// per-member live payload sums over the owned objects.
 func (p *Pool) CheckInvariants() error {
 	for i, m := range p.members {
 		if ic, ok := m.(interface{ CheckInvariants() error }); ok {
@@ -228,12 +227,12 @@ func (p *Pool) CheckInvariants() error {
 		}
 	}
 	perMember := make([]int64, len(p.members))
-	for _, slot := range p.owner {
+	p.owner.Walk(func(_ trace.ObjectID, slot poolSlot) {
 		perMember[slot.member] += slot.size
-	}
+	})
 	for i, want := range perMember {
 		if p.live[i] != want {
-			return fmt.Errorf("pool %q member %d: live accounting %d, owner map says %d",
+			return fmt.Errorf("pool %q member %d: live accounting %d, its objects sum to %d",
 				p.name, i, p.live[i], want)
 		}
 	}

@@ -96,7 +96,7 @@ func (s *SegFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 	if err := checkSize(size); err != nil {
 		return err
 	}
-	if _, dup := s.live.get(id); dup {
+	if _, dup := s.live.Get(id); dup {
 		return errDoubleAlloc("segfit", id)
 	}
 	class := s.classFor(size)
@@ -114,13 +114,13 @@ func (s *SegFit) Alloc(id trace.ObjectID, size int64, _ bool) error {
 			s.obs.col.Emit(obs.EvHeapGrow, slab)
 		}
 	}
-	s.live.put(id, s.pop(class, size))
+	s.live.Put(id, s.pop(class, size))
 	return nil
 }
 
 // Free implements Allocator: push the chunk back on its class list.
 func (s *SegFit) Free(id trace.ObjectID) error {
-	o, ok := s.live.del(id)
+	o, ok := s.live.Delete(id)
 	if !ok {
 		return errUnknownFree("segfit", id)
 	}

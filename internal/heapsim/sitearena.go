@@ -91,7 +91,7 @@ func (s *SiteArena) Observe(col *obs.Collector) {
 // (any stable 64-bit identity for the site; core uses the predictor's
 // mapped site). Unpredicted allocations go through Alloc.
 func (s *SiteArena) AllocAt(id trace.ObjectID, size int64, site uint64) error {
-	_, placed := s.live.get(id)
+	_, placed := s.live.Get(id)
 	if err := s.admit(id, size, placed); err != nil {
 		return err
 	}
@@ -182,7 +182,7 @@ func (s *SiteArena) Alloc(id trace.ObjectID, size int64, predictedShort bool) er
 	if predictedShort {
 		return s.AllocAt(id, size, 0)
 	}
-	_, placed := s.live.get(id)
+	_, placed := s.live.Get(id)
 	if err := s.admit(id, size, placed); err != nil {
 		return err
 	}
@@ -191,7 +191,7 @@ func (s *SiteArena) Alloc(id trace.ObjectID, size int64, predictedShort bool) er
 
 // Free implements Allocator.
 func (s *SiteArena) Free(id trace.ObjectID) error {
-	loc, ok := s.live.del(id)
+	loc, ok := s.live.Delete(id)
 	if !ok {
 		return s.free(id)
 	}

@@ -19,7 +19,7 @@ type slabHeap struct {
 	header    int64 // per-object bookkeeping inside each chunk
 	classes   []slabClass
 	tails     []Span // free spans, one per slab with a remainder
-	live      objIndex[slabObj]
+	live      trace.LiveSet[slabObj]
 }
 
 // slabClass is one size class: its chunk extent, header included, and
@@ -95,7 +95,7 @@ func (h *slabHeap) MaxHeapSize() int64 { return h.end - h.base }
 // Addr returns live object id's payload address, just past its chunk's
 // header.
 func (h *slabHeap) Addr(id trace.ObjectID) (int64, bool) {
-	o, ok := h.live.get(id)
+	o, ok := h.live.Get(id)
 	if !ok {
 		return 0, false
 	}
@@ -111,7 +111,7 @@ func (h *slabHeap) Regions() []Region {
 // class's free chunks, then the slab tails.
 func (h *slabHeap) Walk(emit func(Span) error) error {
 	var werr error
-	h.live.forEach(func(id trace.ObjectID, o slabObj) {
+	h.live.Walk(func(id trace.ObjectID, o slabObj) {
 		if werr == nil {
 			werr = emit(Span{Region: h.window, Addr: o.addr, Size: h.classes[o.class].chunk, Obj: id, Payload: o.size})
 		}

@@ -68,9 +68,9 @@ type Walker interface {
 // liveByBlock inverts a live index for walking: block pointer -> object
 // id. Built per walk so the hot allocation paths carry no extra
 // bookkeeping.
-func liveByBlock(live *objIndex[*ffBlock]) map[*ffBlock]trace.ObjectID {
-	inv := make(map[*ffBlock]trace.ObjectID, live.len())
-	live.forEach(func(id trace.ObjectID, b *ffBlock) {
+func liveByBlock(live *trace.LiveSet[*ffBlock]) map[*ffBlock]trace.ObjectID {
+	inv := make(map[*ffBlock]trace.ObjectID, live.Len())
+	live.Walk(func(id trace.ObjectID, b *ffBlock) {
 		inv[b] = id
 	})
 	return inv

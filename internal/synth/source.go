@@ -21,8 +21,9 @@ type segment struct {
 
 // Source generates a model's events on demand, a block at a time — the
 // trace.Source the whole pipeline consumes, and the only generator:
-// Generate is Collect over it. Generation state is O(live objects): the
-// pending-death heap plus the expanded site specs, never the event list.
+// Generate is Collect over it. Generation state is O(peak live objects):
+// the pending-death heap, the freed ids awaiting reuse and the expanded
+// site specs, never the event list.
 //
 // The same Config always yields the same event sequence: the same seeds
 // feed the same samplers in the same order, so a Source can replace a
@@ -38,7 +39,8 @@ type Source struct {
 	segIdx   int
 
 	bytes    int64
-	nextID   trace.ObjectID
+	nextID   trace.ObjectID   // the lowest id never handed out
+	freeIDs  []trace.ObjectID // freed ids, the most recently freed last
 	pending  deathHeap
 	draining bool
 	done     bool
@@ -192,14 +194,18 @@ func (s *Source) next() (trace.Event, error) {
 		} else {
 			// Emit any deaths that have come due before the next birth.
 			if len(s.pending) > 0 && s.pending[0].deathTime <= s.bytes {
-				ev := s.pending.pop()
-				return trace.Event{Kind: trace.KindFree, Obj: ev.obj}, nil
+				return s.free(), nil
 			}
 			sp := seg.active[seg.sampler.Next()]
 			size := sp.Sizes.sample(sp.rng, s.in)
 			refs := int64(sp.RefsPerObject + sp.RefsPerByte*float64(size))
 			obj := s.nextID
-			s.nextID++
+			if n := len(s.freeIDs); n > 0 {
+				obj = s.freeIDs[n-1]
+				s.freeIDs = s.freeIDs[:n-1]
+			} else {
+				s.nextID++
+			}
 			s.bytes += size
 			life := sp.life(s.in).sample(sp.rng)
 			if life != immortal {
@@ -225,8 +231,7 @@ func (s *Source) next() (trace.Event, error) {
 	// Drain deaths that fall within the generated period. Anything later
 	// stays unfreed, i.e. alive at program exit.
 	if len(s.pending) > 0 && s.pending[0].deathTime <= s.bytes {
-		ev := s.pending.pop()
-		return trace.Event{Kind: trace.KindFree, Obj: ev.obj}, nil
+		return s.free(), nil
 	}
 	s.done = true
 	s.meta.FunctionCalls = int64(s.m.CallsPerAlloc * float64(s.allocs))
@@ -234,6 +239,16 @@ func (s *Source) next() (trace.Event, error) {
 		s.meta.NonHeapRefs = int64(float64(s.heapRefs) * (1 - s.m.HeapRefFrac) / s.m.HeapRefFrac)
 	}
 	return trace.Event{}, io.EOF
+}
+
+// free frees the object whose death is due first and keeps its id for
+// the next allocation. Recycling draws no random numbers, so sizes,
+// chains and the byte clock are those of a run that never reused an id,
+// and every id stays below the peak live count.
+func (s *Source) free() trace.Event {
+	obj := s.pending.pop().obj
+	s.freeIDs = append(s.freeIDs, obj)
+	return trace.Event{Kind: trace.KindFree, Obj: obj}
 }
 
 // NextBlock implements trace.Source: the generator fills the caller's

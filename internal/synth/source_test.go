@@ -191,3 +191,45 @@ func drainScalar(t *testing.T, m *Model, cfg Config) (*Source, []trace.Event) {
 		events = append(events, ev)
 	}
 }
+
+// TestSourceRecyclesIDs pins id reuse for every model and input at scale
+// 0.02: an allocation takes the most recently freed id not yet reused,
+// else the lowest id never handed out, so no id reaches the peak live
+// count (the high-water mark up to and including that allocation) and
+// the largest id is the trace's peak live count minus one. The count of
+// objects live at the moment is no bound: LIFO reuse hands a late-freed
+// high id back while few objects are live.
+func TestSourceRecyclesIDs(t *testing.T) {
+	for _, m := range All() {
+		for _, in := range []Input{Train, Test} {
+			_, events := drainScalar(t, m, Config{Input: in, Seed: 1993, Scale: 0.02})
+			var freed []trace.ObjectID
+			fresh, live, peak, maxID := trace.ObjectID(0), 0, 0, trace.ObjectID(0)
+			for i, ev := range events {
+				if ev.Kind == trace.KindFree {
+					freed = append(freed, ev.Obj)
+					live--
+					continue
+				}
+				want := fresh
+				if n := len(freed); n > 0 {
+					want, freed = freed[n-1], freed[:n-1]
+				} else {
+					fresh++
+				}
+				if ev.Obj != want {
+					t.Fatalf("%s/%s: event %d allocates id %d, want %d", m.Name, in, i, ev.Obj, want)
+				}
+				live++
+				peak = max(peak, live)
+				if int(ev.Obj) >= peak {
+					t.Fatalf("%s/%s: event %d allocates id %d with a peak of %d live", m.Name, in, i, ev.Obj, peak)
+				}
+				maxID = max(maxID, ev.Obj)
+			}
+			if int(maxID) != peak-1 {
+				t.Errorf("%s/%s: largest id %d, peak live %d", m.Name, in, maxID, peak)
+			}
+		}
+	}
+}

@@ -167,7 +167,7 @@ func Collect(src Source) (*Trace, error) {
 // streams (double alloc, unknown or double free, bad kind), plus any
 // error returned by emit, which stops the scan.
 func AnnotateStream(src Source, emit func(Object) error) error {
-	live := make(map[ObjectID]Object, 4096)
+	var live LiveSet[Object]
 	var bytes int64
 	// Event indices in errors stay global: base counts events in
 	// completed blocks.
@@ -185,23 +185,22 @@ func AnnotateStream(src Source, emit func(Object) error) error {
 			obj := blk.Objs[k]
 			switch blk.Kinds[k] {
 			case KindAlloc:
-				if _, dup := live[obj]; dup {
+				if _, dup := live.Get(obj); dup {
 					return fmt.Errorf("trace: event %d: object %d allocated twice", i, obj)
 				}
-				live[obj] = Object{
+				live.Put(obj, Object{
 					ID:    obj,
 					Size:  blk.Sizes[k],
 					Chain: blk.Chains[k],
 					Refs:  blk.Refs[k],
 					Birth: bytes,
-				}
+				})
 				bytes += blk.Sizes[k]
 			case KindFree:
-				o, ok := live[obj]
+				o, ok := live.Delete(obj)
 				if !ok {
 					return fmt.Errorf("trace: event %d: free of unknown object %d", i, obj)
 				}
-				delete(live, obj)
 				o.Freed = true
 				o.Lifetime = bytes - o.Birth
 				if err := emit(o); err != nil {
@@ -212,15 +211,12 @@ func AnnotateStream(src Source, emit func(Object) error) error {
 			}
 		}
 	}
-	if len(live) == 0 {
-		return nil
-	}
-	rest := make([]Object, 0, len(live))
-	for _, o := range live {
+	rest := make([]Object, 0, live.Len())
+	live.Walk(func(_ ObjectID, o Object) {
 		o.Lifetime = bytes - o.Birth
 		rest = append(rest, o)
-	}
-	sort.Slice(rest, func(a, b int) bool { return rest[a].Birth < rest[b].Birth })
+	})
+	sort.SliceStable(rest, func(a, b int) bool { return rest[a].Birth < rest[b].Birth })
 	for _, o := range rest {
 		if err := emit(o); err != nil {
 			return err
@@ -235,15 +231,13 @@ func AnnotateStream(src Source, emit func(Object) error) error {
 // number of simultaneously live objects.
 type StatsAccum struct {
 	s         Stats
-	liveSize  map[ObjectID]int64
+	liveSize  LiveSet[int64]
 	liveBytes int64
 	events    int
 }
 
 // NewStatsAccum returns an empty accumulator.
-func NewStatsAccum() *StatsAccum {
-	return &StatsAccum{liveSize: make(map[ObjectID]int64, 4096)}
-}
+func NewStatsAccum() *StatsAccum { return &StatsAccum{} }
 
 // Add folds one event in. It reports the same errors as ComputeStats for
 // malformed event sequences; the event index in errors counts events
@@ -253,26 +247,25 @@ func (a *StatsAccum) Add(ev Event) error {
 	a.events++
 	switch ev.Kind {
 	case KindAlloc:
-		if _, dup := a.liveSize[ev.Obj]; dup {
+		if _, dup := a.liveSize.Get(ev.Obj); dup {
 			return fmt.Errorf("trace: event %d: object %d allocated twice", i, ev.Obj)
 		}
 		a.s.TotalObjects++
 		a.s.TotalBytes += ev.Size
 		a.s.HeapRefs += ev.Refs
-		a.liveSize[ev.Obj] = ev.Size
+		a.liveSize.Put(ev.Obj, ev.Size)
 		a.liveBytes += ev.Size
-		if int64(len(a.liveSize)) > a.s.MaxObjects {
-			a.s.MaxObjects = int64(len(a.liveSize))
+		if n := int64(a.liveSize.Len()); n > a.s.MaxObjects {
+			a.s.MaxObjects = n
 		}
 		if a.liveBytes > a.s.MaxBytes {
 			a.s.MaxBytes = a.liveBytes
 		}
 	case KindFree:
-		sz, ok := a.liveSize[ev.Obj]
+		sz, ok := a.liveSize.Delete(ev.Obj)
 		if !ok {
 			return fmt.Errorf("trace: event %d: free of unknown or dead object %d", i, ev.Obj)
 		}
-		delete(a.liveSize, ev.Obj)
 		a.liveBytes -= sz
 		a.s.FreedObjects++
 	default:

@@ -14,8 +14,11 @@ import (
 	"repro/internal/callchain"
 )
 
-// ObjectID identifies an allocated object within one trace. IDs are
-// assigned densely from 0 in birth order by the generators.
+// ObjectID names one live object of a trace. An id is recycled once its
+// object is freed, so it names one live object at a time, and
+// Object.ID is not unique within a trace. The generators hand out the
+// most recently freed id, or the next unused one from 0, so their ids
+// stay below the peak live count.
 type ObjectID uint64
 
 // Kind discriminates trace events.
@@ -110,15 +113,15 @@ func checkAlloc(ev Event) error {
 // trace or a generator bug. An id may be reused once its object is freed.
 func Annotate(tr *Trace) ([]Object, error) {
 	objs := make([]Object, 0, len(tr.Events)/2+1)
-	live := make(map[ObjectID]int, len(tr.Events)/2+1) // live object -> its index in objs
+	var live LiveSet[int] // live object -> its index in objs
 	var bytes int64
 	for i, ev := range tr.Events {
 		switch ev.Kind {
 		case KindAlloc:
-			if _, dup := live[ev.Obj]; dup {
+			if _, dup := live.Get(ev.Obj); dup {
 				return nil, fmt.Errorf("trace: event %d: object %d allocated twice", i, ev.Obj)
 			}
-			live[ev.Obj] = len(objs)
+			live.Put(ev.Obj, len(objs))
 			objs = append(objs, Object{
 				ID:    ev.Obj,
 				Size:  ev.Size,
@@ -128,11 +131,10 @@ func Annotate(tr *Trace) ([]Object, error) {
 			})
 			bytes += ev.Size
 		case KindFree:
-			j, ok := live[ev.Obj]
+			j, ok := live.Delete(ev.Obj)
 			if !ok {
 				return nil, fmt.Errorf("trace: event %d: free of unknown object %d", i, ev.Obj)
 			}
-			delete(live, ev.Obj)
 			objs[j].Freed = true
 			objs[j].Lifetime = bytes - objs[j].Birth
 		default:
